@@ -199,23 +199,52 @@ class StreamIngestor:
             rng=self._rng.spawn(self._dataset, self._stream, self._seq),
         )
 
+    def _open_partition(self) -> None:
+        self._sampler = self._new_sampler()
+        self._synopsis = SynopsisAccumulator()
+        self._partition_t0 = monotonic()
+
     def feed(self, value: T) -> None:
         """Observe one stream arrival."""
         if self._closed:
             raise ProtocolError("ingestor already closed")
         if self._sampler is None:
-            self._sampler = self._new_sampler()
-            self._synopsis = SynopsisAccumulator()
-            self._partition_t0 = monotonic()
+            self._open_partition()
         self._sampler.feed(value)
         self._synopsis.feed(value)
         if self._policy.should_cut(self._sampler):
             self._finalize_current()
 
     def feed_many(self, values: Iterable[T]) -> None:
-        """Observe a sequence of stream arrivals."""
-        for v in values:
-            self.feed(v)
+        """Observe a sequence of stream arrivals.
+
+        Under a :class:`CountPolicy` a list, tuple or range is cut into
+        slices that end exactly at partition cuts; each slice goes to
+        the sampler's and the synopsis accumulator's ``feed_many`` (the
+        samplers' skip-based fast paths).  The result is the same as
+        feeding the values one by one.  Other policies, which must be
+        asked after every arrival, and other iterables take the
+        per-arrival path.
+        """
+        if self._closed:
+            raise ProtocolError("ingestor already closed")
+        if not (type(self._policy) is CountPolicy
+                and isinstance(values, (list, tuple, range))):
+            for v in values:
+                self.feed(v)
+            return
+        size = self._policy.expected_size()
+        pos, n = 0, len(values)
+        while pos < n:
+            if self._sampler is None:
+                self._open_partition()
+            end = min(n, pos + size - self._sampler.seen)
+            chunk = values[pos:end]
+            self._sampler.feed_many(chunk)
+            self._synopsis.feed_many(chunk)
+            pos = end
+            if self._policy.should_cut(self._sampler):
+                self._finalize_current()
 
     def _finalize_current(self) -> None:
         assert self._sampler is not None

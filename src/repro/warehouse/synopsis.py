@@ -5,9 +5,9 @@ error-bounded query planner (``docs/aqp.md``) plans against: the
 partition's element count, first two numeric moments, value range, and
 top-k heavy hitters.  Synopses come in two flavours:
 
-* **exact** — computed from the raw values while they stream through
-  ingest (batch chunks and stream arrivals are both seen element by
-  element), so ``total`` / ``total_sq`` are the partition's true
+* **exact** — computed from the raw values while they pass through
+  ingest (a batch chunk in one slice, a stream in slices that end at
+  partition cuts), so ``total`` / ``total_sq`` are the partition's true
   moments.  An exact numeric synopsis can answer a predicate-free
   SUM / AVG / COUNT contribution with zero variance.
 * **estimated** — derived from a stored sample when the raw data is
@@ -27,8 +27,13 @@ aggregates from them and falls back to merge-all.
 
 from __future__ import annotations
 
+import heapq
+import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.phases import SampleKind
@@ -41,15 +46,39 @@ __all__ = ["PartitionSynopsis", "SynopsisAccumulator", "DEFAULT_TOP_K"]
 DEFAULT_TOP_K = 8
 
 
+def _is_number_type(kind: type) -> bool:
+    """True for real-number types (numpy's included) other than bool.
+
+    ``numpy.bool_`` is not a :class:`numbers.Real`, so it is rejected
+    along with :class:`bool`.
+    """
+    if kind is int or kind is float:
+        return True
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_number_type(type(value))
+
+
+def _rank_key(pair: Tuple[object, float]) -> Tuple[float, str]:
+    return -pair[1], repr(pair[0])
 
 
 def _top_pairs(counter: Counter, top: int) -> Tuple[Tuple[object, float], ...]:
     """The ``top`` largest (value, count) pairs, count-desc then value-repr
-    asc so the result is deterministic for equal counts."""
-    ranked = sorted(counter.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-    return tuple((v, float(c)) for v, c in ranked[:top])
+    asc so the result is deterministic for equal counts.
+
+    Only the pairs whose count reaches the ``top``-th largest count can
+    make the cut, so only those pay for the ``repr`` tie-break.
+    """
+    if 0 < top < len(counter):
+        cut = heapq.nlargest(top, counter.values())[-1]
+        pairs = [kv for kv in counter.items() if kv[1] >= cut]
+    else:
+        pairs = list(counter.items())
+    ranked = heapq.nsmallest(top, pairs, key=_rank_key)
+    return tuple((v, float(c)) for v, c in ranked)
 
 
 @dataclass(frozen=True)
@@ -106,8 +135,7 @@ class PartitionSynopsis:
                     top: int = DEFAULT_TOP_K) -> "PartitionSynopsis":
         """Exact synopsis of a raw value sequence (the ingest path)."""
         acc = SynopsisAccumulator(top=top)
-        for v in values:
-            acc.feed(v)
+        acc.feed_many(values)
         return acc.finalize()
 
     @classmethod
@@ -242,11 +270,15 @@ class PartitionSynopsis:
 class SynopsisAccumulator:
     """Streaming builder for an exact :class:`PartitionSynopsis`.
 
-    The stream ingestor feeds every arrival through one of these in
+    The stream ingestor feeds its arrivals through one of these in
     parallel with the sampler, so stream-cut partitions get exact
-    synopses without a second pass.  O(1) per arrival plus one counter
-    update; memory is bounded by the partition's distinct-value count
-    (partitions are policy-bounded).
+    synopses without a second pass.  :meth:`feed_many` takes a whole
+    slice per call (one ``Counter.update``, one numeric-type check, and
+    C-level folds for the moments and range); :meth:`feed` takes one
+    arrival.  Any split of a value list into ``feed`` / ``feed_many``
+    calls yields the same synopsis, bit for bit.  Memory is bounded by
+    the partition's distinct-value count (partitions are
+    policy-bounded).
     """
 
     __slots__ = ("_top", "_count", "_total", "_total_sq", "_min", "_max",
@@ -281,6 +313,35 @@ class SynopsisAccumulator:
             self._max = x if self._max is None else max(self._max, x)
         else:
             self._numeric = False
+
+    def feed_many(self, values: Sequence) -> None:
+        """Observe a slice of arrivals, in order.
+
+        Equivalent to :meth:`feed` on each value: the moments are the
+        same left-to-right float additions from the running totals
+        (``sum()`` is avoided because Python 3.12 compensates float
+        sums), and numeric-ness is decided from the values' types, so
+        ``[1, True]`` is non-numeric although its counter key is ``1``.
+        Takes any sized sequence, numpy arrays included.
+        """
+        if len(values) == 0:
+            return
+        self._count += len(values)
+        self._counter.update(values)
+        if not self._numeric:
+            return
+        if not all(map(_is_number_type, set(map(type, values)))):
+            self._numeric = False
+            return
+        xs = list(map(float, values))
+        self._total = reduce(operator.add, xs, self._total)
+        self._total_sq = reduce(operator.add, map(operator.mul, xs, xs),
+                                self._total_sq)
+        # Fold from the running extremes so NaN ordering matches feed().
+        lo = () if self._min is None else (self._min,)
+        hi = () if self._max is None else (self._max,)
+        self._min = min(chain(lo, xs))
+        self._max = max(chain(hi, xs))
 
     def finalize(self) -> PartitionSynopsis:
         """The exact synopsis of everything fed so far."""

@@ -100,6 +100,8 @@ class SlidingWindowSampler:
 
     def feed_many(self, values: Iterable[T]) -> None:
         """Observe a sequence of stream arrivals."""
+        if self._closed:
+            raise ProtocolError("window sampler already closed")
         for v in values:
             self.feed(v)
 

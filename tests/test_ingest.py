@@ -148,3 +148,114 @@ class TestStreamIngestor:
         ing.feed_many(range(20))
         assert len(ing.emitted) == 2
         assert ing.current_seen == 0
+
+
+def _stream_values(kind, n):
+    rng = SplittableRng(17)
+    if kind == "zipf":
+        return [int(rng.paretovariate(1.1)) % 400 for _ in range(n)]
+    if kind == "distinct":
+        values = list(range(n))
+        rng.shuffle(values)
+        return values
+    if kind == "lognormal":
+        return [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
+    return [rng.choice([True, False, 0, 1, 2, 7]) for _ in range(n)]
+
+
+class _SynopsisCollector:
+    def __init__(self):
+        self.items = []
+
+    def __call__(self, key, sample, synopsis):
+        self.items.append((key, sample, list(sample.histogram.pairs()),
+                           repr(synopsis)))
+
+
+class TestFeedManySlicing:
+    """``feed_many`` slices a list at partition cuts; the catalog,
+    samples and synopses equal those of per-arrival ``feed``."""
+
+    N = 3_700
+    CUT = 500
+
+    def run(self, scheme, values, chunks=None, policy=None):
+        sink = _SynopsisCollector()
+        ing = StreamIngestor("d", scheme=scheme, bound_values=32,
+                             policy=policy or CountPolicy(self.CUT),
+                             sink=sink, sb_rate=0.05, rng=SplittableRng(9))
+        if chunks is None:
+            for v in values:
+                ing.feed(v)
+        else:
+            pos = 0
+            for size in chunks:
+                ing.feed_many(values[pos:pos + size])
+                pos += size
+        return ing.close(), sink.items
+
+    @pytest.mark.parametrize("scheme", ["hr", "hb", "hb-mp", "sb"])
+    @pytest.mark.parametrize("kind",
+                             ["zipf", "distinct", "lognormal", "intbool"])
+    @pytest.mark.parametrize("chunks", [
+        (3_700,),                        # one list, many cuts
+        (1, 499, 1, 998, 1, 2_200),      # ends on, just past and before cuts
+        (250, 501, 749, 2_200),          # every slice straddles a cut
+    ])
+    def test_matches_per_element_feed(self, scheme, kind, chunks):
+        values = _stream_values(kind, self.N)
+        assert self.run(scheme, values, chunks) == self.run(scheme, values)
+
+    def test_tuple_input(self):
+        values = _stream_values("zipf", self.N)
+        assert self.run("hr", tuple(values), (self.N,)) \
+            == self.run("hr", values)
+
+    def spy_feed(self, ing, monkeypatch):
+        calls = []
+        original = ing.feed
+        monkeypatch.setattr(ing, "feed",
+                            lambda v: (calls.append(v), original(v)))
+        return calls
+
+    def make(self, policy, scheme="hr"):
+        return StreamIngestor("d", scheme=scheme, bound_values=32,
+                              policy=policy, sink=_SynopsisCollector(),
+                              rng=SplittableRng(9))
+
+    def test_count_policy_list_skips_per_element_feed(self, monkeypatch):
+        ing = self.make(CountPolicy(100))
+        calls = self.spy_feed(ing, monkeypatch)
+        ing.feed_many(list(range(250)))
+        assert calls == []
+        assert len(ing.emitted) == 2 and ing.current_seen == 50
+
+    def test_fraction_policy_feeds_per_element(self, monkeypatch):
+        ing = self.make(FractionPolicy(1 / 16))
+        calls = self.spy_feed(ing, monkeypatch)
+        ing.feed_many(list(range(2_000)))
+        assert calls == list(range(2_000))
+
+    def test_generator_feeds_per_element(self, monkeypatch):
+        ing = self.make(CountPolicy(100))
+        calls = self.spy_feed(ing, monkeypatch)
+        ing.feed_many(v for v in range(250))
+        assert calls == list(range(250))
+        assert len(ing.emitted) == 2
+
+    def test_count_policy_subclass_feeds_per_element(self, monkeypatch):
+        class EarlyCut(CountPolicy):
+            def should_cut(self, sampler):
+                return sampler.seen >= 10
+
+        ing = self.make(EarlyCut(100))
+        calls = self.spy_feed(ing, monkeypatch)
+        ing.feed_many(list(range(25)))
+        assert len(calls) == 25 and len(ing.emitted) == 2
+
+    @pytest.mark.parametrize("values", [[1, 2, 3], (), iter([1])])
+    def test_feed_many_after_close(self, values):
+        ing = self.make(CountPolicy(10))
+        ing.close()
+        with pytest.raises(ProtocolError):
+            ing.feed_many(values)

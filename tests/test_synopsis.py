@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.kernels import numpy_available
 from repro.rng import SplittableRng
 from repro.warehouse.parallel import SampleTask, sample_partition
 from repro.warehouse.synopsis import (PartitionSynopsis,
@@ -53,6 +55,126 @@ class TestFromValues:
         for v in values:
             acc.feed(v)
         assert acc.finalize() == PartitionSynopsis.from_values(values)
+
+
+def _lognormal(seed, n):
+    rng = SplittableRng(seed)
+    return [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
+
+
+_VALUE_LISTS = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=80),
+    st.builds(_lognormal, st.integers(0, 2**32), st.integers(0, 80)),
+    st.lists(st.text(max_size=3), max_size=40),
+    st.lists(st.booleans(), max_size=40),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from(["a", "b"])), max_size=60),
+)
+
+
+class TestFeedMany:
+    """``feed_many`` over any split equals per-element ``feed``, bit for
+    bit (compared through ``repr``, which keeps NaN, -0.0 and the type
+    of every top-k key)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_VALUE_LISTS, data=st.data())
+    def test_any_split_matches_feed(self, values, data):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(values)), max_size=5)))
+        one = SynopsisAccumulator(top=3)
+        for v in values:
+            one.feed(v)
+        many = SynopsisAccumulator(top=3)
+        for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+            many.feed_many(values[lo:hi])
+        assert many.count == one.count
+        assert repr(many.finalize()) == repr(one.finalize())
+
+    def test_from_values_is_feed_many(self):
+        values = _lognormal(7, 500)
+        acc = SynopsisAccumulator()
+        for v in values:
+            acc.feed(v)
+        assert repr(PartitionSynopsis.from_values(values)) \
+            == repr(acc.finalize())
+
+    def test_left_to_right_totals(self):
+        # Compensated summation would give 2.0; left-to-right gives 0.0.
+        s = PartitionSynopsis.from_values([1e16, 1.0, 1.0, -1e16])
+        assert s.total == 0.0
+
+    def test_nan_range_folds_from_running_extremes(self):
+        nan = float("nan")
+        one = SynopsisAccumulator()
+        for v in [1.0, nan, 0.0, 3.0]:
+            one.feed(v)
+        many = SynopsisAccumulator()
+        many.feed_many([1.0])
+        many.feed_many([nan, 0.0, 3.0])
+        assert repr(many.finalize()) == repr(one.finalize())
+        assert (one.finalize().minimum, one.finalize().maximum) == (0.0, 3.0)
+
+    @pytest.mark.parametrize("values", [[1, True], [True, 1]])
+    def test_int_bool_mix_is_non_numeric(self, values):
+        s = PartitionSynopsis.from_values(values)
+        assert not s.numeric
+        # 1 and True share one counter key: the first one seen.
+        assert s.top_k == ((values[0], 2.0),)
+
+    def test_empty_slice_is_a_no_op(self):
+        acc = SynopsisAccumulator()
+        acc.feed_many([])
+        acc.feed_many(())
+        assert acc.count == 0
+        assert not acc.finalize().numeric
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestNumpyValues:
+    def test_numpy_ints_are_numeric(self):
+        import numpy as np
+        s = PartitionSynopsis.from_values(np.arange(10))
+        assert s.numeric
+        assert s == PartitionSynopsis.from_values(list(range(10)))
+        assert s == PartitionSynopsis.from_values(np.arange(10.0))
+
+    def test_numpy_scalars_fed_one_by_one(self):
+        import numpy as np
+        acc = SynopsisAccumulator()
+        for v in np.arange(5, dtype=np.int32):
+            acc.feed(v)
+        assert acc.finalize() == PartitionSynopsis.from_values(range(5))
+
+    def test_numpy_bools_are_not_numeric(self):
+        import numpy as np
+        values = np.array([True, False, True])
+        assert not PartitionSynopsis.from_values(values).numeric
+
+    def test_empty_array(self):
+        import numpy as np
+        acc = SynopsisAccumulator()
+        acc.feed_many(np.arange(0))
+        assert acc.count == 0
+
+
+class TestTopPairs:
+    def test_ties_broken_by_repr(self):
+        # Every count ties: the five smallest reprs win, not the five
+        # smallest values.
+        s = PartitionSynopsis.from_values(list(range(20)), top=5)
+        assert [v for v, _ in s.top_k] == [0, 1, 10, 11, 12]
+
+    def test_partial_selection_matches_full_sort(self):
+        rng = SplittableRng(3)
+        values = [int(rng.paretovariate(1.2)) for _ in range(3000)]
+        counts = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        expected = tuple((v, float(c)) for v, c in ranked[:8])
+        assert PartitionSynopsis.from_values(values).top_k == expected
 
 
 class TestFromSample:

@@ -90,3 +90,12 @@ class TestApproximation:
         s = w.window_sample()
         s.check_invariants()
         assert s.population_size == 3_000
+
+
+class TestFeedMany:
+    def test_feed_many_after_close(self):
+        w = make_window()
+        w.close()
+        for values in ([1, 2], []):
+            with pytest.raises(ProtocolError):
+                w.feed_many(values)
