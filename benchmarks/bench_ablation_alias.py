@@ -34,7 +34,7 @@ def _merge_all(samples, rng, cache):
     def merger(a, b):
         return hr_merge(a, b, rng=rng, cache=cache)
 
-    return merge_tree(samples, rng=rng, mode="balanced", merger=merger)
+    return merge_tree(samples, rng=rng, merger=merger)
 
 
 def test_ablation_alias(benchmark, scale, rng):

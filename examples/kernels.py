@@ -1,4 +1,4 @@
-"""Kernel-backend quickstart: pick a backend, batch-draw, time a merge.
+"""Kernel-backend quickstart: pick a backend and batch-draw.
 
 Run:  python examples/kernels.py
 
@@ -13,8 +13,7 @@ The docstring examples below are executed by the test suite
 (``tests/test_doctests.py``), so this quickstart cannot rot.  They pin
 the ``python`` backend wherever exact draw values are asserted, so
 they pass on any interpreter, with or without numpy, under any
-``REPRO_KERNEL_BACKEND`` setting; timings are printed by ``__main__``
-only and never asserted.
+``REPRO_KERNEL_BACKEND`` setting.
 """
 
 from repro import SplittableRng
@@ -59,63 +58,9 @@ def backend_tour():
     return active_backend()
 
 
-def timed_merge(partitions=8, values_per=4_000, bound=512, seed=2006):
-    """Time one merge tree serial vs parallel on the active backend.
-
-    Returns ``(serial_seconds, parallel_seconds, identical)`` where
-    ``identical`` is the byte-equality of the two merged samples —
-    the tree-shape-independence guarantee, which must hold on every
-    backend, executor, and worker count.
-
-    Examples
-    --------
-    >>> serial_s, parallel_s, identical = timed_merge(partitions=4,
-    ...                                               values_per=500,
-    ...                                               bound=64)
-    >>> identical
-    True
-    >>> serial_s > 0 and parallel_s > 0
-    True
-    """
-    from repro.bench.timing import wall_timer
-    from repro.core.merge import merge_tree
-    from repro.warehouse.parallel import (SampleTask, ThreadExecutor,
-                                          sample_partition)
-    from repro.warehouse.storage import sample_to_dict
-
-    rng = SplittableRng(seed)
-    data_rng = rng.spawn("data")
-    samples = [
-        sample_partition(SampleTask(
-            values=[data_rng.randrange(100_000)
-                    for _ in range(values_per)],
-            scheme="hr", bound_values=bound,
-            seed=rng.spawn("part", i).seed_value))
-        for i in range(partitions)
-    ]
-
-    with wall_timer() as t_serial:
-        serial = merge_tree(samples, rng=rng, mode="serial")
-    with ThreadExecutor(max_workers=4) as executor:
-        with wall_timer() as t_parallel:
-            parallel = merge_tree(samples, rng=rng, mode="parallel",
-                                  executor=executor)
-    identical = sample_to_dict(serial) == sample_to_dict(parallel)
-    return t_serial.seconds, t_parallel.seconds, identical
-
-
 def main():
     print(f"available backends: {', '.join(available_backends())}")
     print(f"active backend:     {backend_tour()}")
-    for backend in available_backends():
-        with use_backend(backend):
-            serial_s, parallel_s, identical = timed_merge()
-            print(f"[{backend:>6}] merge_tree 8x4000 serial "
-                  f"{serial_s * 1e3:7.2f} ms | parallel[4] "
-                  f"{parallel_s * 1e3:7.2f} ms | byte-identical: "
-                  f"{identical}")
-    print("(see docs/performance.md before reading anything into "
-          "single-run timings)")
 
 
 if __name__ == "__main__":

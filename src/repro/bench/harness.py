@@ -99,7 +99,6 @@ def run_pipeline(scenario: Scenario, scheme: str, *,
                  rng: SplittableRng,
                  exceedance_p: float = 0.001,
                  sb_rate: Optional[float] = None,
-                 merge_mode: str = "serial",
                  arrival_mode: str = "stream",
                  collect_metrics: bool = False) -> PipelineResult:
     """Run one scenario through one algorithm; time sampling and merging.
@@ -128,13 +127,13 @@ def run_pipeline(scenario: Scenario, scheme: str, *,
             result = _run_pipeline(scenario, scheme,
                                    bound_values=bound_values, rng=rng,
                                    exceedance_p=exceedance_p,
-                                   sb_rate=sb_rate, merge_mode=merge_mode,
+                                   sb_rate=sb_rate,
                                    arrival_mode=arrival_mode)
         return replace(result, metrics=registry.snapshot(),
                        trace=[s.to_dict() for s in ring.spans])
     return _run_pipeline(scenario, scheme, bound_values=bound_values,
                          rng=rng, exceedance_p=exceedance_p,
-                         sb_rate=sb_rate, merge_mode=merge_mode,
+                         sb_rate=sb_rate,
                          arrival_mode=arrival_mode)
 
 
@@ -143,7 +142,6 @@ def _run_pipeline(scenario: Scenario, scheme: str, *,
                   rng: SplittableRng,
                   exceedance_p: float = 0.001,
                   sb_rate: Optional[float] = None,
-                  merge_mode: str = "serial",
                   arrival_mode: str = "stream") -> PipelineResult:
     if scheme == "sb" and sb_rate is None:
         sb_rate = _default_sb_rate(scenario, bound_values)
@@ -173,8 +171,7 @@ def _run_pipeline(scenario: Scenario, scheme: str, *,
 
     start = time.perf_counter()
     merged = merge_tree(samples,
-                        rng=rng.spawn("merge", scenario.label(), scheme),
-                        mode=merge_mode)
+                        rng=rng.spawn("merge", scenario.label(), scheme))
     merge_seconds = time.perf_counter() - start
 
     return PipelineResult(
@@ -193,7 +190,6 @@ def repeat_pipeline(scenario: Scenario, scheme: str, *,
                     repeats: int = 3,
                     exceedance_p: float = 0.001,
                     sb_rate: Optional[float] = None,
-                    merge_mode: str = "serial",
                     arrival_mode: str = "stream") -> List[PipelineResult]:
     """Independent repetitions of :func:`run_pipeline` (paper uses 3)."""
     if repeats <= 0:
@@ -204,7 +200,6 @@ def repeat_pipeline(scenario: Scenario, scheme: str, *,
                      rng=rng.spawn("repeat", r),
                      exceedance_p=exceedance_p,
                      sb_rate=sb_rate,
-                     merge_mode=merge_mode,
                      arrival_mode=arrival_mode)
         for r in range(repeats)
     ]

@@ -4,7 +4,7 @@ Every PR that claims a speedup needs a number, and every PR that costs
 one needs to be caught; this module is the measurement loop for both.
 ``run_core_suite`` times batch-ingest throughput per scheme and
 merge-on-demand query latency; ``run_merge_suite`` times 2/4/8/16-way
-merge trees serial vs parallel; ``run_serve_suite`` loadtests the HTTP
+merge trees; ``run_serve_suite`` loadtests the HTTP
 serving layer end to end (p50/p99 request latency under a concurrent
 client fleet; see docs/serving.md).  Each writes one report
 (``BENCH_core.json`` / ``BENCH_merge.json`` / ``BENCH_serve.json``,
@@ -73,7 +73,6 @@ DEFAULT_MIN_SECONDS = 0.005
 
 _INGEST_SCHEMES = ("hb", "hr", "sb", "hb-mp")
 _MERGE_PARTITIONS = (2, 4, 8, 16)
-_MERGE_WORKERS = 2
 
 #: The heavy merge entries: wide-histogram workloads sized so the
 #: kernel layer's vectorized inner loops dominate wall time.  These
@@ -81,7 +80,6 @@ _MERGE_WORKERS = 2
 #: taken on different backends never silently compare against each
 #: other.
 _HEAVY_PARTITIONS = (8, 16)
-_HEAVY_WORKERS = 4
 _HEAVY_BOUND = 4_096
 
 
@@ -179,89 +177,51 @@ def _merge_inputs(partitions: int, values_per: int, seed: int, *,
 
 def run_merge_suite(*, seed: int = 2006, quick: bool = False
                     ) -> List[BenchResult]:
-    """2/4/8/16-partition merge trees, serial vs parallel.
-
-    The parallel entries run on a two-worker :class:`ThreadExecutor`
-    (threads, not processes: merge nodes are milliseconds, so process
-    spawn cost would swamp the thing being measured; the differential
-    tests cover process-pool byte-identity separately).  Serial and
-    parallel merge the *same* inputs with the *same* rng, so the pair
-    is the paper's Figures 9-14 speedup question in miniature.
+    """2/4/8/16-partition merge trees.
 
     On top of the pinned light entries (whose params never change, so
     reports stay comparable across releases), the suite times *heavy*
-    entries — 8/16 partitions, ``_HEAVY_BOUND``-value histograms,
-    four workers — where the kernel layer's vectorized merge loops
-    dominate.  Heavy entries carry the active kernel backend as a
-    param; see docs/performance.md for how to read them.
+    entries — 8/16 partitions, ``_HEAVY_BOUND``-value histograms —
+    where the kernel layer's vectorized merge loops dominate.  Heavy
+    entries carry the active kernel backend as a param; see
+    docs/performance.md for how to read them.  The ``mode`` param is
+    always ``"serial"``: it keeps entries matching reports taken when
+    the suite also timed a parallel evaluator.
     """
     from repro.core.merge import merge_tree
     from repro.kernels import active_backend
-    from repro.warehouse.parallel import ThreadExecutor
 
     values_per = 800 if quick else 3_000
     heavy_values_per = 2_048 if quick else 16_384
     repeats = 2 if quick else 3
     results: List[BenchResult] = []
 
-    with ThreadExecutor(max_workers=_MERGE_WORKERS) as executor:
-        for partitions in _MERGE_PARTITIONS:
-            samples = _merge_inputs(partitions, values_per, seed)
-            rng = SplittableRng(seed)
-
-            def serial() -> None:
-                merge_tree(samples, rng=rng, mode="serial")
-
-            def parallel() -> None:
-                merge_tree(samples, rng=rng, mode="parallel",
-                           executor=executor)
-
-            results.append(BenchResult(
-                name="merge.tree",
-                params={"partitions": partitions, "mode": "serial",
-                        "values_per_partition": values_per},
-                seconds=_time_min(serial, repeats),
-                repeats=repeats,
-            ))
-            results.append(BenchResult(
-                name="merge.tree",
-                params={"partitions": partitions, "mode": "parallel",
-                        "workers": _MERGE_WORKERS,
-                        "values_per_partition": values_per},
-                seconds=_time_min(parallel, repeats),
-                repeats=repeats,
-            ))
+    for partitions in _MERGE_PARTITIONS:
+        samples = _merge_inputs(partitions, values_per, seed)
+        rng = SplittableRng(seed)
+        results.append(BenchResult(
+            name="merge.tree",
+            params={"partitions": partitions, "mode": "serial",
+                    "values_per_partition": values_per},
+            seconds=_time_min(lambda: merge_tree(samples, rng=rng),
+                              repeats),
+            repeats=repeats,
+        ))
 
     backend = active_backend()
-    with ThreadExecutor(max_workers=_HEAVY_WORKERS) as executor:
-        for partitions in _HEAVY_PARTITIONS:
-            samples = _merge_inputs(partitions, heavy_values_per, seed,
-                                    bound=_HEAVY_BOUND)
-            rng = SplittableRng(seed)
-
-            def serial() -> None:
-                merge_tree(samples, rng=rng, mode="serial")
-
-            def parallel() -> None:
-                merge_tree(samples, rng=rng, mode="parallel",
-                           executor=executor)
-
-            common = {"partitions": partitions, "bound": _HEAVY_BOUND,
-                      "values_per_partition": heavy_values_per,
-                      "backend": backend}
-            results.append(BenchResult(
-                name="merge.tree.heavy",
-                params={**common, "mode": "serial"},
-                seconds=_time_min(serial, repeats),
-                repeats=repeats,
-            ))
-            results.append(BenchResult(
-                name="merge.tree.heavy",
-                params={**common, "mode": "parallel",
-                        "workers": _HEAVY_WORKERS},
-                seconds=_time_min(parallel, repeats),
-                repeats=repeats,
-            ))
+    for partitions in _HEAVY_PARTITIONS:
+        samples = _merge_inputs(partitions, heavy_values_per, seed,
+                                bound=_HEAVY_BOUND)
+        rng = SplittableRng(seed)
+        results.append(BenchResult(
+            name="merge.tree.heavy",
+            params={"partitions": partitions, "bound": _HEAVY_BOUND,
+                    "values_per_partition": heavy_values_per,
+                    "backend": backend, "mode": "serial"},
+            seconds=_time_min(lambda: merge_tree(samples, rng=rng),
+                              repeats),
+            repeats=repeats,
+        ))
     return results
 
 

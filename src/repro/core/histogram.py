@@ -285,8 +285,8 @@ class CompactHistogram:
     # ------------------------------------------------------------------
     def __getstate__(self):
         # Compact pickle state (a bare tuple instead of the slot
-        # mapping); merge-node payloads shipped to process pools ride
-        # on this.
+        # mapping); samples returned from process-pool sampling ride on
+        # this.
         return (self._counts, self._size, self._singletons)
 
     def __setstate__(self, state) -> None:

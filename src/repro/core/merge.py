@@ -19,9 +19,7 @@ a warehouse needs around them:
 * :func:`merge_tree` — fold many per-partition samples into one over a
   balanced binary plan whose nodes draw from independent RNG substreams
   (``rng.spawn("merge", level, index)``), so the merged sample is a pure
-  function of the inputs and the seed — independent of evaluation order,
-  executor, and worker count.  ``mode="parallel"`` evaluates each level
-  concurrently through a warehouse executor.
+  function of the inputs and the seed.
 
 All merges require the parent partitions to be **disjoint**; the library
 cannot verify disjointness from the samples alone, so the warehouse layer
@@ -35,7 +33,6 @@ pure-Python fallback; see docs/performance.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.histogram import CompactHistogram
@@ -46,7 +43,7 @@ from repro.core.purge import (purge_bernoulli, purge_reservoir,
                               purge_reservoir_concat)
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import active_backend, draw_hypergeometric, use_backend
+from repro.kernels import draw_hypergeometric
 from repro.obs.clock import monotonic
 from repro.obs.runtime import OBS
 from repro.obs.tracing import traced
@@ -317,118 +314,27 @@ def merge_samples(s1: WarehouseSample, s2: WarehouseSample, *,
     return hb_merge(s1, s2, rng=rng, hyper_cache=hyper_cache)
 
 
-# One alias-table cache per process.  Thread workers share it (the cache
-# locks its own mutations); each process-pool worker imports this module
-# fresh and warms its own copy.  Eagerly constructed so executing
-# _merge_node never writes module state.
+# One alias-table cache per process, shared by every merge_tree node.
+# Serve pool threads merge concurrently through ``sample_of``, so the
+# cache locks its own mutations.  Eagerly constructed so merging never
+# writes module state.
 _NODE_CACHE = CachedHypergeometric()
-
-_MERGE_MODES = ("serial", "balanced", "parallel")
-
-
-def _pack_sample(sample: WarehouseSample) -> tuple:
-    """Slim pickle payload for one sample: histogram pairs + scalars.
-
-    A merge node needs the compact histogram and the merge-relevant
-    metadata — not the default dataclass pickle with its per-field
-    names.  Values within one histogram are distinct by construction,
-    so the pairs round-trip through ``from_unique_counts``.
-    """
-    hist = sample.histogram
-    return (hist.value_list(), hist.count_list(), sample.kind.name,
-            sample.population_size, sample.bound_values, sample.rate,
-            sample.scheme, sample.exceedance_p)
-
-
-def _unpack_sample(state: tuple, model) -> WarehouseSample:
-    (values, counts, kind, population, bound, rate, scheme,
-     exceedance_p) = state
-    return WarehouseSample(
-        histogram=CompactHistogram.from_unique_counts(values, counts),
-        kind=SampleKind[kind], population_size=population,
-        bound_values=bound, rate=rate, scheme=scheme,
-        exceedance_p=exceedance_p, model=model)
-
-
-@dataclass(frozen=True)
-class _MergeNodeTask:
-    """One node of the merge plan: two samples plus the node's seed.
-
-    Module-level and frozen so a :class:`ProcessExecutor` can pickle it.
-    ``backend`` records the kernel backend the plan was built under, so
-    a worker process evaluates the node with the same kernels whatever
-    its own environment resolved to.  Pickling goes through
-    :func:`_pack_sample` — compact histogram pairs plus merge metadata,
-    with the (shared) footprint model serialized once — instead of the
-    full sample objects, which shrinks process-pool payloads (see
-    ``parallel.task.pickle.seconds`` in ``repro obs``).
-    """
-
-    left: WarehouseSample
-    right: WarehouseSample
-    seed: int
-    backend: str = ""
-
-    def __getstate__(self) -> tuple:
-        models = (self.left.model,) if self.left.model == self.right.model \
-            else (self.left.model, self.right.model)
-        return (_pack_sample(self.left), _pack_sample(self.right),
-                self.seed, self.backend, models)
-
-    def __setstate__(self, state: tuple) -> None:
-        left, right, seed, backend, models = state
-        object.__setattr__(self, "left", _unpack_sample(left, models[0]))
-        object.__setattr__(self, "right", _unpack_sample(right, models[-1]))
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "backend", backend)
-
-
-def _merge_node(task: _MergeNodeTask) -> WarehouseSample:
-    """Evaluate one merge node from its own RNG substream.
-
-    The node's rng is rebuilt from the task seed, so the draw sequence
-    depends only on ``(left, right, seed)`` and the kernel backend —
-    never on which worker runs the node or in what order.  All nodes
-    route through the per-process :data:`_NODE_CACHE`: alias tables are
-    pure functions of ``(n1, n2, k)``, so cache hits and rebuilt misses
-    consume the rng identically, keeping output independent of cache
-    state.  The backend pinned at plan time is re-selected here only if
-    the evaluating process resolved a different one (possible for a
-    process pool spawned under another environment); in-process workers
-    see a no-op, so thread pools never touch the global selection.
-    """
-    rng = SplittableRng(task.seed)
-    if task.backend and task.backend != active_backend():
-        with use_backend(task.backend):
-            return merge_samples(task.left, task.right, rng=rng,
-                                 hyper_cache=_NODE_CACHE)
-    return merge_samples(task.left, task.right, rng=rng,
-                         hyper_cache=_NODE_CACHE)
 
 
 @traced("merge.tree", timer="merge.tree.seconds")
 def merge_tree(samples: Sequence[WarehouseSample], *,
                rng: SplittableRng,
-               mode: str = "serial",
-               merger: Optional[MergeFn] = None,
-               executor=None) -> WarehouseSample:
+               merger: Optional[MergeFn] = None) -> WarehouseSample:
     """Fold many per-partition samples into one sample of their union.
 
-    Every mode evaluates the same **balanced binary plan**: level by
-    level, adjacent pairs merge, and each node draws from its own RNG
+    The fold follows a **balanced binary plan**: level by level,
+    adjacent pairs merge, and each node draws from its own RNG
     substream ``rng.spawn("merge", level, index)``.  Because node seeds
     are positional — not threaded through a shared generator — the
-    merged sample is a pure function of the inputs and the seed,
-    byte-identical across modes, executors, and worker counts
-    (the "tree-shape independence" invariant in docs/determinism.md).
-
-    * ``mode="serial"`` and ``mode="balanced"`` evaluate the plan inline
-      (they are aliases kept for API stability; both keep partition
-      sizes symmetric so alias tables are reused across each level,
-      Section 4.2).
-    * ``mode="parallel"`` evaluates each level's nodes concurrently via
-      ``executor`` (any ``repro.warehouse.parallel`` executor).  With
-      ``executor=None`` it degrades to inline evaluation.
+    merged sample is a pure function of the inputs, their order, and
+    the seed (docs/determinism.md).  Balanced levels keep partition
+    sizes symmetric, so alias tables are reused across each level
+    (Section 4.2).
 
     On odd-sized levels the **last** sample is carried into the next
     level, where it joins the front pairing — so a carried sample waits
@@ -436,22 +342,10 @@ def merge_tree(samples: Sequence[WarehouseSample], *,
     would degenerate the tree on non-power-of-two partition counts).
 
     ``merger`` overrides the per-node evaluation with a caller-supplied
-    pairwise merge (applied over the same balanced plan); it is
-    incompatible with ``mode="parallel"`` because closures cannot be
-    shipped to process pools and would reintroduce order-dependent rng
-    consumption.
+    pairwise merge, applied over the same balanced plan.
     """
     if not samples:
         raise ConfigurationError("merge_tree needs at least one sample")
-    if mode not in _MERGE_MODES:
-        raise ConfigurationError(f"unknown merge mode {mode!r}")
-    if executor is not None and mode != "parallel":
-        raise ConfigurationError(
-            f"executor requires mode='parallel', got mode={mode!r}")
-    if merger is not None and mode == "parallel":
-        raise ConfigurationError(
-            "a custom merger cannot run under mode='parallel'; "
-            "use mode='serial' or mode='balanced'")
 
     level: List[WarehouseSample] = list(samples)
     level_index = 0
@@ -462,19 +356,13 @@ def merge_tree(samples: Sequence[WarehouseSample], *,
             merged = [merger(level[i], level[i + 1])
                       for i in range(0, len(level), 2)]
         else:
-            backend = active_backend()
-            tasks = [
-                _MergeNodeTask(
-                    level[i], level[i + 1],
-                    rng.spawn("merge", level_index, i // 2).seed_value,
-                    backend)
+            merged = [
+                merge_samples(level[i], level[i + 1],
+                              rng=rng.spawn("merge", level_index, i // 2),
+                              hyper_cache=_NODE_CACHE)
                 for i in range(0, len(level), 2)
             ]
-            if mode == "parallel" and executor is not None:
-                merged = executor.map(_merge_node, tasks)
-            else:
-                merged = [_merge_node(t) for t in tasks]
-        level = ([carry] if carry is not None else []) + list(merged)
+        level = ([carry] if carry is not None else []) + merged
         if OBS.enabled:
             OBS.registry.histogram("merge.tree.level.seconds").observe(
                 monotonic() - started)

@@ -190,12 +190,11 @@ class CachedHypergeometric:
     ``HRMerge`` calls O(1) in distribution setup after the first merge at
     each level (the paper's Section 4.2 optimization).
 
-    The cache is safe to share across ``ThreadExecutor`` workers: the
-    table dict is mutated only under an internal lock, and a stored
-    :class:`AliasTable` is immutable after construction.  Worker
-    *processes* cannot share it — each process keeps its own instance
-    (see ``repro.core.merge._NODE_CACHE``) and warms it independently.
-    Cache state never influences draw *values*: an alias table is a pure
+    The cache is safe to share across threads (``merge_tree`` keeps one
+    per process, ``repro.core.merge._NODE_CACHE``, which serve pool
+    threads hit concurrently): the table dict is mutated only under an
+    internal lock, and a stored :class:`AliasTable` is immutable after
+    construction.  Cache state never influences draw *values*: an alias table is a pure
     function of ``(n1, n2, k)``, so a hit and a rebuilt miss consume the
     rng identically.  Hits and misses are counted through ``repro.obs``
     (``merge.hyper_cache.hit`` / ``merge.hyper_cache.miss``) so the

@@ -415,7 +415,8 @@ class WarehouseService:
         def op() -> Tuple[List[PartitionKey], int]:
             # The CAS section covers seq allocation, sampling, and
             # registration as one atomic mutation; see docs/serving.md
-            # for why sampling stays inside (seq numbers must not race).
+            # ("Why ingest samples inside the lock"): seq numbers must
+            # not race.
             return self._occ.mutate(
                 dataset,
                 lambda: self._wh.ingest_batch(

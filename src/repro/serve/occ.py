@@ -32,10 +32,15 @@ class VersionedCatalog:
     version check, the catalog/store mutation, and the version bump
     must be one atomic step, or a concurrent reader could observe the
     new catalog under the old tag (exactly the staleness the tag
-    exists to rule out).  Mutations are in-memory catalog updates plus
-    at most one sample-store write per partition, so the critical
-    section is short; heavy work (sampling the ingested values) happens
-    *before* entering :meth:`mutate`.
+    exists to rule out).  Rollout and rollin are short in-memory
+    catalog updates.  Ingest is not: serve runs the whole
+    ``ingest_batch`` inside :meth:`mutate` — ``next_seq`` allocation,
+    sampling every partition, and registering the samples — because
+    the partition keys and sampler seeds both derive from the
+    allocated sequence numbers, so allocation must not race (see
+    docs/serving.md, "Why ingest samples inside the lock").  One lock
+    covers every dataset, so a long ingest also delays other
+    datasets' reads and tag lookups.
     """
 
     def __init__(self) -> None:
@@ -82,10 +87,9 @@ class VersionedCatalog:
                     expected=expected, actual=actual)
             # CAS critical section: the mutation must commit atomically
             # with the version check above and the bump below, even
-            # though registering partitions into a FileStore blocks on
-            # file I/O.  Contention is bounded by design — one short
-            # store write per partition; the expensive sampling ran
-            # before mutate() was entered.
+            # though it may block — a serve ingest samples its values
+            # and writes one store entry per partition in here (see
+            # the class docstring for why sampling cannot move out).
             result = fn()  # repro: noqa[RPR103]
             self._versions[dataset] = actual + 1
             return result, actual + 1

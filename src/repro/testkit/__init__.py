@@ -30,7 +30,6 @@ from repro.testkit.checks import (binomial_pmf, collapse_cells,
 from repro.testkit.corrections import (adjust_pvalues, bh_adjust,
                                        holm_adjust)
 from repro.testkit.differential import (executor_differential,
-                                        merge_engine_differential,
                                         merge_tree_differential)
 from repro.testkit.reporters import parse_json, render_json, render_text
 
@@ -48,7 +47,6 @@ __all__ = [
     "bh_adjust",
     "adjust_pvalues",
     "executor_differential",
-    "merge_engine_differential",
     "merge_tree_differential",
     "render_text",
     "render_json",

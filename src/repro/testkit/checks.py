@@ -22,8 +22,8 @@ check                            claim
 ``negative.counting``            same for counting sampling
 ``differential.executors``       Serial/Thread/Process executors agree
                                  byte-for-byte
-``differential.merge_tree``      serial vs balanced folds agree on
-                                 deterministic merges
+``differential.merge_tree``      left-deep vs balanced folds agree
+                                 on deterministic merges
 ``kernels.hypergeom.gof``        the active kernel backend's batched
                                  eq. (3) draw matches the closed-form
                                  pmf
@@ -41,8 +41,6 @@ check                            claim
                                  coverage (docs/aqp.md)
 ``negative.aqp.coverage``        halving the planner's variance must
                                  be rejected as under-covering
-``differential.merge_engine``    (deep) every merge engine mode/
-                                 executor/backend agrees byte-exactly
 ``hr.uniformity.subset``         (deep) HR: all k-subsets equally
                                  likely, not just inclusion marginals
 ``purge.reservoir.subset``       (deep) Figure 4 purge draws uniform
@@ -53,8 +51,8 @@ check                            claim
                                  Binomial(N, q) given no exceedance
 ``merge.hr.subset``              (deep) Theorem 1: HRMerge output is a
                                  uniform sample of the union
-``merge.tree.homogeneity``       (deep) serial and balanced folds draw
-                                 from the same inclusion law
+``merge.tree.homogeneity``       (deep) left-deep and balanced folds
+                                 draw from the same inclusion law
 ===============================  =====================================
 
 The negative controls carry ``expect_reject=True``: a battery that
@@ -90,7 +88,7 @@ from repro.stats.uniformity import (chi_square_homogeneity,
                                     subset_frequency_test)
 from repro.testkit.battery import Battery
 from repro.testkit.differential import (executor_differential,
-                                        merge_engine_differential,
+                                        left_deep_fold,
                                         merge_tree_differential)
 from repro.warehouse.dataset import PartitionKey
 from repro.warehouse.parallel import SampleTask, make_sampler
@@ -521,14 +519,14 @@ def default_battery() -> Battery:
                                      trials=150 * scale, rng=rng)
 
     @battery.check("merge.tree.homogeneity", tier="deep",
-                   description="serial and balanced merge_tree folds "
+                   description="left-deep and balanced merge folds "
                                "draw from one inclusion law")
     def tree_homogeneity(rng: SplittableRng, scale: int) -> float:
         population = list(range(24))
         parts = [population[i:i + 6] for i in range(0, 24, 6)]
         trials = 150 * scale
 
-        def inclusion_counts(mode: str, child: SplittableRng) -> List[int]:
+        def inclusion_counts(fold, child: SplittableRng) -> List[int]:
             counts = [0] * len(population)
             for t in range(trials):
                 run_rng = child.spawn("trial", t)
@@ -540,15 +538,14 @@ def default_battery() -> Battery:
                         rng=run_rng.spawn("part", i))
                     sampler.feed_many(part)
                     samples.append(sampler.finalize())
-                merged = merge_tree(samples, rng=run_rng.spawn("fold"),
-                                    mode=mode)
+                merged = fold(samples, rng=run_rng.spawn("fold"))
                 for v in merged.histogram.expand():
                     counts[v] += 1
             return counts
 
         return chi_square_homogeneity(
-            inclusion_counts("serial", rng.spawn("serial")),
-            inclusion_counts("balanced", rng.spawn("balanced")))
+            inclusion_counts(left_deep_fold, rng.spawn("left-deep")),
+            inclusion_counts(merge_tree, rng.spawn("tree")))
 
     # -- Section 3.3 negative controls ----------------------------------
     model = FootprintModel(value_bytes=8, count_bytes=4)
@@ -588,8 +585,8 @@ def default_battery() -> Battery:
         return executor_differential(tasks)
 
     @battery.check("differential.merge_tree", kind="exact",
-                   description="serial vs balanced folds agree exactly "
-                               "on deterministic merges")
+                   description="left-deep vs balanced folds agree "
+                               "exactly on deterministic merges")
     def merge_tree_agrees(rng: SplittableRng, scale: int) -> List[str]:
         failures: List[str] = []
         # Same-rate SB samples: the union needs no purging, so both
@@ -702,24 +699,6 @@ def default_battery() -> Battery:
                     failures.append(
                         f"pmf({n1},{n2},{k})[{i}]: {g!r} != {w!r}")
         return failures
-
-    @battery.check("differential.merge_engine", kind="exact",
-                   tier="deep",
-                   description="every merge engine mode/executor/"
-                               "backend agrees byte-exactly")
-    def merge_engine_agrees(rng: SplittableRng, scale: int) -> List[str]:
-        del scale  # exact check: the sweep is the budget
-        samples = []
-        for i in range(6):
-            sampler = make_sampler("hr", population_size=400,
-                                   bound_values=24, exceedance_p=0.01,
-                                   sb_rate=None, rng=rng.spawn("part", i))
-            sampler.feed_many(range(400 * i, 400 * i + 400))
-            samples.append(sampler.finalize())
-        return merge_engine_differential(samples,
-                                         rng=rng.spawn("engine"),
-                                         worker_counts=(2,),
-                                         label="hr-partitions")
 
     # -- the serving layer ----------------------------------------------
     @battery.check("serve.query.equivalence",

@@ -8,34 +8,22 @@ means agreement):
   **byte-identical** ``sample_to_dict`` JSON across the Serial, Thread,
   and Process executors.  Each task carries its own seed, so any
   divergence means an executor leaks state between tasks or into them.
-* :func:`merge_tree_differential` — serial-fold vs balanced
-  ``merge_tree`` on inputs whose merges are deterministic (same-rate SB
-  unions; exhaustive unions that stay under the footprint bound).  The
-  two fold shapes must yield the **same sample**; comparison is on a
-  canonical serialization (histogram pairs sorted) because
-  ``CompactHistogram.join`` is free to reorder its insertion-ordered
-  backing dict.
-* :func:`merge_engine_differential` — every ``merge_tree`` evaluation
-  strategy (serial, balanced, parallel-inline, parallel on thread and
-  process pools at several worker counts) must produce **byte-identical**
-  samples for the same seed, on *any* inputs.  Since every mode
-  evaluates the same balanced plan and each node draws from its own
-  ``rng.spawn("merge", level, index)`` substream, randomness-consuming
-  merges (HB/HR) are covered too — this is the "tree-shape independence"
-  invariant of docs/determinism.md, checked exactly rather than in law.
-  The sweep runs once per available kernel backend: byte-identity is a
-  **per-backend** contract (docs/performance.md), so each backend gets
-  its own serial reference and its own mode/executor/worker sweep.
+* :func:`merge_tree_differential` — a left-deep fold
+  (:func:`left_deep_fold`) vs ``merge_tree``'s balanced plan on inputs
+  whose merges are deterministic (same-rate SB unions; exhaustive unions
+  that stay under the footprint bound).  The two fold shapes must yield
+  the **same sample**; comparison is on a canonical serialization
+  (histogram pairs sorted) because ``CompactHistogram.join`` is free to
+  reorder its insertion-ordered backing dict.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.merge import merge_tree
+from repro.core.merge import merge_samples, merge_tree
 from repro.core.sample import WarehouseSample
-from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.warehouse.parallel import (ProcessExecutor, SampleTask,
                                       SerialExecutor, ThreadExecutor,
@@ -43,8 +31,7 @@ from repro.warehouse.parallel import (ProcessExecutor, SampleTask,
 from repro.warehouse.storage import sample_to_dict
 
 __all__ = ["executor_differential", "merge_tree_differential",
-           "merge_engine_differential",
-           "serialize_exact", "serialize_canonical"]
+           "left_deep_fold", "serialize_exact", "serialize_canonical"]
 
 
 def serialize_exact(sample: WarehouseSample) -> str:
@@ -91,67 +78,34 @@ def executor_differential(tasks: Sequence[SampleTask], *,
     return failures
 
 
+def left_deep_fold(samples: Sequence[WarehouseSample], *,
+                   rng: SplittableRng) -> WarehouseSample:
+    """Fold ``((s0 + s1) + s2) + ...``, node ``i`` on ``rng.spawn("fold", i)``.
+
+    The shape ``merge_tree``'s balanced plan is *not*: every merge takes
+    the running union as its left input, so checks that compare the two
+    compare genuinely different folds.
+    """
+    acc = samples[0]
+    for i, sample in enumerate(samples[1:], start=1):
+        acc = merge_samples(acc, sample, rng=rng.spawn("fold", i))
+    return acc
+
+
 def merge_tree_differential(samples: Sequence[WarehouseSample], *,
                             rng: SplittableRng,
                             label: str = "inputs") -> List[str]:
-    """Failure messages when serial and balanced folds disagree.
+    """Failure messages when left-deep and balanced folds disagree.
 
     Only meaningful for inputs whose pairwise merges are deterministic
     (the caller guarantees this); both folds then compute the same
     union sample and must serialize identically after canonicalization.
     """
-    serial = merge_tree(samples, rng=rng.spawn("serial"), mode="serial")
-    balanced = merge_tree(samples, rng=rng.spawn("balanced"),
-                          mode="balanced")
-    want = serialize_canonical(serial)
-    got = serialize_canonical(balanced)
+    want = serialize_canonical(left_deep_fold(samples,
+                                              rng=rng.spawn("left-deep")))
+    got = serialize_canonical(merge_tree(samples,
+                                         rng=rng.spawn("tree")))
     if want != got:
-        return [f"merge_tree({label}) serial vs balanced diverged: "
+        return [f"merge_tree({label}) left-deep vs balanced diverged: "
                 f"{got} != {want}"]
     return []
-
-
-def merge_engine_differential(samples: Sequence[WarehouseSample], *,
-                              rng: SplittableRng,
-                              worker_counts: Sequence[int] = (1, 2, 4),
-                              backends: Optional[Sequence[str]] = None,
-                              label: str = "inputs") -> List[str]:
-    """Failure messages unless every merge engine agrees byte-exactly.
-
-    The serial mode is the reference; balanced, executor-less parallel,
-    and parallel on thread/process pools at each worker count must all
-    serialize identically.  ``rng.spawn`` derives substreams without
-    consuming state, so reusing one ``rng`` across runs is sound — all
-    runs see the same per-node seeds.
-
-    The whole sweep repeats for each kernel backend in ``backends``
-    (default: every backend available in this interpreter).  Each
-    backend computes its *own* serial reference — the contract is
-    byte-identity across modes/executors/workers *within* a backend,
-    not across backends (their draws differ by construction; they
-    agree in law, which the statistical battery checks).
-    """
-    if backends is None:
-        backends = available_backends()
-    failures: List[str] = []
-    for backend in backends:
-        with use_backend(backend):
-            reference = serialize_exact(merge_tree(samples, rng=rng,
-                                                   mode="serial"))
-            variants = [("balanced", dict(mode="balanced")),
-                        ("parallel/inline", dict(mode="parallel"))]
-            for workers in worker_counts:
-                variants.append((f"parallel/thread[{workers}]",
-                                 dict(mode="parallel",
-                                      executor=ThreadExecutor(workers))))
-                variants.append((f"parallel/process[{workers}]",
-                                 dict(mode="parallel",
-                                      executor=ProcessExecutor(workers))))
-            for name, kwargs in variants:
-                got = serialize_exact(merge_tree(samples, rng=rng,
-                                                 **kwargs))
-                if got != reference:
-                    failures.append(
-                        f"merge_tree({label}) {backend}/{name} diverged "
-                        f"from serial: {got} != {reference}")
-    return failures

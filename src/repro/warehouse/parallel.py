@@ -164,11 +164,9 @@ class ThreadExecutor:
     """Run tasks on a thread pool (I/O-bound or GIL-releasing workloads).
 
     The pool is created on first use and **persists across ``map``
-    calls** — a merge tree maps once per level, and respawning worker
-    threads every level used to cost more than a level's worth of
-    vectorized merge nodes.  Call :meth:`close` (or use the executor as
-    a context manager) to release the threads; a closed executor
-    re-creates its pool if mapped again.
+    calls**, so repeated ingests do not respawn worker threads.  Call
+    :meth:`close` (or use the executor as a context manager) to release
+    the threads; a closed executor re-creates its pool if mapped again.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:

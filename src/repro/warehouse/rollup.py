@@ -37,8 +37,7 @@ def group_by_window(keys: List[PartitionKey],
 def temporal_rollup(warehouse, dataset: str, *,
                     window: Optional[int] = None,
                     group_fn: Optional[Callable[[PartitionKey], str]] = None,
-                    rng: Optional[SplittableRng] = None,
-                    mode: str = "balanced"
+                    rng: Optional[SplittableRng] = None
                     ) -> Dict[str, WarehouseSample]:
     """Merge a dataset's partitions into coarser temporal units.
 
@@ -49,14 +48,13 @@ def temporal_rollup(warehouse, dataset: str, *,
     * ``group_fn`` — maps each :class:`PartitionKey` to a group name
       (e.g. a month derived from the day encoded in ``key.seq``).
 
-    Returns ``{group_name: merged_sample}``; group contents merge as a
-    ``mode`` merge tree.  The warehouse itself is not modified — callers
+    Returns ``{group_name: merged_sample}``; group contents merge through
+    :func:`~repro.core.merge.merge_tree`.  The warehouse itself is not modified — callers
     can re-ingest the rollups under a derived dataset name if they want
     them cataloged (see ``examples/temporal_rollup.py``).
     """
     with_synopses = temporal_rollup_with_synopses(
-        warehouse, dataset, window=window, group_fn=group_fn, rng=rng,
-        mode=mode)
+        warehouse, dataset, window=window, group_fn=group_fn, rng=rng)
     return {name: sample for name, (sample, _) in with_synopses.items()}
 
 
@@ -64,8 +62,7 @@ def temporal_rollup_with_synopses(
         warehouse, dataset: str, *,
         window: Optional[int] = None,
         group_fn: Optional[Callable[[PartitionKey], str]] = None,
-        rng: Optional[SplittableRng] = None,
-        mode: str = "balanced"
+        rng: Optional[SplittableRng] = None
 ) -> Dict[str, Tuple[WarehouseSample, Optional[PartitionSynopsis]]]:
     """:func:`temporal_rollup` plus each group's merged synopsis.
 
@@ -95,8 +92,7 @@ def temporal_rollup_with_synopses(
     out: Dict[str, Tuple[WarehouseSample, Optional[PartitionSynopsis]]] = {}
     for name, bucket in groups.items():
         samples = [warehouse.sample_for(k) for k in bucket]
-        merged = merge_tree(samples, rng=rng.spawn("rollup", name),
-                            mode=mode)
+        merged = merge_tree(samples, rng=rng.spawn("rollup", name))
         synopses = [catalog.get(k).synopsis for k in bucket]
         synopsis = (PartitionSynopsis.merge(synopses)
                     if all(s is not None for s in synopses) else None)

@@ -59,15 +59,9 @@ class ViewManager:
     False
     """
 
-    def __init__(self, warehouse, *, merge_mode: str = "serial",
-                 executor=None) -> None:
+    def __init__(self, warehouse) -> None:
         self._warehouse = warehouse
         self._views: Dict[str, MaterializedView] = {}
-        #: How materialize/refresh merges are evaluated.  "parallel"
-        #: plus an executor runs each merge level concurrently; results
-        #: are byte-identical either way (docs/determinism.md).
-        self._merge_mode = merge_mode
-        self._executor = executor
 
     def _snapshot(self, dataset: str,
                   labels: Optional[Iterable[str]]
@@ -95,8 +89,7 @@ class ViewManager:
             raise ConfigurationError(
                 f"no partitions selected for view {name!r}")
         sample = self._warehouse.sample_of(
-            dataset, keys=[k for k, _n in snapshot],
-            mode=self._merge_mode, executor=self._executor)
+            dataset, keys=[k for k, _n in snapshot])
         view = MaterializedView(name=name, dataset=dataset, sample=sample,
                                 built_from=snapshot, labels=labels_t)
         self._views[name] = view
@@ -145,8 +138,7 @@ class ViewManager:
             raise ConfigurationError(
                 f"view {name!r} selects no partitions anymore; drop it")
         sample = self._warehouse.sample_of(
-            old.dataset, keys=[k for k, _n in snapshot],
-            mode=self._merge_mode, executor=self._executor)
+            old.dataset, keys=[k for k, _n in snapshot])
         view = MaterializedView(name=name, dataset=old.dataset,
                                 sample=sample, built_from=snapshot,
                                 labels=old.labels,

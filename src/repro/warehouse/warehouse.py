@@ -286,18 +286,16 @@ class SampleWarehouse:
     @traced("warehouse.sample_of", timer="warehouse.sample_of.seconds")
     def sample_of(self, dataset: str, *,
                   keys: Optional[Iterable[PartitionKey]] = None,
-                  labels: Optional[Iterable[str]] = None,
-                  mode: str = "serial",
-                  executor=None) -> WarehouseSample:
+                  labels: Optional[Iterable[str]] = None
+                  ) -> WarehouseSample:
         """A uniform sample of the union of the selected partitions.
 
         Selection: explicit ``keys``, or all active partitions carrying
         one of ``labels``, or (default) every active partition of the
-        dataset.  ``mode`` is the merge-tree evaluation strategy
-        ("serial", "balanced", or "parallel"); with ``mode="parallel"``
-        an ``executor`` from :mod:`repro.warehouse.parallel` runs each
-        merge level concurrently.  All modes return byte-identical
-        samples for the same warehouse seed (see docs/determinism.md).
+        dataset.  The selected samples fold through
+        :func:`~repro.core.merge.merge_tree`, so the result is a pure
+        function of the selection and the warehouse seed (see
+        docs/determinism.md).
         """
         if keys is not None and labels is not None:
             raise ConfigurationError("give keys or labels, not both")
@@ -312,8 +310,7 @@ class SampleWarehouse:
             raise ConfigurationError(
                 f"no partitions selected for dataset {dataset!r}")
         samples = [self._store.get(k) for k in keys]
-        return merge_tree(samples, rng=self._rng.spawn("merge", dataset),
-                          mode=mode, executor=executor)
+        return merge_tree(samples, rng=self._rng.spawn("merge", dataset))
 
     def stratified_sample_of(self, dataset: str, *,
                              keys: Optional[Iterable[PartitionKey]] = None,

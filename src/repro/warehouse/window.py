@@ -149,8 +149,7 @@ class SlidingWindowSampler:
             raise ProtocolError("window holds no finalized partition yet")
         samples = [s for _seq, s in self._live]
         return merge_tree(samples,
-                          rng=self._rng.spawn("window-merge", self._seq),
-                          mode="balanced")
+                          rng=self._rng.spawn("window-merge", self._seq))
 
     def close(self) -> None:
         """Stop accepting arrivals (open partition is discarded)."""

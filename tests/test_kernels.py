@@ -1,8 +1,8 @@
 """The kernel backend layer: selection plumbing and cross-backend laws.
 
-Byte-identity across merge modes/executors per backend is covered by
-``tests/test_parallel_merge.py`` (whose differential sweep repeats per
-backend); this file tests the registry itself — resolution, the env
+Same-seed byte-identity of merges per backend is covered by
+``tests/test_merge.py`` (``TestMergeTree``); this file tests the
+registry itself — resolution, the env
 contract, error cases — plus the statistical and numerical agreement
 between the numpy backend and the pure-Python reference.
 """

@@ -17,12 +17,14 @@ from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
 from repro.core.stratified_bernoulli import AlgorithmSB
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import use_backend
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.sampling.distributions import CachedHypergeometric
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
 from repro.testkit import sweep
+from repro.testkit.differential import left_deep_fold, serialize_exact
+from repro.warehouse.parallel import SampleTask, sample_partition
 
 MODEL = FootprintModel(8, 4)
 
@@ -38,6 +40,21 @@ def hr_sample(values, bound, rng):
     hr = AlgorithmHR(bound_values=bound, rng=rng, model=MODEL)
     hr.feed_many(values)
     return hr.finalize()
+
+
+def partition_samples(scheme, partitions, *, seed=7, values_per=60,
+                      bound=8):
+    """Deterministic per-partition samples for one scheme."""
+    rng = SplittableRng(seed)
+    data_rng = rng.spawn("data")
+    samples = []
+    for i in range(partitions):
+        values = [data_rng.randrange(1_000) for _ in range(values_per)]
+        samples.append(sample_partition(SampleTask(
+            values=values, scheme=scheme, bound_values=bound,
+            sb_rate=0.2 if scheme == "sb" else None,
+            seed=rng.spawn("part", i).seed_value)))
+    return samples
 
 
 def sb_sample(values, rate, rng):
@@ -321,19 +338,15 @@ class TestMergeTree:
         s = hr_sample(list(range(100)), 64, rng)
         assert merge_tree([s], rng=rng) is s
 
-    @pytest.mark.parametrize("mode", ["serial", "balanced"])
-    def test_modes_cover_population(self, rng, mode):
+    @pytest.mark.parametrize("fold", [left_deep_fold, merge_tree],
+                             ids=lambda fold: fold.__name__)
+    def test_folds_cover_population(self, rng, fold):
         samples = [hr_sample(list(range(i * 2000, (i + 1) * 2000)), 64,
                              rng.spawn(i)) for i in range(7)]
-        m = merge_tree(samples, rng=rng, mode=mode)
+        m = fold(samples, rng=rng)
         assert m.population_size == 14_000
         assert m.size == 64
         assert set(m.values()) <= set(range(14_000))
-
-    def test_unknown_mode(self, rng):
-        s = hr_sample(list(range(100)), 64, rng)
-        with pytest.raises(ConfigurationError):
-            merge_tree([s, s], rng=rng, mode="bogus")
 
     def test_custom_merger(self, rng):
         calls = []
@@ -368,29 +381,73 @@ class TestMergeTree:
         assert merged.population_size == 150
         assert calls == [(30, 30), (30, 30), (30, 60), (60, 90)]
 
-    def test_parallel_mode_covers_population(self, rng):
-        samples = [hr_sample(list(range(i * 2000, (i + 1) * 2000)), 64,
-                             rng.spawn(i)) for i in range(7)]
-        m = merge_tree(samples, rng=rng, mode="parallel")
-        assert m.population_size == 14_000
-        assert m.size == 64
-        assert set(m.values()) <= set(range(14_000))
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("scheme", ["hb", "hr", "sb"])
+    def test_same_seed_same_bytes_per_backend(self, backend, scheme):
+        # Byte-identity is a per-backend contract: within one kernel
+        # backend, the same inputs and seed always give the same bytes,
+        # whatever merges ran in between (alias tables cached in the
+        # shared node cache consume the rng like fresh ones).
+        samples = partition_samples(scheme, 5)
+        with use_backend(backend):
+            first = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            merge_tree(partition_samples(scheme, 8, seed=3),
+                       rng=SplittableRng(1))
+            again = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            other = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(43)))
+        assert first == again
+        if scheme != "sb":
+            assert first != other
 
-    def test_parallel_rejects_custom_merger(self, rng):
-        samples = [hr_sample(list(range(100)), 16, rng.spawn(i))
-                   for i in range(2)]
-        with pytest.raises(ConfigurationError):
-            merge_tree(samples, rng=rng, mode="parallel",
-                       merger=lambda a, b: a)
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_concurrent_trees_match_inline(self, backend):
+        # Serve pool threads merge concurrently through sample_of and
+        # share the per-process hypergeometric caches; their locks must
+        # keep every thread's bytes equal to an inline run's.
+        import sys
 
-    def test_executor_requires_parallel_mode(self, rng):
         from repro.warehouse.parallel import ThreadExecutor
 
-        samples = [hr_sample(list(range(100)), 16, rng.spawn(i))
-                   for i in range(2)]
-        with pytest.raises(ConfigurationError):
-            merge_tree(samples, rng=rng, mode="serial",
-                       executor=ThreadExecutor(2))
+        samples = partition_samples("hr", 7, values_per=400, bound=32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_backend(backend), \
+                    ThreadExecutor(max_workers=4) as executor:
+                want = serialize_exact(merge_tree(samples,
+                                                  rng=SplittableRng(9)))
+                got = executor.map(
+                    lambda _: serialize_exact(
+                        merge_tree(samples, rng=SplittableRng(9))),
+                    range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+    def test_spawn_is_state_pure_across_runs(self):
+        # Two consecutive runs off the same rng object must agree:
+        # spawn derives, it does not consume.
+        samples = partition_samples("hb", 4)
+        rng = SplittableRng(5)
+        first = serialize_exact(merge_tree(samples, rng=rng))
+        second = serialize_exact(merge_tree(samples, rng=rng))
+        assert first == second
+
+    def test_input_order_changes_output_but_stays_deterministic(self):
+        # Node seeds are positional, so permuting inputs is a different
+        # plan — but the same permutation always maps to the same bytes.
+        samples = partition_samples("hr", 4)
+        rng = SplittableRng(5)
+        forward = serialize_exact(merge_tree(samples, rng=rng))
+        backward = serialize_exact(merge_tree(list(reversed(samples)),
+                                              rng=rng))
+        assert forward == serialize_exact(merge_tree(samples, rng=rng))
+        assert backward == serialize_exact(
+            merge_tree(list(reversed(samples)), rng=rng))
+        assert forward != backward
 
 
 class TestMergeProperties:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.merge import merge_tree
 from repro.core.phases import SampleKind
 from repro.rng import SplittableRng
+from repro.testkit.differential import left_deep_fold
 from repro.warehouse.parallel import SampleTask, sample_partition
 from repro.warehouse.storage import sample_from_dict, sample_to_dict
 
@@ -36,14 +37,14 @@ class TestPipelineInvariants:
     @given(st.lists(partition_specs, min_size=1, max_size=5),
            st.integers(min_value=8, max_value=256),
            st.integers(min_value=0, max_value=10**6),
-           st.sampled_from(["serial", "balanced"]))
+           st.sampled_from([left_deep_fold, merge_tree]))
     @settings(max_examples=30, deadline=None)
     def test_merge_tree_preserves_all_invariants(self, specs, bound, seed,
-                                                 mode):
+                                                 fold):
         rng = SplittableRng(seed)
         samples = [build_sample(spec, bound, seed + i)
                    for i, spec in enumerate(specs)]
-        merged = merge_tree(samples, rng=rng, mode=mode)
+        merged = fold(samples, rng=rng)
         merged.check_invariants()
         # Population accounting: exact sum of parents.
         assert merged.population_size == sum(s[1] for s in specs)
@@ -92,8 +93,8 @@ class TestMergeAlgebra:
         rng = SplittableRng(seed)
         samples = [build_sample(("hr", 800, 5000), 64, seed + i)
                    for i in range(4)]
-        serial = merge_tree(samples, rng=rng.spawn("s"), mode="serial")
-        balanced = merge_tree(samples, rng=rng.spawn("b"),
-                              mode="balanced")
-        assert serial.population_size == balanced.population_size == 3200
-        assert serial.size == balanced.size  # both pinned at min size
+        left_deep = left_deep_fold(samples, rng=rng.spawn("l"))
+        balanced = merge_tree(samples, rng=rng.spawn("b"))
+        assert left_deep.population_size == balanced.population_size \
+            == 3200
+        assert left_deep.size == balanced.size  # both pinned at min size

@@ -106,10 +106,10 @@ class TestSampleOf:
         with pytest.raises(ConfigurationError):
             wh.sample_of("d", keys=[])
 
-    def test_balanced_mode(self):
+    def test_merges_eight_partitions(self):
         wh = make_warehouse()
         wh.ingest_batch("d", list(range(16_000)), partitions=8)
-        s = wh.sample_of("d", mode="balanced")
+        s = wh.sample_of("d")
         assert s.population_size == 16_000
 
 
