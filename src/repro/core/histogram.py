@@ -4,8 +4,10 @@ All of the paper's samplers keep their sample, whenever possible, as a set
 of ``(value, count)`` pairs with singletons stored as bare values (the
 concise representation of [7]).  :class:`CompactHistogram` implements that
 representation with O(1) insert/remove and *incremental* footprint
-tracking, so the samplers can test ``footprint(S) >= F`` after every
-arrival without rescanning the histogram.
+tracking, so the samplers can test ``footprint(S) >= F`` without
+rescanning the histogram.  Batched phase 1 goes through :meth:`fill`,
+which tests the footprint once per C-speed counted slice rather than
+after every arrival, and still stops at exactly the crossing arrival.
 
 The ``expand``/``compact`` round trip (Figure 2's ``expand(S)`` and the
 finalization step) and the ``join`` of two histograms (used by HBMerge and
@@ -14,7 +16,7 @@ HRMerge) live here too.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements
 from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.footprint import FootprintModel
@@ -49,10 +51,18 @@ class CompactHistogram:
     # ------------------------------------------------------------------
     @classmethod
     def from_values(cls, values: Iterable[Value]) -> "CompactHistogram":
-        """Build a histogram by inserting every value in ``values``."""
+        """Build a histogram by inserting every value in ``values``.
+
+        Counts at C speed; pairs come out in first-occurrence order, as
+        repeated :meth:`insert` calls would leave them.
+        """
+        counts: Dict[Value, int] = {}
+        _count_elements(counts, values)
         hist = cls()
-        for v in values:
-            hist.insert(v)
+        hist._counts = counts
+        tallies = list(counts.values())
+        hist._size = sum(tallies)
+        hist._singletons = tallies.count(1)
         return hist
 
     @classmethod
@@ -144,6 +154,46 @@ class CompactHistogram:
             self._singletons += 1
         elif old == 1:
             self._singletons -= 1
+
+    def fill(self, values: Sequence[Value], start: int,
+             model: FootprintModel, bound_bytes: int) -> int:
+        """Insert ``values[start:]`` in order until the footprint crosses.
+
+        Stops right after the insertion that brings the footprint to
+        ``>= bound_bytes`` (phase 1 of Figures 2 and 7) and returns the
+        index one past it, or ``len(values)`` if the bound is never
+        reached.  The result equals one :meth:`insert` per value with the
+        footprint tested after each.
+
+        One insert adds 0, ``count_bytes`` or ``value_bytes`` to the
+        footprint, and ``count_bytes <= value_bytes``, so the next
+        ``ceil(gap / value_bytes)`` values cannot cross the bound before
+        the last of them.  Each step counts that whole slice at C speed;
+        ``singletons`` stays exact by reading the slice's distinct keys
+        before and after the count.
+        """
+        counts = self._counts
+        get = counts.get
+        value_bytes = model.value_bytes
+        n = len(values)
+        pos = start
+        while pos < n:
+            gap = bound_bytes - self.footprint(model)
+            stop = min(n, pos + max(1, -(-gap // value_bytes)))
+            chunk = values[pos:stop]
+            if not isinstance(chunk, (list, tuple)):
+                # Iterate once: numpy arrays yield fresh scalars per pass,
+                # which a NaN key would not match by identity.
+                chunk = list(chunk)
+            keys = dict.fromkeys(chunk)
+            before = list(map(get, keys)).count(1)
+            _count_elements(counts, chunk)
+            self._singletons += list(map(get, keys)).count(1) - before
+            self._size += stop - pos
+            pos = stop
+            if self.footprint(model) >= bound_bytes:
+                break
+        return pos
 
     def insert_count(self, value: Value, count: int) -> None:
         """Insert ``count`` occurrences of ``value`` at once."""

@@ -355,18 +355,13 @@ class AlgorithmHB:
                 offset = self._feed_seq_phase3(values, offset)
 
     def _feed_seq_phase1(self, values: Sequence[T], offset: int) -> int:
-        hist = self._histogram
-        assert hist is not None
-        insert = hist.insert
-        footprint = hist.footprint
-        model, bound_bytes = self._model, self._bound_bytes
-        for pos in range(offset, len(values)):
-            insert(values[pos])
-            self._seen += 1
-            if footprint(model) >= bound_bytes:
-                self._enter_phase2_or_3()
-                return pos + 1
-        return len(values)
+        assert self._histogram is not None
+        pos = self._histogram.fill(values, offset, self._model,
+                                   self._bound_bytes)
+        self._seen += pos - offset
+        if self._histogram.footprint(self._model) >= self._bound_bytes:
+            self._enter_phase2_or_3()
+        return pos
 
     def _feed_seq_phase2(self, values: Sequence[T], offset: int) -> int:
         n = len(values)

@@ -250,15 +250,11 @@ class AlgorithmHR:
         if self._phase is SampleKind.EXHAUSTIVE:
             hist = self._histogram
             assert hist is not None
-            for pos in range(n):
-                hist.insert(values[pos])
-                self._seen += 1
-                if hist.footprint(self._model) >= self._bound_bytes:
-                    self._enter_phase2()
-                    offset = pos + 1
-                    break
-            else:
+            offset = hist.fill(values, 0, self._model, self._bound_bytes)
+            self._seen += offset
+            if hist.footprint(self._model) < self._bound_bytes:
                 return
+            self._enter_phase2()
         base = self._seen - offset
         assert self._skips is not None
         while self._next_insert - base <= n:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
+from repro.core.runs import RepeatedValue
 from repro.errors import ConfigurationError
+from repro.kernels import numpy_available
 
 MODEL = FootprintModel(value_bytes=8, count_bytes=4)
 
@@ -197,3 +199,103 @@ class TestFootprint:
         assert dict(h.pairs()) == shadow
         assert h.size == sum(shadow.values())
         assert h.singletons == sum(1 for c in shadow.values() if c == 1)
+
+
+def _insert_until(hist, values, start, model, bound_bytes):
+    """The per-arrival phase-1 loop :meth:`CompactHistogram.fill` batches."""
+    for pos in range(start, len(values)):
+        hist.insert(values[pos])
+        if hist.footprint(model) >= bound_bytes:
+            return pos + 1
+    return len(values)
+
+
+def _state(hist):
+    """Pairs in order with their key types (``1 == 1.0 == True``)."""
+    return ([(type(v), repr(v), n) for v, n in hist.pairs()],
+            hist.size, hist.singletons, hist.distinct)
+
+
+_MODELS = [FootprintModel(8, 0), FootprintModel(8, 4), FootprintModel(8, 8),
+           FootprintModel(3, 1), FootprintModel(1, 1)]
+_VALUES = st.one_of(
+    st.lists(st.integers(0, 40), max_size=300),
+    st.lists(st.text("abcdef", max_size=2), max_size=300),
+    st.lists(st.sampled_from([1, 1.0, True, 0, 0.0, False, 2, "x"]),
+             max_size=300),
+)
+
+
+class TestFill:
+    """``fill`` equals one ``insert`` at a time with the footprint tested
+    after each: same stop index, same pairs in the same order."""
+
+    def _check(self, prefill, values, start, model, bound_bytes):
+        expected = CompactHistogram.from_values(prefill)
+        actual = CompactHistogram.from_values(prefill)
+        want = _insert_until(expected, values, start, model, bound_bytes)
+        got = actual.fill(values, start, model, bound_bytes)
+        assert got == want
+        assert _state(actual) == _state(expected)
+        return got
+
+    @given(prefill=_VALUES, values=_VALUES,
+           model=st.sampled_from(_MODELS),
+           bound_bytes=st.integers(0, 400), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_insert_loop(self, prefill, values, model, bound_bytes,
+                                 data):
+        start = data.draw(st.integers(0, len(values)))
+        container = data.draw(st.sampled_from([list, tuple]))
+        self._check(prefill, container(values), start, model, bound_bytes)
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    @given(prefill=st.lists(st.integers(0, 30), max_size=100),
+           values=st.lists(st.integers(0, 30), max_size=300),
+           model=st.sampled_from(_MODELS),
+           bound_bytes=st.integers(0, 300), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_int_array(self, prefill, values, model, bound_bytes,
+                             data):
+        import numpy as np
+
+        start = data.draw(st.integers(0, len(values)))
+        self._check(prefill, np.array(values, dtype=np.int64), start, model,
+                    bound_bytes)
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_numpy_nan_keys(self):
+        """Each NaN scalar a numpy array yields is its own key."""
+        import numpy as np
+
+        values = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
+        assert self._check([], values, 0, MODEL, 1_000) == len(values)
+
+    @given(prefill=st.lists(st.sampled_from("abc"), max_size=50),
+           value=st.sampled_from("abcd"), count=st.integers(0, 200),
+           model=st.sampled_from(_MODELS),
+           bound_bytes=st.integers(0, 100), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_value(self, prefill, value, count, model, bound_bytes,
+                            data):
+        start = data.draw(st.integers(0, count))
+        self._check(prefill, RepeatedValue(value, count), start, model,
+                    bound_bytes)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_prefilled_at_or_over_bound_inserts_once(self, model):
+        prefill = list(range(10))
+        at = CompactHistogram.from_values(prefill).footprint(model)
+        for bound_bytes in (at, at - 1, 0):
+            got = self._check(prefill, list(range(100, 200)), 3, model,
+                              bound_bytes)
+            assert got == 4
+
+    def test_from_values_matches_inserts_and_takes_generators(self):
+        values = [3, 1.0, True, "a", 3, 3.0, "a", 7]
+        built = CompactHistogram()
+        for v in values:
+            built.insert(v)
+        assert _state(CompactHistogram.from_values(values)) == _state(built)
+        assert _state(CompactHistogram.from_values(
+            v for v in values)) == _state(built)

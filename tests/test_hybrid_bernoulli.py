@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHA
+from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
+                      split_plans)
 from repro.core.footprint import FootprintModel
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.stats.uniformity import inclusion_frequency_test
 from repro.testkit import sweep
@@ -158,6 +160,36 @@ class TestStatistics:
                 sizes.append(hb.finalize().size)
             mean_sizes.append(sum(sizes) / trials)
         assert abs(mean_sizes[0] - mean_sizes[1]) < 4.0
+
+
+class TestFeedManyExact:
+    """``feed_many``, split anywhere, is byte-identical to per-arrival
+    ``feed``: same kind, rate, population and pairs in order."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_split_feed_many_equals_feed(self, backend, shape, resumed):
+        values = feed_shape(shape, 3_000, 1)
+        prefix = [v % 20 for v in feed_shape("lowcard", 400, 2)]
+        first = AlgorithmHB(len(prefix), bound_values=64,
+                            rng=SplittableRng(3))
+        first.feed_many(prefix)
+        sample = first.finalize()
+        assert sample.kind is SampleKind.EXHAUSTIVE
+
+        def make():
+            if resumed:
+                return AlgorithmHB.resume(sample, len(prefix) + len(values),
+                                          rng=SplittableRng(5))
+            return AlgorithmHB(len(values), bound_values=64,
+                               rng=SplittableRng(5))
+
+        with use_backend(backend):
+            expected, exit_at = feed_per_arrival(make(), values)
+            assert exit_at is not None
+            for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
+                assert feed_in_slices(make(), values, cuts) == expected, cuts
 
 
 class TestFeedRun:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHA
+from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
+                      split_plans)
 from repro.core.footprint import FootprintModel
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
@@ -143,6 +145,32 @@ class TestStatistics:
         # Expected inclusion prob = bound/n ~ 2.1%; both modes comparable.
         assert abs(inclusion_of_first["single"]
                    - inclusion_of_first["batch"]) <= 10
+
+
+class TestFeedManyExact:
+    """``feed_many``, split anywhere, is byte-identical to per-arrival
+    ``feed``: same kind, population and pairs in order."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_split_feed_many_equals_feed(self, backend, shape, resumed):
+        values = feed_shape(shape, 3_000, 1)
+        first = AlgorithmHR(bound_values=64, rng=SplittableRng(3))
+        first.feed_many([v % 20 for v in feed_shape("lowcard", 400, 2)])
+        sample = first.finalize()
+        assert sample.kind is SampleKind.EXHAUSTIVE
+
+        def make():
+            if resumed:
+                return AlgorithmHR.resume(sample, rng=SplittableRng(5))
+            return AlgorithmHR(bound_values=64, rng=SplittableRng(5))
+
+        with use_backend(backend):
+            expected, exit_at = feed_per_arrival(make(), values)
+            assert exit_at is not None
+            for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
+                assert feed_in_slices(make(), values, cuts) == expected, cuts
 
 
 class TestFeedRun:
