@@ -11,20 +11,32 @@ after every arrival, and still stops at exactly the crossing arrival.
 
 The ``expand``/``compact`` round trip (Figure 2's ``expand(S)`` and the
 finalization step) and the ``join`` of two histograms (used by HBMerge and
-HRMerge) live here too.
+HRMerge) live here too.  A join copies the operand with more distinct
+values, updates the copy with the other in one ``dict.update``, and
+then sums counts only over the values the two share, so its
+Python-level work is proportional to that overlap.
+:meth:`CompactHistogram.joined` does the same on two :data:`Tally`
+triples, which is how HRMerge joins its two purges' survivors without
+building a histogram for either.
 """
 
 from __future__ import annotations
 
-from collections import Counter, _count_elements
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from collections import _count_elements
+from typing import (Collection, Dict, Hashable, Iterable, Iterator, List,
+                    Sequence, Tuple)
 
 from repro.core.footprint import FootprintModel
 from repro.errors import ConfigurationError
 
-__all__ = ["CompactHistogram"]
+__all__ = ["CompactHistogram", "Tally"]
 
 Value = Hashable
+
+#: A bag as ``(value -> count map, size, singletons)``: the state of a
+#: :class:`CompactHistogram`, and what a purge hands to a join without
+#: building one.
+Tally = Tuple[Dict[Value, int], int, int]
 
 
 class CompactHistogram:
@@ -78,35 +90,41 @@ class CompactHistogram:
         return hist
 
     @classmethod
-    def from_unique_counts(cls, values: Sequence[Value],
-                           counts: Sequence[int]) -> "CompactHistogram":
-        """Build from parallel ``values``/``counts`` sequences, fast.
+    def from_tally(cls, tally: Tally) -> "CompactHistogram":
+        """Wrap a tally's map without checking or copying it.
 
-        The kernel-assembly constructor: values must be distinct and
-        counts positive (both are checked cheaply), which lets the
-        histogram skip the per-value ``insert_count`` bookkeeping and
-        build its backing dict in one C-speed pass.  Insertion order
-        follows ``values``, matching what repeated ``insert_count``
-        calls would produce.
+        The trusted constructor behind the purges: the caller hands over
+        a fresh map and its exact size and singleton count.
         """
-        values = list(values)
-        counts = list(counts)
-        if len(values) != len(counts):
-            raise ConfigurationError(
-                f"values and counts must pair up: {len(values)} values "
-                f"vs {len(counts)} counts")
-        if counts and min(counts) <= 0:
-            raise ConfigurationError("counts must be positive")
-        mapping = dict(zip(values, counts))
-        if len(mapping) != len(values):
-            raise ConfigurationError(
-                "from_unique_counts requires distinct values; use "
-                "from_pairs to accumulate duplicates")
         hist = cls()
-        hist._counts = mapping
-        hist._size = sum(counts)
-        hist._singletons = counts.count(1)
+        hist._counts, hist._size, hist._singletons = tally
         return hist
+
+    @classmethod
+    def joined(cls, first: Tally, second: Tally) -> "CompactHistogram":
+        """Histogram of the multiset union of two tallies (the join).
+
+        Copies the map with more distinct values (``first`` on a tie),
+        updates it with the other, then sums the counts of the values
+        the two share, the only per-key Python work.  Pairs come out in
+        the bigger map's order followed by the other's new values, and
+        a shared value keeps the bigger map's key object — what adding
+        the smaller map's counts one key at a time would leave.
+        """
+        if len(second[0]) > len(first[0]):
+            first, second = second, first
+        big, big_size, big_singletons = first
+        small, small_size, small_singletons = second
+        counts = dict(big)
+        counts.update(small)
+        # Only values present in both operands can change singleton
+        # status (their joined count is >= 2).
+        singletons = big_singletons + small_singletons
+        for v in big.keys() & small.keys():
+            mine, theirs = big[v], small[v]
+            counts[v] = mine + theirs
+            singletons -= (mine == 1) + (theirs == 1)
+        return cls.from_tally((counts, big_size + small_size, singletons))
 
     def copy(self) -> "CompactHistogram":
         """An independent copy."""
@@ -270,13 +288,22 @@ class CompactHistogram:
         """The distinct values as a list, in insertion order (C-speed)."""
         return list(self._counts)
 
-    def count_list(self) -> List[int]:
-        """The counts as a list, aligned with :meth:`value_list`.
+    def run_lengths(self) -> Collection[int]:
+        """The counts, aligned with :meth:`value_list`, as a live view.
 
-        The kernel functions (:mod:`repro.kernels`) take run lengths in
-        this form so a whole purge is one vectorized draw.
+        The kernel functions (:mod:`repro.kernels`) read run lengths in
+        this form, so a whole purge is one vectorized draw with no
+        intermediate list.
         """
-        return list(self._counts.values())
+        return self._counts.values()
+
+    def tally(self) -> Tally:
+        """This histogram's ``(map, size, singletons)``, map shared.
+
+        For read-only consumers such as :meth:`joined`; mutating the
+        map corrupts this histogram.
+        """
+        return self._counts, self._size, self._singletons
 
     def expand(self) -> List[Value]:
         """The bag of values (each value repeated by its count)."""
@@ -289,46 +316,26 @@ class CompactHistogram:
         """Histogram of the multiset union (the merge algorithms' join).
 
         Computes the compact representation of
-        ``expand(self) ++ expand(other)`` without expanding either operand.
+        ``expand(self) ++ expand(other)`` without expanding either operand
+        (see :meth:`joined`).
         """
-        bigger, smaller = (self, other) if self.distinct >= other.distinct \
-            else (other, self)
-        merged = Counter(bigger._counts)
-        merged.update(smaller._counts)  # C-speed count summation
-        result = CompactHistogram()
-        result._counts = dict(merged)
-        result._size = bigger._size + smaller._size
-        # Only values present in both operands can change singleton
-        # status (their joined count is >= 2), so adjust over the
-        # overlap instead of rescanning the whole result.
-        singletons = bigger._singletons + smaller._singletons
-        for v in bigger._counts.keys() & smaller._counts.keys():
-            if bigger._counts[v] == 1:
-                singletons -= 1
-            if smaller._counts[v] == 1:
-                singletons -= 1
-        result._singletons = singletons
-        return result
+        return CompactHistogram.joined(self.tally(), other.tally())
 
     def joined_footprint(self, other: "CompactHistogram",
                          model: FootprintModel) -> int:
         """Footprint ``join(self, other)`` would have, without building it.
 
         HBMerge (Figure 6, line 12) needs this test before deciding whether
-        the joined Bernoulli sample fits in ``F`` bytes.
+        the joined Bernoulli sample fits in ``F`` bytes.  Only the values
+        the operands share are visited.
         """
-        distinct = len(self._counts)
-        singletons = self._singletons
-        for v, n in other.pairs():
-            mine = self._counts.get(v, 0)
-            if mine == 0:
-                distinct += 1
-                if n == 1:
-                    singletons += 1
-            else:
-                if mine == 1:
-                    singletons -= 1
-        return model.histogram_footprint(distinct, singletons)
+        mine, theirs = self._counts, other._counts
+        shared = mine.keys() & theirs.keys()
+        singletons = self._singletons + other._singletons
+        for v in shared:
+            singletons -= (mine[v] == 1) + (theirs[v] == 1)
+        return model.histogram_footprint(
+            len(mine) + len(theirs) - len(shared), singletons)
 
     # ------------------------------------------------------------------
     # Dunder conveniences

@@ -39,8 +39,8 @@ from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
-from repro.core.purge import (purge_bernoulli, purge_reservoir,
-                              purge_reservoir_concat)
+from repro.core.purge import (purge_bernoulli, purge_reservoir_concat,
+                              purge_reservoir_tally)
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, IncompatibleSamplesError
 from repro.kernels import draw_hypergeometric
@@ -239,10 +239,12 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     # already guarantees take_first <= min(k, n1), but with k <= |S_i| we
     # also need take_first <= |S1| and k - take_first <= |S2|, which holds
     # because take_first <= k <= |S1| and k - take_first <= k <= |S2|.
-    sub1 = purge_reservoir(s1.histogram, take_first, rng)
-    sub2 = purge_reservoir(s2.histogram, k - take_first, rng)
+    # Both purges hand their survivors straight to one join: no
+    # intermediate histogram is built.
+    first = purge_reservoir_tally(s1.histogram, take_first, rng)
+    second = purge_reservoir_tally(s2.histogram, k - take_first, rng)
     return WarehouseSample(
-        histogram=sub1.join(sub2),
+        histogram=CompactHistogram.joined(first, second),
         kind=SampleKind.RESERVOIR,
         population_size=total,
         bound_values=s1.bound_values,

@@ -6,17 +6,20 @@
   of data elements — the point of the compact representation.
 * :func:`purge_reservoir` — take a simple random subsample of a given size
   from the bag a compact histogram represents, *without expanding it*
-  (Figure 4).
+  (Figure 4).  :func:`purge_reservoir_tally` is the same purge without
+  the final histogram, for HRMerge to join two survivor maps in one
+  assembly (Figure 8).
 
 Both inner loops dispatch through :mod:`repro.kernels`: the numpy
 backend draws every run's kept count in a single vectorized generator
 call, the pure-Python backend runs the paper's loops verbatim
 (skip-based reservoir sampling with Fenwick-tree victim selection on
-the reservoir side).  Result assembly is shared and backend-agnostic —
-surviving ``(value, count)`` pairs are rebuilt through the trusted
-:meth:`~repro.core.histogram.CompactHistogram.from_unique_counts`
-constructor, so a purge does no per-element Python work beyond the
-python-backend draws themselves.
+the reservoir side).  A kernel reads the histogram's counts view and
+returns only the surviving runs as ``(indices, kept)``.  Result
+assembly is shared and backend-agnostic: one ``itemgetter`` picks the
+surviving values out of the histogram's value list and ``zip`` pairs
+them with their counts in a new dict, so a purge does no per-element
+Python work beyond the python-backend draws themselves.
 
 Both functions return new histograms and leave their input untouched —
 mutation-free purges make the merge functions easier to reason about (the
@@ -25,25 +28,29 @@ paper's pseudocode purges in place).
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import List, Sequence
+from operator import itemgetter
+from typing import List
 
-from repro.core.histogram import CompactHistogram
+from repro.core.histogram import CompactHistogram, Tally
 from repro.errors import ConfigurationError
 from repro.kernels import binomial_counts, srs_counts
 from repro.kernels.python import FenwickTree  # re-exported for back-compat
 from repro.rng import SplittableRng
 
-__all__ = ["purge_bernoulli", "purge_reservoir", "purge_reservoir_concat",
-           "FenwickTree"]
+__all__ = ["purge_bernoulli", "purge_reservoir", "purge_reservoir_tally",
+           "purge_reservoir_concat", "FenwickTree"]
 
 
-def _histogram_from_kept(values: Sequence, kept: List[int]
-                         ) -> CompactHistogram:
-    """Assemble the surviving pairs of a purge (values are distinct)."""
-    flags = [n > 0 for n in kept]
-    return CompactHistogram.from_unique_counts(
-        list(compress(values, flags)), list(compress(kept, flags)))
+def _survivors(histogram: CompactHistogram, indices: List[int],
+               kept: List[int]) -> Tally:
+    """The surviving pairs of a purge as a tally (values are distinct)."""
+    if not indices:
+        return {}, 0, 0
+    picked = itemgetter(*indices)(histogram.value_list())
+    # itemgetter of a single index returns the value, not a 1-tuple.
+    counts = (dict(zip(picked, kept)) if len(indices) > 1
+              else {picked: kept[0]})
+    return counts, sum(kept), kept.count(1)
 
 
 def purge_bernoulli(histogram: CompactHistogram, q: float,
@@ -59,23 +66,27 @@ def purge_bernoulli(histogram: CompactHistogram, q: float,
         return CompactHistogram()
     if q == 1.0:
         return histogram.copy()
-    kept = binomial_counts(histogram.count_list(), q, rng)
-    return _histogram_from_kept(histogram.value_list(), kept)
+    indices, kept = binomial_counts(histogram.run_lengths(), q, rng)
+    return CompactHistogram.from_tally(_survivors(histogram, indices, kept))
 
 
-def _purge_reservoir_entries(entries: List[tuple], size: int,
-                             rng: SplittableRng) -> CompactHistogram:
-    """Figure 4's loop over explicit ``(value, run)`` entries.
+def purge_reservoir_tally(histogram: CompactHistogram, size: int,
+                          rng: SplittableRng) -> Tally:
+    """Figure 4 without the final histogram: the survivors as a tally.
 
-    The same value may appear in several entries (when purging a
-    concatenation of histograms); the final re-insertion coalesces them.
+    Draws exactly as :func:`purge_reservoir` does.  ``size >=
+    histogram.size`` returns the histogram's own tally (its map shared,
+    so the caller must only read it) and ``size == 0`` an empty one;
+    neither consumes a draw.
     """
-    kept = srs_counts([run for _value, run in entries], size, rng)
-    result = CompactHistogram()
-    for (value, _run), n in zip(entries, kept):
-        if n > 0:
-            result.insert_count(value, n)
-    return result
+    if size < 0:
+        raise ConfigurationError(f"size must be >= 0, got {size}")
+    if size == 0:
+        return {}, 0, 0
+    if size >= histogram.size:
+        return histogram.tally()
+    indices, kept = srs_counts(histogram.run_lengths(), size, rng)
+    return _survivors(histogram, indices, kept)
 
 
 def purge_reservoir(histogram: CompactHistogram, size: int,
@@ -88,14 +99,10 @@ def purge_reservoir(histogram: CompactHistogram, size: int,
     ``size >= histogram.size`` returns a copy (nothing to purge);
     ``size == 0`` returns an empty histogram.
     """
-    if size < 0:
-        raise ConfigurationError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return CompactHistogram()
-    if size >= histogram.size:
-        return histogram.copy()
-    kept = srs_counts(histogram.count_list(), size, rng)
-    return _histogram_from_kept(histogram.value_list(), kept)
+    if size and size >= histogram.size:
+        return histogram.copy()  # the tally would share the input's map
+    return CompactHistogram.from_tally(
+        purge_reservoir_tally(histogram, size, rng))
 
 
 def purge_reservoir_concat(first: CompactHistogram,
@@ -112,8 +119,14 @@ def purge_reservoir_concat(first: CompactHistogram,
         raise ConfigurationError(f"size must be >= 0, got {size}")
     if size == 0:
         return CompactHistogram()
-    total = first.size + second.size
-    if size >= total:
+    if size >= first.size + second.size:
         return first.join(second)
-    entries = list(first.pairs()) + list(second.pairs())
-    return _purge_reservoir_entries(entries, size, rng)
+    values = first.value_list() + second.value_list()
+    indices, kept = srs_counts(
+        [*first.run_lengths(), *second.run_lengths()], size, rng)
+    # The same value may survive in both operands; re-inserting in
+    # entry order coalesces it.
+    result = CompactHistogram()
+    for i, n in zip(indices, kept):
+        result.insert_count(values[i], n)
+    return result

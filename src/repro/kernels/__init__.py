@@ -45,7 +45,7 @@ import os
 import threading
 from contextlib import contextmanager
 from types import ModuleType
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -184,24 +184,31 @@ def draw_hypergeometric_batch(n1: int, n2: int, k: int, rng,
         n1, n2, k, rng, count, cache=cache, method=method)
 
 
-def binomial_counts(counts: Sequence[int], q: float, rng) -> List[int]:
+def binomial_counts(counts: Collection[int], q: float,
+                    rng) -> Tuple[List[int], List[int]]:
     """Figure 3's inner loop: ``Binomial(n, q)`` for every run length.
 
-    Returns one kept-count per input run, in order.  The numpy backend
-    draws the whole vector with a single generator call.
+    Returns the surviving runs as ``(indices, kept)``: the positions
+    whose draw is nonzero, in increasing order, and their kept counts.
+    ``counts`` may be any sized collection (a histogram's
+    ``dict.values()`` view is read directly).  The numpy backend draws
+    the whole vector with a single generator call.
     """
     return _backend().binomial_counts(counts, q, rng)
 
 
-def srs_counts(runs: Sequence[int], size: int, rng) -> List[int]:
+def srs_counts(runs: Collection[int], size: int,
+               rng) -> Tuple[List[int], List[int]]:
     """Figure 4's inner loop: an SRS of ``size`` elements over runs.
 
     Takes a simple random subsample of ``size`` elements from the bag
-    in which value ``i`` occurs ``runs[i]`` times, returning how many
-    of each run survive.  Requires ``0 <= size <= sum(runs)``.  The
-    python backend runs the paper's skip-based reservoir loop with
-    Fenwick-tree victim selection; the numpy backend draws the whole
-    vector from the multivariate hypergeometric law in one call.
+    in which value ``i`` occurs ``runs[i]`` times and returns the
+    surviving runs as ``(indices, kept)``: the positions that keep at
+    least one element, in increasing order, and how many each keeps.
+    Requires ``0 <= size <= sum(runs)``.  The python backend runs the
+    paper's skip-based reservoir loop with Fenwick-tree victim
+    selection; the numpy backend draws the whole vector from the
+    multivariate hypergeometric law in one call.
     """
     return _backend().srs_counts(runs, size, rng)
 

@@ -15,6 +15,10 @@ determinism is a per-backend contract (docs/determinism.md):
   ``Generator.multivariate_hypergeometric`` draw — the distribution of
   surviving counts per run under an SRS is exactly that law.
 
+Run lengths are read with one ``np.fromiter`` (a histogram's
+``dict.values()`` view needs no intermediate list) and both purge ops
+return only the surviving runs, located with one ``flatnonzero``.
+
 Each :class:`~repro.rng.SplittableRng` lazily owns one
 ``numpy.random.Generator`` seeded from its own stream
 (``rng.getrandbits(64)``), so kernel draws remain a pure function of
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -148,22 +152,31 @@ def draw_hypergeometric_batch(n1: int, n2: int, k: int,
     return [int(x) for x in draws]
 
 
-def binomial_counts(counts: Sequence[int], q: float,
-                    rng: SplittableRng) -> List[int]:
+def _survivors(kept: "np.ndarray") -> Tuple[List[int], List[int]]:
+    """The nonzero entries of a kept-count vector as ``(indices, kept)``."""
+    indices = np.flatnonzero(kept)
+    return indices.tolist(), kept[indices].tolist()
+
+
+def _run_array(runs: Collection[int]) -> "np.ndarray":
+    return np.fromiter(runs, dtype=np.int64, count=len(runs))
+
+
+def binomial_counts(counts: Collection[int], q: float,
+                    rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """All of Figure 3's Binomial draws as one vectorized call."""
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"rate must be in [0, 1], got {q}")
-    arr = np.asarray(counts if isinstance(counts, (list, tuple))
-                     else list(counts), dtype=np.int64)
+    arr = _run_array(counts)
     if arr.size == 0:
-        return []
+        return [], []
     if arr.min() < 0:
         raise ConfigurationError("run lengths must be >= 0")
-    return _generator(rng).binomial(arr, q).tolist()
+    return _survivors(_generator(rng).binomial(arr, q))
 
 
-def srs_counts(runs: Sequence[int], size: int,
-               rng: SplittableRng) -> List[int]:
+def srs_counts(runs: Collection[int], size: int,
+               rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """Figure 4 as one multivariate hypergeometric draw.
 
     Drawing ``size`` elements uniformly without replacement from the
@@ -171,20 +184,18 @@ def srs_counts(runs: Sequence[int], size: int,
     as ``multivariate_hypergeometric(runs, size)`` — the same law the
     python backend's reservoir loop realizes one element at a time.
     """
-    arr = np.asarray(runs if isinstance(runs, (list, tuple))
-                     else list(runs), dtype=np.int64)
+    arr = _run_array(runs)
     total = int(arr.sum())
     if not 0 <= size <= total:
         raise ConfigurationError(
             f"size must be in [0, {total}], got {size}")
     if size == 0:
-        return [0] * int(arr.size)
+        return [], []
     if size == total:
-        return arr.tolist()
+        return _survivors(arr)
     # "count" needs O(sum(runs)) scratch; "marginals" walks the runs.
     # The choice is a pure function of the inputs, keeping draws
     # deterministic for a given rng state.
     method = "count" if total <= 1_000_000 else "marginals"
-    draw = _generator(rng).multivariate_hypergeometric(arr, size,
-                                                       method=method)
-    return draw.tolist()
+    return _survivors(_generator(rng).multivariate_hypergeometric(
+        arr, size, method=method))

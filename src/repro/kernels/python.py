@@ -15,7 +15,8 @@ is the only consumer of its prefix-sum search.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import compress
+from typing import Collection, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
@@ -129,16 +130,22 @@ def draw_hypergeometric_batch(n1: int, n2: int, k: int,
             for _ in range(count)]
 
 
-def binomial_counts(counts: Sequence[int], q: float,
-                    rng: SplittableRng) -> List[int]:
+def _survivors(kept: List[int]) -> Tuple[List[int], List[int]]:
+    """The nonzero entries of a kept-count vector as ``(indices, kept)``."""
+    return (list(compress(range(len(kept)), kept)),
+            list(compress(kept, kept)))
+
+
+def binomial_counts(counts: Collection[int], q: float,
+                    rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """One ``Binomial(n, q)`` per run, in order (Figure 3's loop)."""
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError(f"rate must be in [0, 1], got {q}")
-    return [rng.binomial(n, q) for n in counts]
+    return _survivors([rng.binomial(n, q) for n in counts])
 
 
-def srs_counts(runs: Sequence[int], size: int,
-               rng: SplittableRng) -> List[int]:
+def srs_counts(runs: Collection[int], size: int,
+               rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """Figure 4's core loop over run lengths.
 
     Skip-based reservoir sampling over the implicit concatenation of
@@ -151,9 +158,9 @@ def srs_counts(runs: Sequence[int], size: int,
         raise ConfigurationError(
             f"size must be in [0, {total}], got {size}")
     if size == 0:
-        return [0] * len(runs)
+        return [], []
     if size == total:
-        return list(runs)
+        return _survivors(list(runs))
     tree = FenwickTree(len(runs))
     skips = SkipGenerator(size, rng)
 
@@ -173,4 +180,4 @@ def srs_counts(runs: Sequence[int], size: int,
             included += 1
             processed = next_insert
             next_insert = processed + skips.next_skip(processed)
-    return tree.counts()
+    return _survivors(tree.counts())

@@ -648,8 +648,9 @@ def default_battery() -> Battery:
         n, q = 60, 0.25
         trials = 600 * scale
         with use_backend(_primary_backend()):
-            kept = binomial_counts([n] * trials, q, rng)
+            _indices, kept = binomial_counts([n] * trials, q, rng)
         observed = [0] * (n + 1)
+        observed[0] = trials - len(kept)  # runs that kept nothing
         for k in kept:
             observed[k] += 1
         expected = [p * trials for p in binomial_pmf(n, q)]
@@ -670,8 +671,10 @@ def default_battery() -> Battery:
         observed = [0] * len(outcomes)
         with use_backend(_primary_backend()):
             for _ in range(trials):
-                observed[outcomes.index(
-                    tuple(srs_counts(runs, size, rng)))] += 1
+                kept = [0] * len(runs)
+                for i, n in zip(*srs_counts(runs, size, rng)):
+                    kept[i] = n
+                observed[outcomes.index(tuple(kept))] += 1
         expected = [p * trials for p in pmf]
         return chi_square_pvalue(observed, expected)
 

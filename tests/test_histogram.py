@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (MIXED_KEYS, NAN, assert_same_state, counter_join,
+                      histogram_state)
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.runs import RepeatedValue
@@ -143,6 +145,67 @@ class TestViewsAndConversions:
         predicted = a.joined_footprint(b, MODEL)
         actual = a.join(b).footprint(MODEL)
         assert predicted == actual
+
+
+def loop_joined_footprint(first, second, model):
+    """``joined_footprint`` as it walked every pair of ``second``."""
+    distinct = first.distinct
+    singletons = first.singletons
+    for v, n in second.pairs():
+        mine = first.count(v)
+        if mine == 0:
+            distinct += 1
+            if n == 1:
+                singletons += 1
+        elif mine == 1:
+            singletons -= 1
+    return model.histogram_footprint(distinct, singletons)
+
+
+class TestJoinOracle:
+    """``join`` and ``joined_footprint`` against the ``Counter``-based
+    code they replaced: same pairs in order with the same key objects,
+    same size and singletons, same footprint."""
+
+    @given(st.lists(MIXED_KEYS, max_size=50),
+           st.lists(MIXED_KEYS, max_size=50))
+    @settings(max_examples=150, deadline=None)
+    def test_join_matches_counter_join(self, first, second):
+        a = CompactHistogram.from_values(first)
+        b = CompactHistogram.from_values(second)
+        before = histogram_state(a), histogram_state(b)
+        assert_same_state(histogram_state(a.join(b)), counter_join(a, b))
+        assert_same_state(histogram_state(b.join(a)), counter_join(b, a))
+        assert (histogram_state(a), histogram_state(b)) == before
+
+    @given(st.lists(MIXED_KEYS, max_size=50),
+           st.lists(MIXED_KEYS, max_size=50),
+           st.sampled_from([MODEL, FootprintModel(8, 8),
+                            FootprintModel(3, 1), FootprintModel(8, 0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_joined_footprint_matches_loop(self, first, second, model):
+        a = CompactHistogram.from_values(first)
+        b = CompactHistogram.from_values(second)
+        want = loop_joined_footprint(a, b, model)
+        assert a.joined_footprint(b, model) == want
+        assert a.join(b).footprint(model) == want
+
+    def test_tie_keeps_first_operand_order_and_keys(self):
+        a = CompactHistogram.from_values([True, "x", NAN])
+        b = CompactHistogram.from_values([1.0, NAN, "y"])
+        joined = a.join(b)
+        assert [(type(v), n) for v, n in joined.pairs()] == [
+            (bool, 2), (str, 1), (float, 2), (str, 1)]
+        assert list(joined.values())[2] is NAN
+        assert (joined.size, joined.singletons) == (6, 2)
+
+    def test_joined_wraps_tallies(self):
+        a = CompactHistogram.from_values([1, 1, 2])
+        b = CompactHistogram.from_values([2, 3])
+        joined = CompactHistogram.joined(a.tally(), b.tally())
+        assert joined == a.join(b)
+        joined.insert(9)
+        assert 9 not in a and 9 not in b
 
 
 class TestFootprint:

@@ -13,8 +13,12 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ALPHA
+import repro.core.purge as purge_module
+import repro.testkit.checks as checks_module
+from conftest import ALPHA, dense_binomial_counts, dense_srs_counts
 from repro import SplittableRng
 from repro.core.histogram import CompactHistogram
 from repro.core.purge import purge_bernoulli, purge_reservoir
@@ -109,8 +113,8 @@ class TestPythonBackendLaws:
     def test_srs_counts_edges(self):
         with use_backend("python"):
             rng = SplittableRng(1)
-            assert srs_counts([3, 2], 0, rng) == [0, 0]
-            assert srs_counts([3, 2], 5, rng) == [3, 2]
+            assert srs_counts([3, 2], 0, rng) == ([], [])
+            assert srs_counts([3, 2], 5, rng) == ([0, 1], [3, 2])
             with pytest.raises(ConfigurationError):
                 srs_counts([3, 2], 6, rng)
 
@@ -118,10 +122,10 @@ class TestPythonBackendLaws:
         with use_backend("python"):
             rng = SplittableRng(9)
             for size in (1, 3, 6, 9):
-                kept = srs_counts([4, 1, 3, 2], size, rng)
+                indices, kept = srs_counts([4, 1, 3, 2], size, rng)
                 assert sum(kept) == size
-                assert all(0 <= k <= r
-                           for k, r in zip(kept, [4, 1, 3, 2]))
+                assert all(0 < k <= [4, 1, 3, 2][i]
+                           for i, k in zip(indices, kept))
 
 
 @requires_numpy
@@ -175,17 +179,67 @@ class TestNumpyBackendLaws:
         with use_backend("numpy"):
             rng = SplittableRng(9)
             for size in (0, 1, 5, 10):
-                kept = srs_counts([4, 1, 3, 2], size, rng)
+                _indices, kept = srs_counts([4, 1, 3, 2], size, rng)
                 assert sum(kept) == size
 
     def test_binomial_counts_vectorized_matches_law(self):
         n, q, trials = 40, 0.3, 3000
         with use_backend("numpy"):
-            kept = binomial_counts([n] * trials, q, SplittableRng(23))
+            _indices, kept = binomial_counts([n] * trials, q,
+                                             SplittableRng(23))
         mean = sum(kept) / trials
         # Mean within 5 sigma of n*q.
         sigma = math.sqrt(n * q * (1 - q) / trials)
         assert abs(mean - n * q) < 5 * sigma
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestSurvivorOps:
+    """The purge kernels return the surviving runs, ``(indices, kept)``:
+    exactly the nonzero entries of the dense draw each backend made
+    before, from the same generator calls."""
+
+    @given(runs=st.lists(st.integers(0, 9), max_size=40),
+           data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_srs_counts_are_dense_nonzeros(self, backend, runs, data, seed):
+        size = data.draw(st.integers(0, sum(runs)))
+        ours, theirs = SplittableRng(seed), SplittableRng(seed)
+        with use_backend(backend):
+            indices, kept = srs_counts(runs, size, ours)
+            dense = dense_srs_counts(runs, size, theirs)
+        assert indices == [i for i, n in enumerate(dense) if n]
+        assert kept == [n for n in dense if n]
+        assert all(type(n) is int for n in indices + kept)
+        assert ours.random() == theirs.random()
+
+    @given(counts=st.lists(st.integers(0, 30), max_size=40),
+           q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_counts_are_dense_nonzeros(self, backend, counts, q,
+                                                seed):
+        ours, theirs = SplittableRng(seed), SplittableRng(seed)
+        with use_backend(backend):
+            indices, kept = binomial_counts(counts, q, ours)
+            dense = dense_binomial_counts(counts, q, theirs)
+        assert indices == [i for i, n in enumerate(dense) if n]
+        assert kept == [n for n in dense if n]
+        assert all(type(n) is int for n in indices + kept)
+        assert ours.random() == theirs.random()
+
+    def test_reads_a_dict_values_view(self, backend):
+        runs = {"a": 3, "b": 1, "c": 4, "d": 2}
+        with use_backend(backend):
+            for op, arg in ((srs_counts, 5), (binomial_counts, 0.5)):
+                assert (op(runs.values(), arg, SplittableRng(4))
+                        == op(list(runs.values()), arg, SplittableRng(4)))
+
+
+def test_law_checks_exercise_the_ops_purges_call():
+    # kernels.srs.law / kernels.binomial.law must test what the purges
+    # run, not a function only tests call.
+    assert checks_module.srs_counts is purge_module.srs_counts
+    assert checks_module.binomial_counts is purge_module.binomial_counts
 
 
 class TestPurgesPerBackend:

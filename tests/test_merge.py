@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHA
+import repro.core.merge as merge_module
+from conftest import (ALPHA, MIXED_KEYS, assert_same_state, counter_join,
+                      histogram_state)
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
@@ -14,10 +16,11 @@ from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.merge import (hb_merge, hr_merge, merge_samples, merge_tree,
                               sb_union)
 from repro.core.phases import SampleKind
+from repro.core.purge import purge_reservoir
 from repro.core.sample import WarehouseSample
 from repro.core.stratified_bernoulli import AlgorithmSB
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import available_backends, use_backend
+from repro.kernels import available_backends, draw_hypergeometric, use_backend
 from repro.rng import SplittableRng
 from repro.sampling.distributions import CachedHypergeometric
 from repro.stats.uniformity import (inclusion_frequency_test,
@@ -277,6 +280,84 @@ class TestHrMergeTheorem1:
         with use_backend("python"):
             hr_merge(s1, s2, rng=rng, cache=cache)
         assert len(cache) == 1
+
+
+def reservoir_of(values, extra=0):
+    """A reservoir-kind sample holding ``values``, of a population
+    ``extra`` larger."""
+    hist = CompactHistogram.from_values(values)
+    return WarehouseSample(histogram=hist, kind=SampleKind.RESERVOIR,
+                           population_size=hist.size + extra,
+                           bound_values=1000, scheme="hr", model=MODEL)
+
+
+def composed_hr_merge(s1, s2, rng, k, take_first=None):
+    """Figure 8 as two histogram purges and a ``Counter`` join, in
+    :func:`histogram_state` form (``take_first`` overrides the draw)."""
+    if k == 0:
+        return [], 0, 0
+    if take_first is None:
+        take_first = draw_hypergeometric(
+            s1.population_size, s2.population_size, k, rng)
+    return counter_join(purge_reservoir(s1.histogram, take_first, rng),
+                        purge_reservoir(s2.histogram, k - take_first, rng))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestFusedHrMergeNode:
+    """The one-pass purge-and-join node equals the composition it
+    replaced, pair for pair, with the same rng consumption after it."""
+
+    @given(first=st.lists(MIXED_KEYS, max_size=40),
+           second=st.lists(MIXED_KEYS, max_size=40),
+           extra=st.tuples(st.integers(0, 50), st.integers(0, 50)),
+           data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_composition(self, backend, first, second, extra,
+                                 data, seed):
+        s1, s2 = reservoir_of(first, extra[0]), reservoir_of(second, extra[1])
+        k = data.draw(st.integers(0, min(s1.size, s2.size)))
+        ours, theirs = SplittableRng(seed), SplittableRng(seed)
+        with use_backend(backend):
+            merged = hr_merge(s1, s2, rng=ours, target_size=k)
+            want = composed_hr_merge(s1, s2, theirs, k)
+        assert_same_state(histogram_state(merged.histogram), want)
+        assert merged.size == k
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("first, second, k, take_first", [
+        ([1, 1, 2, 3, 4], [5, 6, 6, 7], 4, 0),        # L = 0
+        ([1, 1, 2, 3, 4], [5, 6, 6, 7], 4, 4),        # L = k
+        ([1, 2, 2, 3], [3, 4, 5, 5, 6], 4, 4),        # L = k = |S1|: copy
+        ([1, 2, 2, 3], [3, 4, 5, 5, 6], 4, 2),
+        ([1, 2, 3, 4, 5], [6, 7, 8, 9], 1, 1),        # single survivor
+        ([1, 2, 3, 4, 5], [6, 7, 8, 9], 2, 1),        # one from each
+        ([1, 1.0, True, "a"], [True, 1, 0.0, False], 3, 1),
+        ([float("nan")] * 3 + [2], [2, float("nan")], 2, 1),
+    ])
+    def test_forced_draws(self, backend, monkeypatch, first, second, k,
+                          take_first):
+        s1, s2 = reservoir_of(first, 5), reservoir_of(second, 5)
+        monkeypatch.setattr(merge_module, "draw_hypergeometric",
+                            lambda *args, **kwargs: take_first)
+        for seed in range(10):
+            ours, theirs = SplittableRng(seed), SplittableRng(seed)
+            with use_backend(backend):
+                merged = hr_merge(s1, s2, rng=ours, target_size=k)
+                want = composed_hr_merge(s1, s2, theirs, k, take_first)
+            assert_same_state(histogram_state(merged.histogram), want)
+            assert ours.random() == theirs.random()
+
+    def test_inputs_untouched(self, backend):
+        s1 = reservoir_of([1, 1, 2, 3], 4)
+        s2 = reservoir_of([3, 4, 4, 5, 6, 7], 4)
+        before = histogram_state(s1.histogram), histogram_state(s2.histogram)
+        with use_backend(backend):
+            for seed in range(20):
+                merged = hr_merge(s1, s2, rng=SplittableRng(seed))
+                merged.histogram.insert("new")
+        assert (histogram_state(s1.histogram),
+                histogram_state(s2.histogram)) == before
 
 
 class TestSbUnion:

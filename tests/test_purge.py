@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALPHA
+from conftest import (ALPHA, MIXED_KEYS, assert_same_state,
+                      dense_binomial_counts, dense_purge_state,
+                      dense_srs_counts, histogram_state)
 from repro.core.histogram import CompactHistogram
 from repro.core.purge import (FenwickTree, purge_bernoulli, purge_reservoir,
-                              purge_reservoir_concat)
+                              purge_reservoir_concat, purge_reservoir_tally)
 from repro.errors import ConfigurationError
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
@@ -233,3 +236,97 @@ class TestPurgeReservoirConcat:
                 sample_fn, list(range(16)), trials=1_500, rng=child),
             rng=rng, seeds=3, alpha=ALPHA)
         assert result.accepted, result.describe()
+
+
+def tally_state(tally):
+    counts, size, singletons = tally
+    return list(counts.items()), size, singletons
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestSurvivorAssembly:
+    """Purges assembled from the kernels' surviving runs equal the
+    dense-vector assembly they replaced: same pairs in order, same key
+    objects, same size and singletons, and the same rng consumption."""
+
+    @given(values=st.lists(MIXED_KEYS, max_size=60), data=st.data(),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_purge_reservoir(self, backend, values, data, seed):
+        h = CompactHistogram.from_values(values)
+        size = data.draw(st.integers(0, h.size + 2))
+        ours, theirs, tallied = (SplittableRng(seed) for _ in range(3))
+        with use_backend(backend):
+            got = purge_reservoir(h, size, ours)
+            tally = purge_reservoir_tally(h, size, tallied)
+            if size == 0:
+                want = [], 0, 0
+            elif size >= h.size:
+                want = histogram_state(h)
+            else:
+                want = dense_purge_state(
+                    h, dense_srs_counts(h.run_lengths(), size, theirs))
+        assert_same_state(histogram_state(got), want)
+        assert_same_state(tally_state(tally), want)
+        assert ours.random() == theirs.random() == tallied.random()
+
+    @given(values=st.lists(MIXED_KEYS, max_size=60),
+           q=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_purge_bernoulli(self, backend, values, q, seed):
+        h = CompactHistogram.from_values(values)
+        ours, theirs = SplittableRng(seed), SplittableRng(seed)
+        with use_backend(backend):
+            got = purge_bernoulli(h, q, ours)
+            if q == 0.0:
+                want = [], 0, 0
+            elif q == 1.0:
+                want = histogram_state(h)
+            else:
+                want = dense_purge_state(
+                    h, dense_binomial_counts(h.run_lengths(), q, theirs))
+        assert_same_state(histogram_state(got), want)
+        assert ours.random() == theirs.random()
+
+    @given(first=st.lists(MIXED_KEYS, max_size=40),
+           second=st.lists(MIXED_KEYS, max_size=40), data=st.data(),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_purge_reservoir_concat(self, backend, first, second, data,
+                                    seed):
+        a = CompactHistogram.from_values(first)
+        b = CompactHistogram.from_values(second)
+        total = a.size + b.size
+        size = data.draw(st.integers(1, max(1, total - 1)))
+        ours, theirs = SplittableRng(seed), SplittableRng(seed)
+        with use_backend(backend):
+            got = purge_reservoir_concat(a, b, size, ours)
+            if size >= total:
+                want = a.join(b)
+            else:
+                entries = list(a.pairs()) + list(b.pairs())
+                kept = dense_srs_counts([n for _, n in entries], size,
+                                        theirs)
+                want = CompactHistogram()
+                for (value, _), n in zip(entries, kept):
+                    if n:
+                        want.insert_count(value, n)
+        assert_same_state(histogram_state(got), histogram_state(want))
+        assert ours.random() == theirs.random()
+
+    def test_single_survivor(self, backend):
+        # itemgetter with one index returns the value itself, not a tuple.
+        h = CompactHistogram.from_values([(1, 2), (1, 2), "ab", 7])
+        with use_backend(backend):
+            for seed in range(20):
+                got = purge_reservoir(h, 1, SplittableRng(seed))
+                assert got.size == got.distinct == got.singletons == 1
+                assert next(got.values()) in h
+
+    def test_oversize_copy_does_not_share_the_input(self, backend):
+        h = CompactHistogram.from_values([1, 1, 2])
+        with use_backend(backend):
+            for source in (h, CompactHistogram()):
+                out = purge_reservoir(source, 5, SplittableRng(1))
+                out.insert("new")
+                assert "new" not in source
