@@ -1,13 +1,12 @@
 """Benchmark harness: the partition -> parallel-sample -> serial-merge
-pipeline of Section 5, figure-reproduction drivers, table printing, the
-:func:`wall_timer` every benchmark script times with, and the pinned
-regression suite behind ``repro bench run`` / ``--compare``."""
+pipeline of Section 5, figure-reproduction drivers, table printing, and
+the :func:`wall_timer` every benchmark script times with.
+
+Performance claims are made on the repository benchmark,
+``perfbench/run.py`` (``docs/performance.md``); this package reproduces
+the paper's experiments."""
 
 from repro.bench.harness import PipelineResult, repeat_pipeline, run_pipeline
-from repro.bench.regression import (BenchResult, compare_reports,
-                                    load_report, run_core_suite,
-                                    run_merge_suite, validate_report,
-                                    write_report)
 from repro.bench.report import format_table, print_table
 from repro.bench.timing import WallTimer, wall_timer
 
@@ -19,11 +18,4 @@ __all__ = [
     "print_table",
     "WallTimer",
     "wall_timer",
-    "BenchResult",
-    "run_core_suite",
-    "run_merge_suite",
-    "validate_report",
-    "load_report",
-    "write_report",
-    "compare_reports",
 ]

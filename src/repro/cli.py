@@ -20,13 +20,12 @@ Operate a file-backed sample warehouse from the shell:
   under one multiple-testing correction; see ``docs/testing.md``);
 * ``serve``   — the asyncio HTTP service front over a warehouse
   (ingest / query / merge-on-demand endpoints with admission control,
-  circuit breaker, and a versioned merge cache; ``docs/serving.md``);
-* ``loadtest`` — N concurrent simulated clients against a service,
-  writing a schema-validated ``BENCH_serve.json``.
+  circuit breaker, and a versioned merge cache; ``docs/serving.md``).
 
-All commands are deterministic given ``--seed`` (for ``serve`` and
-``loadtest``: the workload and all sampling decisions are; wall-clock
-latencies of course are not).
+All commands are deterministic given ``--seed`` (for ``serve``: all
+sampling decisions are; wall-clock latencies of course are not).
+Performance is measured by the repository benchmark,
+``perfbench/run.py`` (``docs/performance.md``), not by a subcommand.
 """
 
 from __future__ import annotations
@@ -133,30 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rollup.add_argument("--store-as", default=None,
                           help="re-ingest rollups under this dataset name")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the regression bench suite, compare two runs, or "
-             "regenerate a paper figure")
-    p_bench.add_argument("action", nargs="?", choices=["run"],
-                         help="'run' executes the pinned suite and writes "
-                              "BENCH_core.json + BENCH_merge.json")
+    p_bench = sub.add_parser("bench", help="regenerate a paper figure")
     p_bench.add_argument("--figure", choices=["fig05", "s33"],
-                         help="regenerate one paper figure instead")
+                         required=True,
+                         help="the figure to regenerate")
     p_bench.add_argument("--trials", type=int, default=2000)
-    p_bench.add_argument("--quick", action="store_true",
-                         help="shrunk workloads (CI smoke; timings "
-                              "informational)")
-    p_bench.add_argument("--out-dir", default=".",
-                         help="where 'run' writes the BENCH_*.json files")
-    p_bench.add_argument("--compare", metavar="BASELINE",
-                         help="baseline BENCH_*.json; flags regressions "
-                              "and exits 1 if any")
-    p_bench.add_argument("--candidate", metavar="NEW",
-                         help="candidate report for --compare (default: "
-                              "re-run the baseline's suite fresh)")
-    p_bench.add_argument("--threshold", type=float, default=1.25,
-                         help="regression ratio for --compare "
-                              "(default 1.25)")
 
     p_audit = sub.add_parser("audit", help="verify warehouse consistency")
     p_audit.add_argument("--warehouse", required=True)
@@ -257,25 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="spill evicted cache entries here "
                               "(relaxed-durability FileStore)")
 
-    p_load = sub.add_parser(
-        "loadtest",
-        help="drive a service with N concurrent clients and write "
-             "BENCH_serve.json")
-    p_load.add_argument("--host", default=None,
-                        help="target a running server (default: "
-                             "self-hosted in-process service)")
-    p_load.add_argument("--port", type=int, default=8787)
-    p_load.add_argument("--clients", type=int, default=None,
-                        help="concurrent simulated clients "
-                             "(default: 500, or 64 with --quick)")
-    p_load.add_argument("--requests-per-client", type=int, default=None,
-                        help="requests each client issues "
-                             "(default: 4, or 2 with --quick)")
-    p_load.add_argument("--quick", action="store_true",
-                        help="the CI smoke fleet shape")
-    p_load.add_argument("--out", default="BENCH_serve.json",
-                        help="report path (default: BENCH_serve.json)")
-
     return parser
 
 
@@ -365,7 +326,7 @@ def _cmd_rollup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_figure(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     if args.figure == "fig05":
         from repro.bench.experiments import FIG05_HEADERS, fig05_qapprox
 
@@ -385,123 +346,6 @@ def _bench_figure(args: argparse.Namespace) -> int:
     ok = counts["H1"] > 0 and counts["H2"] > 0 and counts["H3"] == 0
     print("non-uniformity demonstrated" if ok else "UNEXPECTED OUTCOME")
     return 0 if ok else 1
-
-
-def _bench_suite_table(results) -> List[tuple]:
-    rows = []
-    for r in results:
-        params = ", ".join(f"{k}={v}"
-                           for k, v in sorted(r.params.items()))
-        rows.append((r.name, params, f"{r.seconds * 1000:.3f}",
-                     r.repeats))
-    return rows
-
-
-def _bench_run(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.bench.regression import (AQP_FILENAME, CORE_FILENAME,
-                                        MERGE_FILENAME, SERVE_FILENAME,
-                                        aqp_report_dict, report_dict,
-                                        run_aqp_suite_with_pairs,
-                                        run_core_suite, run_merge_suite,
-                                        run_serve_suite_with_summary,
-                                        serve_report_dict,
-                                        validate_aqp_report,
-                                        validate_serve_report,
-                                        write_report)
-
-    headers = ("workload", "params", "min ms", "repeats")
-    written = []
-    for suite, runner, filename in (
-            ("core", run_core_suite, CORE_FILENAME),
-            ("merge", run_merge_suite, MERGE_FILENAME)):
-        results = runner(seed=args.seed, quick=args.quick)
-        print(format_table(headers, _bench_suite_table(results),
-                           title=f"bench suite: {suite}"
-                                 + (" (quick)" if args.quick else "")))
-        path = os.path.join(args.out_dir, filename)
-        write_report(report_dict(suite, results, seed=args.seed,
-                                 quick=args.quick), path)
-        written.append(path)
-    results, summary = run_serve_suite_with_summary(seed=args.seed,
-                                                    quick=args.quick)
-    print(format_table(headers, _bench_suite_table(results),
-                       title="bench suite: serve"
-                             + (" (quick)" if args.quick else "")))
-    print(f"  fleet: {summary['clients']} clients x "
-          f"{summary['requests_per_client']} requests, "
-          f"{summary['throughput_rps']:.0f} req/s, "
-          f"shed rate {summary['shed_rate']:.1%}")
-    report = serve_report_dict(results, summary, seed=args.seed,
-                               quick=args.quick)
-    validate_serve_report(report)
-    path = os.path.join(args.out_dir, SERVE_FILENAME)
-    write_report(report, path)
-    written.append(path)
-    results, pairs = run_aqp_suite_with_pairs(seed=args.seed,
-                                              quick=args.quick)
-    print(format_table(headers, _bench_suite_table(results),
-                       title="bench suite: aqp"
-                             + (" (quick)" if args.quick else "")))
-    for pair in pairs:
-        if pair["partitions"] == max(p["partitions"] for p in pairs):
-            print(f"  {pair['agg']}/{pair['shape']}"
-                  f"/p{pair['partitions']}: {pair['speedup']:.1f}x, "
-                  f"read {pair['selected']}/{pair['total_partitions']}"
-                  + (" (fallback)" if pair["fallback"] else ""))
-    report = aqp_report_dict(results, pairs, seed=args.seed,
-                             quick=args.quick)
-    validate_aqp_report(report)
-    path = os.path.join(args.out_dir, AQP_FILENAME)
-    write_report(report, path)
-    written.append(path)
-    print("wrote " + ", ".join(written))
-    return 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench.regression import (compare_reports, load_report,
-                                        report_dict, run_aqp_suite,
-                                        run_core_suite, run_merge_suite,
-                                        run_serve_suite)
-
-    baseline = load_report(args.compare)
-    if args.candidate is not None:
-        candidate = load_report(args.candidate)
-    else:
-        suites = {"core": run_core_suite, "merge": run_merge_suite,
-                  "serve": run_serve_suite, "aqp": run_aqp_suite}
-        runner = suites.get(baseline["suite"])
-        if runner is None:
-            raise ConfigurationError(
-                f"baseline has unknown suite {baseline['suite']!r}; "
-                "pass --candidate explicitly")
-        results = runner(seed=baseline["seed"], quick=baseline["quick"])
-        candidate = report_dict(baseline["suite"], results,
-                                seed=baseline["seed"],
-                                quick=baseline["quick"])
-    regressions = compare_reports(baseline, candidate,
-                                  threshold=args.threshold)
-    if not regressions:
-        print(f"no regressions beyond {args.threshold:.2f}x "
-              f"({len(candidate['results'])} entries compared)")
-        return 0
-    print(f"{len(regressions)} regression(s) beyond {args.threshold:.2f}x:")
-    for reg in regressions:
-        print(f"  {reg.describe()}")
-    return 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.figure is not None:
-        return _bench_figure(args)
-    if args.compare is not None:
-        return _bench_compare(args)
-    if args.action == "run":
-        return _bench_run(args)
-    raise ConfigurationError(
-        "nothing to do: give 'run', --compare BASELINE, or --figure")
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -661,44 +505,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.bench.regression import (serve_report_dict, serve_results,
-                                        validate_serve_report,
-                                        write_report)
-    from repro.serve.loadtest import run_loadtest, run_self_hosted
-
-    clients = args.clients if args.clients is not None \
-        else (64 if args.quick else 500)
-    requests = args.requests_per_client \
-        if args.requests_per_client is not None \
-        else (2 if args.quick else 4)
-    if args.host is not None:
-        summary = asyncio.run(run_loadtest(
-            args.host, args.port, clients=clients,
-            requests_per_client=requests, seed=args.seed,
-            preload_values=5_000))
-    else:
-        summary = run_self_hosted(seed=args.seed, clients=clients,
-                                  requests_per_client=requests)
-    latency = summary["latency"]
-    print(f"{clients} clients x {requests} requests: "
-          f"{summary['completed']}/{summary['total_requests']} "
-          f"completed, shed rate {summary['shed_rate']:.1%}, "
-          f"{summary['throughput_rps']:.0f} req/s")
-    if latency is not None:
-        print(f"latency p50 {latency['p50'] * 1000:.2f} ms, "
-              f"p99 {latency['p99'] * 1000:.2f} ms, "
-              f"max {latency['max'] * 1000:.2f} ms")
-    report = serve_report_dict(serve_results(summary), summary,
-                               seed=args.seed, quick=args.quick)
-    validate_serve_report(report)
-    write_report(report, args.out)
-    print(f"wrote {args.out}")
-    return 0 if summary["completed"] > 0 else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -714,7 +520,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lint": _cmd_lint,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
-        "loadtest": _cmd_loadtest,
     }
     try:
         return handlers[args.command](args)

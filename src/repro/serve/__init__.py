@@ -14,8 +14,9 @@ sample retrieval, estimates, and roll-in/roll-out over HTTP
 * **optimistic concurrency** on catalog mutations
   (:mod:`repro.serve.occ`).
 
-``repro loadtest`` (:mod:`repro.serve.loadtest`) measures the result.
-Endpoint and semantics reference: ``docs/serving.md``.
+The repository benchmark's ``serve`` workload (``perfbench/run.py``)
+measures the result.  Endpoint and semantics reference:
+``docs/serving.md``.
 """
 
 from repro.serve.admission import AdmissionController

@@ -6,8 +6,8 @@ beyond that wait in a bounded queue; arrivals beyond *that* are shed
 immediately with :class:`~repro.errors.OverloadedError` (HTTP 503 +
 ``Retry-After``), which is both cheaper and more honest than letting
 latency grow without bound.  Shedding at the door keeps the p99 of
-admitted requests flat under overload — the property the loadtest's
-shed-rate column exists to show.
+admitted requests flat under overload; the ``serve.shed`` counter
+records every refusal.
 
 Event-loop confined: all counters and the semaphore are touched only
 from coroutines, so no lock is needed (and none is taken).

@@ -133,7 +133,7 @@ class WarehouseService:
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------------
-    # Introspection (for tests and the loadtest harness)
+    # Introspection (for tests)
     # ------------------------------------------------------------------
     @property
     def breaker(self) -> CircuitBreaker:

@@ -8,8 +8,8 @@ web framework — stdlib-only transport is a hard requirement
 beyond method + path + query + JSON bodies.  Connections are
 one-request: every response carries ``Connection: close``, which keeps
 connection state machines (pipelining, keep-alive timeouts) out of the
-server entirely; the loadtest harness measures with per-request
-connections accordingly.
+server entirely; benchmark clients open one connection per request
+accordingly.
 """
 
 from __future__ import annotations

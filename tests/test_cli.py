@@ -144,6 +144,12 @@ class TestBench:
         assert rc == 0
         assert "non-uniformity demonstrated" in capsys.readouterr().out
 
+    def test_bench_without_figure_errors(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "--figure" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_clean_audit(self, values_file, wh_dir, capsys):

@@ -8,11 +8,13 @@ Two families of checks keep the docs from rotting:
   repo path (``src/...``, ``tests/...``, ``docs/...``, ``examples/...``,
   ``benchmarks/...``, ``repro/...``) names a real file.
 * **Drift gates** — every CLI subcommand is documented (``repro
-  <command>`` must appear in the docs), every registered lint rule code
-  appears in ``docs/static_analysis.md``, and every ``repro verify``
-  check name appears in ``docs/testing.md``.  Adding a command, rule,
-  or check without documenting it fails here; so does documenting one
-  that no longer exists.
+  <command>`` must appear in the docs) and every documented invocation
+  (`` `repro <command> …` `` or ``python -m repro <command> …``) names
+  a real subcommand and only its real ``--options``; every registered
+  lint rule code appears in ``docs/static_analysis.md``, and every
+  ``repro verify`` check name appears in ``docs/testing.md``.  Adding
+  a command, rule, or check without documenting it fails here; so does
+  documenting one that no longer exists.
 
 CI runs this file in the ``docs`` job; it is also part of tier-1.
 """
@@ -83,6 +85,70 @@ def test_every_cli_command_documented():
                           if f"repro {c}" not in text)
     assert undocumented == [], \
         f"CLI command(s) missing from docs: {undocumented}"
+
+
+_INLINE_CODE = re.compile(r"`([^`\n]+)`")
+_INLINE_INVOCATION = re.compile(
+    r"^(?:[A-Z_]+=\S* )*(?:python3? -m )?repro ([^`]*)$")
+_MODULE_INVOCATION = re.compile(r"python3? -m repro\b([^`\n]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z0-9][a-z0-9-]*")
+_SHELL_STOP = ("|", "&", "&&", ";")
+
+
+def _documented_invocations(text):
+    """Argument strings of every ``repro`` invocation in ``text``: the
+    body of each `` `repro …` `` code span plus the rest of each line
+    that runs ``python -m repro`` (continuation lines joined)."""
+    for span in _INLINE_CODE.finditer(text):
+        match = _INLINE_INVOCATION.match(span.group(1))
+        if match:
+            yield match.group(1)
+    for match in _MODULE_INVOCATION.finditer(text.replace("\\\n", " ")):
+        yield match.group(1)
+
+
+def _invocation_ghosts(args, parser, commands):
+    """What ``repro <args>`` names that the parser does not define."""
+    tokens = args.split()
+    while tokens and tokens[0].startswith("-"):
+        name, eq, _ = tokens.pop(0).partition("=")
+        action = parser._option_string_actions.get(name)
+        if action is None:
+            return [f"repro {name}"]
+        if action.nargs != 0 and not eq and tokens:
+            tokens.pop(0)
+    if not tokens or tokens[0].startswith("<"):
+        return []  # bare `repro`, or a `repro <command>` placeholder
+    command = tokens[0]
+    if command not in commands:
+        return [f"repro {command}"]
+    options = commands[command]._option_string_actions
+    ghosts = []
+    for token in tokens[1:]:
+        if token in _SHELL_STOP or token.startswith(("#", ">", "<")):
+            break
+        ghosts.extend(f"repro {command} {flag}"
+                      for flag in _FLAG.findall(token)
+                      if flag not in options)
+    return ghosts
+
+
+def test_every_documented_cli_invocation_exists():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    commands = {}
+    for action in parser._subparsers._group_actions:
+        commands.update(action.choices)
+    ghosts = []
+    for doc in DOC_FILES:
+        text = doc.read_text(encoding="utf-8")
+        for args in _documented_invocations(text):
+            ghosts.extend(f"{doc.name}: {ghost}" for ghost in
+                          _invocation_ghosts(args, parser, commands))
+    assert ghosts == [], \
+        f"docs name CLI commands/options that do not exist: " \
+        f"{sorted(set(ghosts))}"
 
 
 def test_every_lint_rule_documented():

@@ -56,6 +56,38 @@ def sketchy_warehouse(*, partitions=6, per=300, seed=11,
     return wh, truth
 
 
+def aqp_warehouse(shape, *, partitions=128, per=1_500, seed=2006):
+    """A mixed warehouse at scale: every 4th partition arrives as a
+    foreign sample whose synopsis was estimated upstream from a
+    32-value sketch; the rest carry exact synopses.  Values are uniform
+    on 1..1000 or log-uniform over three decades (a heavy right tail
+    without unbounded outliers)."""
+    rng = SplittableRng(seed)
+    data = rng.spawn("data", shape)
+    wh = SampleWarehouse(bound_values=256, scheme="hr",
+                         rng=rng.spawn("wh", shape))
+    dataset = f"aqp.{shape}"
+    for i in range(partitions):
+        if shape == "uniform":
+            values = [float(data.randrange(1_000) + 1) for _ in range(per)]
+        else:
+            values = [100.0 + 10.0 ** (3.0 * data.random())
+                      for _ in range(per)]
+        live = sample_partition(SampleTask(
+            values=values, scheme="hr", bound_values=256,
+            seed=rng.spawn("live", i).seed_value))
+        if i % 4 == 0:
+            sketch = sample_partition(SampleTask(
+                values=values, scheme="hr", bound_values=32,
+                seed=rng.spawn("sketch", i).seed_value))
+            synopsis = PartitionSynopsis.from_sample(sketch)
+        else:
+            synopsis = PartitionSynopsis.from_values(values)
+        wh.ingest_sample(PartitionKey(dataset, 0, i), live,
+                         synopsis=synopsis)
+    return wh, dataset
+
+
 class TestPlanCertification:
     def test_exact_synopses_certify_without_selection(self):
         wh = exact_warehouse()
@@ -240,6 +272,27 @@ class TestEngineIntegration:
             assert field in d
         assert d["value"] == est.value
         assert d["confidence"] == est.confidence
+
+
+class TestAcceptanceAtScale:
+    """The planner's acceptance bar as work counts, not wall-clock: at
+    128 partitions with a quarter of the synopses estimated, a 2 %
+    relative target certifies from synopses and reads at most half the
+    partitions, so a planned query does at most half of merge-all's
+    partition reads."""
+
+    @pytest.fixture(scope="class", params=["uniform", "log-uniform"])
+    def warehouse(self, request):
+        return aqp_warehouse(request.param)
+
+    @pytest.mark.parametrize("agg", ["count", "sum", "avg"])
+    def test_certifies_reading_at_most_half(self, warehouse, agg):
+        wh, dataset = warehouse
+        summary = ApproximateQueryEngine(wh).plan_summary(
+            dataset, agg, target_half_width=0.02, relative_target=True)
+        assert summary["total_partitions"] == 128
+        assert summary["certified"] and not summary["fallback"]
+        assert len(summary["selected"]) <= 128 // 2
 
 
 class TestInvalidation:

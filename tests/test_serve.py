@@ -21,8 +21,6 @@ from repro.serve import (AdmissionController, MergeCache, ServeConfig,
                          VersionedCatalog, WarehouseService)
 from repro.serve.http import (Request, Response, read_request,
                               render_response)
-from repro.serve.loadtest import (percentile, run_loadtest,
-                                  run_self_hosted, summarize)
 from repro.warehouse.storage import FileStore, sample_to_dict
 from repro.warehouse.warehouse import SampleWarehouse
 
@@ -650,57 +648,61 @@ class TestEndToEnd:
 
         serve(check)
 
+    def test_concurrent_mixed_fleet_completes(self):
+        """Eight concurrent clients, each issuing an ingest, a merged
+        sample read and an estimate in its own order: every request
+        answers 200 and every ingest lands exactly once."""
+        def client_ops(i):
+            ops = [("POST", "/datasets/d/ingest",
+                    {"values": list(range(64 * i, 64 * (i + 1))),
+                     "partitions": 1}),
+                   ("GET", "/datasets/d/sample", None),
+                   ("GET", "/datasets/d/estimate?stat="
+                    + ("avg", "sum", "count")[i % 3], None)]
+            return ops[i % 3:] + ops[:i % 3]
 
-class TestLoadtest:
-    def test_percentile_nearest_rank(self):
-        lats = [0.1, 0.2, 0.3, 0.4]
-        assert percentile(lats, 0.0) == 0.1
-        assert percentile(lats, 1.0) == 0.4
-        assert percentile(lats, 0.5) == 0.3
-        with pytest.raises(ConfigurationError):
-            percentile([], 0.5)
-        with pytest.raises(ConfigurationError):
-            percentile(lats, 1.5)
+        async def client(host, port, ops):
+            return [(await http(host, port, method, path, body=body))[0]
+                    for method, path, body in ops]
 
-    def test_summarize(self):
-        records = [(0.01, 200), (0.02, 200), (0.5, 503), (0.3, -1)]
-        summary = summarize(records, wall_seconds=2.0, clients=2,
-                            requests_per_client=2)
-        assert summary["total_requests"] == 4
-        assert summary["completed"] == 2    # 503 and transport excluded
-        assert summary["shed"] == 1
-        assert summary["shed_rate"] == 0.25
-        assert summary["errors"] == 1
-        assert summary["statuses"] == {"200": 2, "503": 1,
-                                       "transport-error": 1}
-        assert summary["throughput_rps"] == 2.0
-        assert summary["latency"]["p50"] == 0.01
+        async def check(host, port, service):
+            await http(host, port, "POST", "/datasets/d/ingest",
+                       body={"values": list(range(2000)),
+                             "partitions": 4})
+            statuses = await asyncio.gather(
+                *(client(host, port, client_ops(i)) for i in range(8)))
+            _, info, _ = await http(host, port, "GET", "/datasets/d")
+            _, sample, _ = await http(host, port, "GET",
+                                      "/datasets/d/sample")
+            return statuses, info, sample
 
-    def test_self_hosted_smoke(self):
-        summary = run_self_hosted(seed=11, clients=8,
-                                  requests_per_client=3,
-                                  preload_values=2000,
-                                  preload_partitions=4)
-        assert summary["total_requests"] == 24
-        assert summary["completed"] == 24
-        assert summary["errors"] == 0
-        assert summary["latency"]["p50"] > 0
-
-    def test_loadtest_validates_arguments(self):
-        with pytest.raises(ConfigurationError):
-            asyncio.run(run_loadtest("h", 1, clients=0,
-                                     requests_per_client=1, seed=1))
+        statuses, info, sample = serve(
+            check, warehouse=make_warehouse(seed=11, bound=256))
+        assert [s for run in statuses for s in run] == [200] * 24
+        assert info["version"] == 1 + 8
+        assert len(info["partitions"]) == 4 + 8
+        assert sample["sample"]["population_size"] == 2000 + 8 * 64
 
     def test_shedding_visible_under_tiny_limits(self):
-        """With a 1-deep queue and slow-ish merges, a burst of clients
-        must shed — and the summary must say so."""
-        config = ServeConfig(max_concurrent=1, max_queue=1)
-        summary = run_self_hosted(seed=5, clients=12,
-                                  requests_per_client=2,
-                                  preload_values=30_000,
-                                  preload_partitions=12,
-                                  config=config)
-        assert summary["shed"] > 0
-        assert summary["shed"] == summary["statuses"].get("503", 0)
-        assert summary["completed"] + summary["shed"] == \
-            summary["total_requests"]
+        """With one slot and a one-deep queue, a burst of merges must
+        shed: every refusal is a 503 counted by ``serve.shed``, and
+        every request either completes or is shed."""
+        warehouse = make_warehouse(seed=5, bound=256)
+        warehouse.ingest_batch("d", list(range(30_000)), partitions=12)
+
+        async def check(host, port, service):
+            return await asyncio.gather(*(
+                http(host, port, "GET",
+                     "/datasets/d/estimate?stat="
+                     + ("avg", "sum", "count")[i % 3])
+                for i in range(24)))
+
+        with capture() as (reg, _):
+            responses = serve(check, warehouse=warehouse,
+                              config=ServeConfig(max_concurrent=1,
+                                                 max_queue=1))
+        statuses = [status for status, _, _ in responses]
+        shed = statuses.count(503)
+        assert shed > 0
+        assert shed == reg.counter("serve.shed").value
+        assert statuses.count(200) + shed == len(statuses)
