@@ -12,12 +12,15 @@ the sample-side primitives those systems need:
   value sets from their samples;
 * :func:`containment_estimate` — estimated fraction of one dataset's
   values appearing in another (the BHUNT/CORDS join-direction signal);
+* :func:`containment_lower_bound` — that estimate minus one standard
+  error, so overlap resting on few shared values ranks low;
 * :func:`discover_candidates` — rank all dataset pairs of a warehouse by
   estimated overlap, returning join/correlation candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -26,7 +29,8 @@ from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
 
 __all__ = ["ColumnProfile", "column_profile", "jaccard_estimate",
-           "containment_estimate", "discover_candidates"]
+           "containment_estimate", "containment_lower_bound",
+           "discover_candidates"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,15 @@ def jaccard_estimate(a: WarehouseSample, b: WarehouseSample) -> float:
     return len(va & vb) / union
 
 
+def _containment_parts(a: WarehouseSample, b: WarehouseSample
+                       ) -> Tuple[int, int, float]:
+    """``(|V_a ∩ V_b|, |V_a|, coverage of b)`` behind the estimates."""
+    va, vb = _value_sets(a, b)
+    estimated_distinct_b = max(chao_distinct(b), 1.0)
+    coverage_b = min(1.0, b.distinct / estimated_distinct_b)
+    return len(va & vb), len(va), coverage_b
+
+
 def containment_estimate(a: WarehouseSample, b: WarehouseSample, *,
                          corrected: bool = True) -> float:
     """Estimated fraction of ``a``'s values that also occur in ``b``.
@@ -101,17 +114,31 @@ def containment_estimate(a: WarehouseSample, b: WarehouseSample, *,
     ``containment(a in b) ~ 1`` with high uniqueness of ``b`` suggests a
     foreign-key -> key relationship from ``a`` to ``b``.
     """
-    va, vb = _value_sets(a, b)
-    if not va:
+    hits, size, coverage_b = _containment_parts(a, b)
+    if not size:
         return 0.0
-    raw = len(va & vb) / len(va)
-    if not corrected:
-        return raw
-    estimated_distinct_b = max(chao_distinct(b), 1.0)
-    coverage_b = min(1.0, b.distinct / estimated_distinct_b)
-    if coverage_b <= 0.0:
+    raw = hits / size
+    if not corrected or coverage_b <= 0.0:
         return raw
     return min(1.0, raw / coverage_b)
+
+
+def containment_lower_bound(a: WarehouseSample,
+                            b: WarehouseSample) -> float:
+    """The corrected containment estimate minus one standard error.
+
+    The shared values are counted as Poisson, so an estimate resting on
+    ``h`` of them has standard error ``sqrt(h) / (|V_a| * coverage)``.
+    A column with a handful of distinct values (a 10-valued quantity
+    inside a range of keys) gets a wide interval, and its trivially
+    high containment no longer ties with a foreign key backed by
+    hundreds of shared values.
+    """
+    hits, size, coverage_b = _containment_parts(a, b)
+    if not size or coverage_b <= 0.0:
+        return 0.0
+    scale = size * coverage_b
+    return min(1.0, hits / scale) - math.sqrt(hits) / scale
 
 
 @dataclass(frozen=True)
@@ -123,11 +150,14 @@ class Candidate:
     jaccard: float
     containment_lr: float
     containment_rl: float
+    lower_lr: float
+    lower_rl: float
 
     @property
     def score(self) -> float:
-        """Ranking score: max directional containment."""
-        return max(self.containment_lr, self.containment_rl)
+        """Ranking score: the larger directional containment lower
+        bound (:func:`containment_lower_bound`)."""
+        return max(self.lower_lr, self.lower_rl)
 
 
 def discover_candidates(warehouse, *,
@@ -159,6 +189,8 @@ def discover_candidates(warehouse, *,
                 jaccard=jac,
                 containment_lr=containment_estimate(a, b),
                 containment_rl=containment_estimate(b, a),
+                lower_lr=containment_lower_bound(a, b),
+                lower_rl=containment_lower_bound(b, a),
             ))
     out.sort(key=lambda c: (-c.score, -c.jaccard, c.left, c.right))
     return out[:top] if top is not None else out

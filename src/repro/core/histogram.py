@@ -307,6 +307,8 @@ class CompactHistogram:
 
     def expand(self) -> List[Value]:
         """The bag of values (each value repeated by its count)."""
+        if self._singletons == len(self._counts):
+            return list(self._counts)
         out: List[Value] = []
         for v, n in self._counts.items():
             out.extend([v] * n)

@@ -15,6 +15,12 @@ The sampler moves through up to three phases:
    sampling with capacity ``n_F`` (Figure 4 for the transition subsample,
    then standard skip-based reservoir steps).
 
+On the numpy kernel backend, phase-2 and phase-3 steps take one
+uniform per arrival (:func:`repro.kernels.arrival_uniforms`), drawn a
+whole ``feed_many`` slice at a time: phase 2 includes an arrival iff
+``u < q``, phase 3 is Algorithm R.  The python backend keeps the
+geometric and skip-based draws (see docs/algorithms.md).
+
 The final sample is uniform in every case; in the usual phase-2 case it
 can be treated as a Bernoulli sample, which makes merging cheap
 (:func:`repro.core.merge.hb_merge`).
@@ -44,6 +50,7 @@ sampling's value-dependence breaks uniformity).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
@@ -53,6 +60,7 @@ from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, ProtocolError
+from repro.kernels import arrival_uniforms
 from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
@@ -144,6 +152,11 @@ class AlgorithmHB:
         self._next_insert = 0                             # phase-3 n
         self._capacity = bound_values                     # phase-3 size
         self._finalized = False
+        # Per-arrival uniforms on the numpy backend (None: skip-based).
+        # A uniform step leaves the gap/skip state stale; feed_run,
+        # which stays skip-based, redraws it first.
+        self._uniforms = arrival_uniforms(self._rng)
+        self._skips_stale = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -286,6 +299,17 @@ class AlgorithmHB:
             if self._histogram.footprint(self._model) >= self._bound_bytes:
                 self._enter_phase2_or_3()
             return
+        if self._uniforms is not None:
+            self._skips_stale = True
+            u = self._uniforms.next()
+            if self._phase is SampleKind.BERNOULLI:
+                if u < self._rate:
+                    self._include((value,))
+            elif u * self._seen < self._capacity:
+                if self._bag is None:
+                    self._expand_pending()
+                self._bag[int(u * self._seen)] = value
+            return
         if self._phase is SampleKind.BERNOULLI:
             if self._until_next == 0:
                 if self._bag is None:
@@ -310,13 +334,15 @@ class AlgorithmHB:
     def feed_many(self, values: Iterable[T]) -> None:
         """Observe a batch of values.
 
-        Indexable sequences get skip-based fast paths in phases 2 and 3
-        (jumping straight between inclusions); general iterables fall back
-        to per-element :meth:`feed`.
+        Indexable sequences get fast paths in phases 2 and 3: skip-based
+        on the python backend (jumping straight between inclusions), one
+        vectorized uniform draw per slice on numpy.  General iterables
+        fall back to per-element :meth:`feed`.  Any split into ``feed`` /
+        ``feed_many`` calls gives the same sample on either backend.
         """
         self._check_open()
         if isinstance(values, (list, tuple, range)):
-            self._feed_sequence(values)
+            self._feed_sequence(values, uniform=self._uniforms is not None)
         else:
             for v in values:
                 self.feed(v)
@@ -343,12 +369,17 @@ class AlgorithmHB:
         if count > 0:
             self._feed_sequence(RepeatedValue(value, count))
 
-    def _feed_sequence(self, values: Sequence[T]) -> None:
+    def _feed_sequence(self, values: Sequence[T], *,
+                       uniform: bool = False) -> None:
         offset = 0
         n = len(values)
+        if self._skips_stale and not uniform:
+            self._redraw_skips()
         while offset < n:
             if self._phase is SampleKind.EXHAUSTIVE:
                 offset = self._feed_seq_phase1(values, offset)
+            elif uniform:
+                offset = self._feed_seq_uniform(values, offset)
             elif self._phase is SampleKind.BERNOULLI:
                 offset = self._feed_seq_phase2(values, offset)
             else:
@@ -394,6 +425,57 @@ class AlgorithmHB:
                                  + self._skips.next_skip(self._seen))
         self._seen = base + n
         return n
+
+    def _redraw_skips(self) -> None:
+        """Fresh gap or skip state from the current position (both laws
+        are memoryless, so discarding the stale state is exact)."""
+        if self._phase is SampleKind.BERNOULLI:
+            self._until_next = self._draw_gap()
+        else:
+            self._skips = SkipGenerator(self._capacity, self._rng)
+            self._next_insert = (self._seen
+                                 + self._skips.next_skip(self._seen))
+        self._skips_stale = False
+
+    def _feed_seq_uniform(self, values: Sequence[T], offset: int) -> int:
+        """Phase 2 or 3 over up to ``MAX_TAKE`` arrivals, one uniform each.
+
+        Returns where it stopped: the end of the piece, or just past
+        the phase-2 inclusion that filled the bag.
+        """
+        uniforms = self._uniforms
+        assert uniforms is not None
+        stop = min(len(values), offset + uniforms.MAX_TAKE)
+        self._skips_stale = True
+        if self._phase is SampleKind.BERNOULLI:
+            room = max(1, self._bound - self.sample_size)
+            hits = uniforms.bernoulli(offset, stop, self._rate, room)
+            if len(hits) == room:
+                stop = hits[-1] + 1
+            self._seen += stop - offset
+            if hits:
+                self._include(list(map(values.__getitem__, hits)))
+            return stop
+        hits, slots = uniforms.reservoir(offset, stop, self._seen,
+                                         self._capacity)
+        if hits:
+            self._replace(list(map(values.__getitem__, hits)), slots)
+        self._seen += stop - offset
+        return stop
+
+    def _include(self, picked: Sequence[T]) -> None:
+        """Phase-2 inclusions; the one that fills the bag enters phase 3."""
+        if self._bag is None:
+            self._expand_pending()
+        self._bag.extend(picked)
+        if len(self._bag) >= self._bound:
+            self._enter_phase3()
+
+    def _replace(self, picked: List[T], slots: List[int]) -> None:
+        """Phase-3 inclusions overwrite their slots, in arrival order."""
+        if self._bag is None:
+            self._expand_pending()
+        deque(map(self._bag.__setitem__, slots, picked), maxlen=0)
 
     # ------------------------------------------------------------------
     # Finalization

@@ -11,6 +11,11 @@ Two phases:
    statistically equivalent because the purge outcome is independent of
    which arrival triggers it.
 
+On the numpy kernel backend, phase-2 steps are Algorithm R with one
+uniform per arrival (:func:`repro.kernels.arrival_uniforms`), drawn a
+whole ``feed_many`` slice at a time; the python backend keeps the
+skip-based draws (see docs/algorithms.md).
+
 Compared with Algorithm HB, HR needs **no a-priori knowledge of the
 partition size** and always delivers a full-size (``min(N, n_F)``-element)
 sample — at the price of more expensive merges (the hypergeometric draw in
@@ -19,6 +24,7 @@ sample — at the price of more expensive merges (the hypergeometric draw in
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
@@ -28,6 +34,7 @@ from repro.core.purge import purge_reservoir
 from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, ProtocolError
+from repro.kernels import arrival_uniforms
 from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
@@ -92,6 +99,11 @@ class AlgorithmHR:
         self._skips: Optional[SkipGenerator] = None
         self._next_insert = 0
         self._finalized = False
+        # Per-arrival uniforms on the numpy backend (None: skip-based).
+        # A uniform step leaves the skip state stale; feed_run, which
+        # stays skip-based, redraws it first.
+        self._uniforms = arrival_uniforms(self._rng)
+        self._skips_stale = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -204,6 +216,14 @@ class AlgorithmHR:
             if self._histogram.footprint(self._model) >= self._bound_bytes:
                 self._enter_phase2()
             return
+        if self._uniforms is not None:
+            self._skips_stale = True
+            x = self._uniforms.next() * self._seen
+            if x < self._capacity:
+                if self._bag is None:
+                    self._materialize_reservoir()
+                self._bag[int(x)] = value
+            return
         if self._seen == self._next_insert:
             if self._bag is None:
                 self._materialize_reservoir()
@@ -217,10 +237,16 @@ class AlgorithmHR:
                                  + self._skips.next_skip(self._seen))
 
     def feed_many(self, values: Iterable[T]) -> None:
-        """Observe a batch of values (skip-based fast path for sequences)."""
+        """Observe a batch of values.
+
+        Lists, tuples and ranges take a fast path: skip-based on the
+        python backend, one vectorized uniform draw per slice on numpy.
+        Any split into ``feed`` / ``feed_many`` calls gives the same
+        sample on either backend.
+        """
         self._check_open()
         if isinstance(values, (list, tuple, range)):
-            self._feed_sequence(values)
+            self._feed_sequence(values, uniform=self._uniforms is not None)
         else:
             for v in values:
                 self.feed(v)
@@ -244,7 +270,8 @@ class AlgorithmHR:
         if count > 0:
             self._feed_sequence(RepeatedValue(value, count))
 
-    def _feed_sequence(self, values: Sequence[T]) -> None:
+    def _feed_sequence(self, values: Sequence[T], *,
+                       uniform: bool = False) -> None:
         offset = 0
         n = len(values)
         if self._phase is SampleKind.EXHAUSTIVE:
@@ -255,6 +282,14 @@ class AlgorithmHR:
             if hist.footprint(self._model) < self._bound_bytes:
                 return
             self._enter_phase2()
+        if uniform:
+            self._feed_uniform(values, offset)
+            return
+        if self._skips_stale:
+            self._skips = SkipGenerator(self._capacity, self._rng)
+            self._next_insert = (self._seen
+                                 + self._skips.next_skip(self._seen))
+            self._skips_stale = False
         base = self._seen - offset
         assert self._skips is not None
         while self._next_insert - base <= n:
@@ -270,6 +305,32 @@ class AlgorithmHR:
             self._next_insert = (self._seen
                                  + self._skips.next_skip(self._seen))
         self._seen = base + n
+
+    def _feed_uniform(self, values: Sequence[T], offset: int) -> None:
+        """Phase 2 as Algorithm R over ``values[offset:]``, one uniform
+        per arrival, up to ``MAX_TAKE`` arrivals per draw."""
+        uniforms = self._uniforms
+        assert uniforms is not None
+        n = len(values)
+        for start in range(offset, n, uniforms.MAX_TAKE):
+            stop = min(n, start + uniforms.MAX_TAKE)
+            self._skips_stale = True
+            hits, slots = uniforms.reservoir(start, stop, self._seen,
+                                             self._capacity)
+            if hits:
+                self._replace(list(map(values.__getitem__, hits)), slots)
+            self._seen += stop - start
+
+    def _replace(self, picked: List[T], slots: List[int]) -> None:
+        """Included arrivals overwrite their slots, in arrival order.
+
+        The materialized reservoir is always full: phase 2 starts from
+        a histogram whose footprint reached ``n_F`` values, so it holds
+        at least ``n_F`` elements.
+        """
+        if self._bag is None:
+            self._materialize_reservoir()
+        deque(map(self._bag.__setitem__, slots, picked), maxlen=0)
 
     # ------------------------------------------------------------------
     # Finalization

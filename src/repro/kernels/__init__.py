@@ -61,6 +61,7 @@ __all__ = [
     "draw_hypergeometric_batch",
     "binomial_counts",
     "srs_counts",
+    "arrival_uniforms",
 ]
 
 #: Environment variable that selects the kernel backend at import time
@@ -211,6 +212,20 @@ def srs_counts(runs: Collection[int], size: int,
     multivariate hypergeometric law in one call.
     """
     return _backend().srs_counts(runs, size, rng)
+
+
+def arrival_uniforms(rng):
+    """A per-arrival uniform stream for HB/HR phases 2-3, or ``None``.
+
+    The numpy backend returns an
+    :class:`~repro.kernels.numpy_backend.ArrivalUniforms`, and the
+    samplers' phase-2/3 steps then take one uniform per arrival, a
+    whole slice per generator call (docs/algorithms.md).  The python
+    backend returns ``None``: the samplers keep their skip-based
+    per-inclusion draws, the reference the numpy steps are checked
+    against in law (``samplers.minibatch.law``).
+    """
+    return _backend().arrival_uniforms(rng)
 
 
 # Backend selection happens at import so every later kernel call is a

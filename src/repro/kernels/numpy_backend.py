@@ -25,13 +25,19 @@ Each :class:`~repro.rng.SplittableRng` lazily owns one
 the rng's state and the call sequence — byte-identical across
 executors and worker counts, like every other consumer of the
 seed-splitting discipline.
+
+:class:`ArrivalUniforms` gives Algorithms HB and HR one uniform per
+phase-2/3 arrival (docs/algorithms.md).  It owns a second generator,
+seeded the same way at its first draw, so the per-arrival stream never
+interleaves with the purge kernels' draws: a ``feed_many`` slice and
+per-arrival ``feed`` read the same uniforms in the same order.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Collection, Dict, List, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +47,8 @@ from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
 __all__ = ["hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "binomial_counts", "srs_counts"]
+           "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
+           "ArrivalUniforms", "arrival_uniforms"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
 _GEN_ATTR = "_repro_numpy_generator"
@@ -199,3 +206,90 @@ def srs_counts(runs: Collection[int], size: int,
     method = "count" if total <= 1_000_000 else "marginals"
     return _survivors(_generator(rng).multivariate_hypergeometric(
         arr, size, method=method))
+
+
+class ArrivalUniforms:
+    """One ``U[0, 1)`` per stream arrival, for Figures 2/7 phases 2-3.
+
+    Uniforms are drawn in blocks from a generator seeded from the rng's
+    stream at the first draw, and handed out strictly in arrival order,
+    so how a stream is split into :meth:`next` and slice calls never
+    changes which uniform an arrival gets (``Generator.random(n)``
+    yields the same doubles as ``n`` scalar calls).
+    """
+
+    __slots__ = ("_rng", "_gen", "_buf", "_pos", "_list")
+
+    #: Uniforms drawn ahead for per-arrival :meth:`next` calls.
+    BLOCK = 512
+    #: Most arrivals a sampler passes per slice call (bounds the
+    #: scratch arrays of one draw).
+    MAX_TAKE = 1 << 16
+
+    def __init__(self, rng: SplittableRng) -> None:
+        self._rng = rng
+        self._gen = None
+        self._buf = np.empty(0)
+        self._pos = 0
+        self._list: Optional[List[float]] = []  # the buffer, for next()
+
+    def _take(self, n: int) -> "np.ndarray":
+        """The next ``n`` uniforms (a view into the buffer)."""
+        pos, buf = self._pos, self._buf
+        short = n - (len(buf) - pos)
+        if short > 0:
+            if self._gen is None:
+                self._gen = np.random.Generator(
+                    np.random.PCG64(self._rng.getrandbits(64)))
+            buf = np.concatenate(
+                (buf[pos:], self._gen.random(max(short, self.BLOCK))))
+            self._buf, pos = buf, 0
+            self._list = None
+        self._pos = pos + n
+        return buf[pos:pos + n]
+
+    def next(self) -> float:
+        """The next arrival's uniform."""
+        pos = self._pos
+        if pos == len(self._buf):
+            self._take(1)
+            pos = 0
+        else:
+            self._pos = pos + 1
+        if self._list is None:
+            self._list = self._buf.tolist()
+        return self._list[pos]
+
+    def bernoulli(self, start: int, stop: int, q: float,
+                  limit: int) -> List[int]:
+        """HB phase 2 over arrivals ``start..stop-1``: include iff ``u < q``.
+
+        Returns the included indices, stopping at the ``limit``-th (the
+        one that fills the bag); the uniforms of the arrivals after it
+        stay unread, for the reservoir steps that follow.
+        """
+        us = self._take(stop - start)
+        hits = np.flatnonzero(us < q)
+        if len(hits) >= limit:
+            hits = hits[:limit]
+            self._pos -= len(us) - 1 - int(hits[-1])
+        return (hits + start).tolist()
+
+    def reservoir(self, start: int, stop: int, seen: int,
+                  capacity: int) -> Tuple[List[int], List[int]]:
+        """Algorithm R over arrivals ``start..stop-1``.
+
+        The arrival at stream position ``j`` (``seen + 1`` for
+        ``start``) is included iff ``u * j < capacity``, and replaces
+        slot ``floor(u * j)``.  Returns the included indices and their
+        slots, in arrival order.
+        """
+        x = self._take(stop - start) * np.arange(
+            seen + 1, seen + 1 + stop - start, dtype=np.float64)
+        hits = np.flatnonzero(x < capacity)
+        return (hits + start).tolist(), x[hits].astype(np.int64).tolist()
+
+
+def arrival_uniforms(rng: SplittableRng) -> ArrivalUniforms:
+    """A per-arrival uniform stream for a sampler drawing from ``rng``."""
+    return ArrivalUniforms(rng)

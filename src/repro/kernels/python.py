@@ -27,7 +27,8 @@ from repro.sampling.distributions import \
 from repro.sampling.skip import SkipGenerator
 
 __all__ = ["FenwickTree", "hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "binomial_counts", "srs_counts"]
+           "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
+           "arrival_uniforms"]
 
 
 class FenwickTree:
@@ -181,3 +182,9 @@ def srs_counts(runs: Collection[int], size: int,
             processed = next_insert
             next_insert = processed + skips.next_skip(processed)
     return _survivors(tree.counts())
+
+
+def arrival_uniforms(rng: SplittableRng) -> None:
+    """No per-arrival stream: HB/HR keep their skip-based draws."""
+    del rng
+    return None

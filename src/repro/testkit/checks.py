@@ -33,6 +33,9 @@ check                            claim
                                  multivariate hypergeometric law
 ``kernels.pmf.crosscheck``       numpy and python backends compute the
                                  same eq. (3) pmf (skipped sans numpy)
+``samplers.minibatch.law``       HB/HR fed in uneven slices, one by
+                                 one and as runs keep uniform
+                                 inclusion and HB's phase-2 size law
 ``serve.query.equivalence``      answers served over HTTP are
                                  byte-identical to the library path
                                  and uniform in law across seeds
@@ -200,6 +203,84 @@ def _negative_control_pvalue(sampler_factory, rng: SplittableRng,
         return 1.0
     return chi_square_pvalue([h3, rest],
                              [kept * _H3_SHARE, kept * (1.0 - _H3_SHARE)])
+
+
+# ----------------------------------------------------------------------
+# Sliced feeding (docs/algorithms.md: phases 2-3 on numpy)
+# ----------------------------------------------------------------------
+def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
+                rng: SplittableRng) -> None:
+    """Feed ``values`` in seeded uneven slices.
+
+    Slices end on both sides of every mark (so each mark gets a
+    one-element slice) and at a few random points; each slice goes in
+    by ``feed_many``, by per-arrival ``feed``, or as one-element
+    ``feed_run`` calls, chosen per slice.
+    """
+    n = len(values)
+    cuts = {m + d for m in marks for d in (-1, 0, 1)}
+    cuts.update(rng.randrange(1, n) for _ in range(4))
+    prev = 0
+    for cut in sorted(c for c in cuts if 0 < c < n) + [n]:
+        piece = values[prev:cut]
+        how = rng.randrange(3)
+        if how == 0:
+            sampler.feed_many(piece)
+        elif how == 1:
+            for v in piece:
+                sampler.feed(v)
+        else:
+            for v in piece:
+                sampler.feed_run(v, 1)
+        prev = cut
+
+
+def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
+    """Do HB and HR keep their laws however a stream is sliced?
+
+    Three sub-tests on the active kernel backend, Bonferroni-combined:
+
+    * HR (bound 4, 150 distinct arrivals, so positions run past the
+      ``22 * k`` where the python backend's skips switch to Algorithm
+      L) includes every arrival equally often;
+    * HB (bound 4, ``p = 0.01``) likewise;
+    * HB (bound 30, 300 arrivals, ``p = 0.05``) ends in phase 2 with
+      size ``s < 30`` with probability ``P(Binomial(300, q) = s)`` and
+      in phase 3 with the remaining tail, so slices that straddle the
+      2 -> 3 switch are exercised and counted.
+
+    Every run is fed by :func:`feed_uneven`, with marks at the
+    phase-1 exit and at random positions.
+    """
+    def sliced(scheme: str, bound: int, p: float):
+        def run(values, child: SplittableRng):
+            sampler = make_sampler(scheme, population_size=len(values),
+                                   bound_values=bound, exceedance_p=p,
+                                   sb_rate=None, rng=child.spawn("sampler"))
+            marks = [bound, child.randrange(len(values))]
+            feed_uneven(sampler, values, marks, child.spawn("slices"))
+            return sampler.finalize()
+        return run
+
+    pvalues = []
+    for scheme in ("hr", "hb"):
+        run = sliced(scheme, 4, 0.01)
+        pvalues.append(inclusion_frequency_test(
+            lambda values, child: run(values, child).histogram.expand(),
+            list(range(150)), trials=trials, rng=rng.spawn(scheme)))
+
+    n, bound, p = 300, 30, 0.05
+    q = rate_for_bound(n, p, bound, method="auto")
+    run = sliced("hb", bound, p)
+    observed = [0] * (bound + 1)   # sizes 0..bound-1, then phase 3
+    for t in range(trials):
+        sample = run(list(range(n)), rng.spawn("hb.size", t))
+        observed[bound if sample.kind.is_reservoir else sample.size] += 1
+    pmf = binomial_pmf(n, q)
+    expected = [pk * trials for pk in pmf[:bound]]
+    expected.append(trials - sum(expected))
+    pvalues.append(chi_square_pvalue(*collapse_cells(observed, expected)))
+    return min(1.0, len(pvalues) * min(pvalues))
 
 
 # ----------------------------------------------------------------------
@@ -702,6 +783,13 @@ def default_battery() -> Battery:
                     failures.append(
                         f"pmf({n1},{n2},{k})[{i}]: {g!r} != {w!r}")
         return failures
+
+    @battery.check("samplers.minibatch.law",
+                   description="HB/HR fed in uneven slices keep uniform "
+                               "inclusion and HB's phase-2 size law on "
+                               "the active backend")
+    def minibatch_law(rng: SplittableRng, scale: int) -> float:
+        return minibatch_law_pvalue(rng, trials=300 * scale)
 
     # -- the serving layer ----------------------------------------------
     @battery.check("serve.query.equivalence",

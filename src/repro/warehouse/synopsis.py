@@ -3,7 +3,8 @@
 A :class:`PartitionSynopsis` is the cheap catalog-resident summary the
 error-bounded query planner (``docs/aqp.md``) plans against: the
 partition's element count, first two numeric moments, value range, and
-top-k heavy hitters.  Synopses come in two flavours:
+top-k heavy hitters (count-descending; equal counts keep the values
+seen first).  Synopses come in two flavours:
 
 * **exact** — computed from the raw values while they pass through
   ingest (a batch chunk in one slice, a stream in slices that end at
@@ -33,7 +34,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.phases import SampleKind
@@ -61,24 +62,31 @@ def _is_number(value: object) -> bool:
     return _is_number_type(type(value))
 
 
-def _rank_key(pair: Tuple[object, float]) -> Tuple[float, str]:
-    return -pair[1], repr(pair[0])
-
-
 def _top_pairs(counter: Counter, top: int) -> Tuple[Tuple[object, float], ...]:
-    """The ``top`` largest (value, count) pairs, count-desc then value-repr
-    asc so the result is deterministic for equal counts.
+    """The ``top`` largest (value, count) pairs, count-desc, ties in
+    first-seen order: ``sorted(counter.items(), key=count,
+    reverse=True)[:top]``, a stable sort.
 
-    Only the pairs whose count reaches the ``top``-th largest count can
-    make the cut, so only those pay for the ``repr`` tie-break.
+    Only the ``top`` largest counts are searched for.  They say how many
+    pairs lie above the cut, so both gathering passes run at C speed and
+    stop as soon as they have their share: an all-distinct partition
+    reads just its first ``top`` pairs.
     """
-    if 0 < top < len(counter):
-        cut = heapq.nlargest(top, counter.values())[-1]
-        pairs = [kv for kv in counter.items() if kv[1] >= cut]
+    if top <= 0:
+        return ()
+    items, counts = counter.items(), counter.values()
+    if top < len(counter):
+        largest = heapq.nlargest(top, counts)
+        cut = largest[-1]
+        above = top - largest.count(cut)
+        pairs = list(islice(
+            compress(items, map(operator.gt, counts, repeat(cut))), above))
+        pairs += islice(compress(items, map(operator.eq, counts, repeat(cut))),
+                        top - above)
     else:
-        pairs = list(counter.items())
-    ranked = heapq.nsmallest(top, pairs, key=_rank_key)
-    return tuple((v, float(c)) for v, c in ranked)
+        pairs = list(items)
+    pairs.sort(key=operator.itemgetter(1), reverse=True)
+    return tuple((v, float(c)) for v, c in pairs)
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,9 @@ class PartitionSynopsis:
         """Synopsis of the union of disjoint partitions.
 
         Moments add, ranges widen, heavy-hitter counters sum (then
-        re-truncate to ``top``).  The merge is exact iff every input
-        is; it is numeric iff every input is.
+        re-truncate to ``top``; equal sums keep the value seen first, so
+        the result is fixed by the member order).  The merge is exact
+        iff every input is; it is numeric iff every input is.
         """
         items: List[PartitionSynopsis] = list(synopses)
         if not items:

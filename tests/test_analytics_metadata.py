@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analytics.metadata import (column_profile, containment_estimate,
+                                      containment_lower_bound,
                                       discover_candidates, jaccard_estimate)
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
@@ -64,6 +65,20 @@ class TestOverlapEstimates:
         # overlap should be clearly positive and asymmetric-capable.
         assert lr > 0.1
         assert 0.0 <= rl <= 1.0
+
+
+    def test_lower_bound_discounts_few_shared_values(self, warehouse):
+        wh = SampleWarehouse(bound_values=1024, rng=SplittableRng(5))
+        wh.ingest_batch("quantity", [1 + i % 10 for i in range(20_000)])
+        quantity = wh.sample_of("quantity")
+        customers = warehouse.sample_of("customers.id")
+        orders = warehouse.sample_of("orders.customer_id")
+        # Ten small ints sit inside the customer-id range, as do the
+        # order customer ids; only the latter rest on many shared values.
+        assert containment_estimate(quantity, customers) > 0.5
+        fk = containment_lower_bound(orders, customers)
+        assert fk <= containment_estimate(orders, customers)
+        assert containment_lower_bound(quantity, customers) < fk
 
 
 class TestDiscovery:

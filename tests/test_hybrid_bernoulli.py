@@ -12,7 +12,8 @@ from repro.core.footprint import FootprintModel
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import available_backends, use_backend
+from repro.kernels import (available_backends, numpy_available,
+                           use_backend)
 from repro.rng import SplittableRng
 from repro.stats.uniformity import inclusion_frequency_test
 from repro.testkit import sweep
@@ -189,6 +190,77 @@ class TestFeedManyExact:
             expected, exit_at = feed_per_arrival(make(), values)
             assert exit_at is not None
             for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
+                assert feed_in_slices(make(), values, cuts) == expected, cuts
+
+    @staticmethod
+    def bernoulli_then_reservoir(values):
+        """A phase-2 sample of 400 distinct values, and the phase-3
+        sample ``values`` drive it to once it is resumed."""
+        prefix = list(range(10_000, 10_400))
+        first = AlgorithmHB(len(prefix), bound_values=64,
+                            rng=SplittableRng(3))
+        first.feed_many(prefix)
+        bernoulli = first.finalize()
+        assert bernoulli.kind is SampleKind.BERNOULLI
+        resumed = AlgorithmHB.resume(bernoulli, len(prefix) + len(values),
+                                     rng=SplittableRng(5))
+        resumed.feed_many(values)
+        return bernoulli, resumed.finalize()
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    def test_one_slice_crosses_phase3(self, backend, shape):
+        # At the resumed sample's rate, 3 000 more arrivals overfill
+        # the bag: the single-slice plan crosses the 2 -> 3 switch.
+        values = feed_shape(shape, 3_000, 1)
+        with use_backend(backend):
+            bernoulli, reservoir = self.bernoulli_then_reservoir(values)
+            assert reservoir.kind is SampleKind.RESERVOIR
+
+            def make():
+                return AlgorithmHB.resume(
+                    bernoulli, bernoulli.population_size + len(values),
+                    rng=SplittableRng(5))
+
+            expected, _ = feed_per_arrival(make(), values)
+            plans = split_plans(None, len(values), SplittableRng(9))
+            for cuts in plans + [list(range(1, 64))]:
+                assert feed_in_slices(make(), values, cuts) == expected, cuts
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_pieces_of_a_slice(self, monkeypatch):
+        # A slice longer than MAX_TAKE is drawn piece by piece; the
+        # phase-2 -> 3 switch can fall anywhere in a piece.
+        from repro.kernels.numpy_backend import ArrivalUniforms
+        values = feed_shape("distinct", 3_000, 1)
+        with use_backend("numpy"):
+            bernoulli, _ = self.bernoulli_then_reservoir(values)
+
+            def make():
+                return AlgorithmHB.resume(
+                    bernoulli, bernoulli.population_size + len(values),
+                    rng=SplittableRng(5))
+
+            expected, _ = feed_per_arrival(make(), values)
+            monkeypatch.setattr(ArrivalUniforms, "MAX_TAKE", 7)
+            assert feed_in_slices(make(), values, []) == expected
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    def test_resumed_reservoir(self, backend, shape):
+        values = feed_shape(shape, 3_000, 1)
+        with use_backend(backend):
+            _, reservoir = self.bernoulli_then_reservoir(
+                feed_shape("distinct", 3_000, 2))
+
+            def make():
+                return AlgorithmHB.resume(
+                    reservoir, reservoir.population_size + len(values),
+                    rng=SplittableRng(7))
+
+            expected, _ = feed_per_arrival(make(), values)
+            plans = split_plans(None, len(values), SplittableRng(9))
+            for cuts in plans + [list(range(1, 64))]:
                 assert feed_in_slices(make(), values, cuts) == expected, cuts
 
 

@@ -12,7 +12,8 @@ from repro.core.footprint import FootprintModel
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import available_backends, use_backend
+from repro.kernels import (available_backends, numpy_available,
+                           use_backend)
 from repro.rng import SplittableRng
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
@@ -171,6 +172,37 @@ class TestFeedManyExact:
             assert exit_at is not None
             for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
                 assert feed_in_slices(make(), values, cuts) == expected, cuts
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    def test_resumed_reservoir(self, backend, shape):
+        values = feed_shape(shape, 3_000, 1)
+        with use_backend(backend):
+            first = AlgorithmHR(bound_values=64, rng=SplittableRng(3))
+            first.feed_many(list(range(10_000, 10_400)))
+            sample = first.finalize()
+            assert sample.kind is SampleKind.RESERVOIR
+
+            def make():
+                return AlgorithmHR.resume(sample, rng=SplittableRng(5))
+
+            expected, _ = feed_per_arrival(make(), values)
+            plans = split_plans(None, len(values), SplittableRng(9))
+            for cuts in plans + [list(range(1, 64))]:
+                assert feed_in_slices(make(), values, cuts) == expected, cuts
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_pieces_of_a_slice(self, monkeypatch):
+        # A slice longer than MAX_TAKE is drawn piece by piece.
+        from repro.kernels.numpy_backend import ArrivalUniforms
+        values = feed_shape("mixed", 3_000, 1)
+        with use_backend("numpy"):
+            expected, _ = feed_per_arrival(
+                AlgorithmHR(bound_values=64, rng=SplittableRng(5)), values)
+            monkeypatch.setattr(ArrivalUniforms, "MAX_TAKE", 7)
+            assert feed_in_slices(AlgorithmHR(bound_values=64,
+                                              rng=SplittableRng(5)),
+                                  values, []) == expected
 
 
 class TestFeedRun:

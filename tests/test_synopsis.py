@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.kernels import numpy_available
 from repro.rng import SplittableRng
+from repro.warehouse.ingest import CountPolicy
 from repro.warehouse.parallel import SampleTask, sample_partition
+from repro.warehouse.rollup import temporal_rollup_with_synopses
 from repro.warehouse.synopsis import (PartitionSynopsis,
                                       SynopsisAccumulator)
+from repro.warehouse.warehouse import SampleWarehouse
 
 
 def moments(values):
@@ -160,11 +163,10 @@ class TestNumpyValues:
 
 
 class TestTopPairs:
-    def test_ties_broken_by_repr(self):
-        # Every count ties: the five smallest reprs win, not the five
-        # smallest values.
+    def test_ties_broken_by_first_seen(self):
+        # Every count ties: the five values seen first win.
         s = PartitionSynopsis.from_values(list(range(20)), top=5)
-        assert [v for v, _ in s.top_k] == [0, 1, 10, 11, 12]
+        assert [v for v, _ in s.top_k] == [0, 1, 2, 3, 4]
 
     def test_partial_selection_matches_full_sort(self):
         rng = SplittableRng(3)
@@ -172,9 +174,54 @@ class TestTopPairs:
         counts = {}
         for v in values:
             counts[v] = counts.get(v, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        # A stable count-descending sort keeps tied values in
+        # first-seen order.
+        ranked = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)
         expected = tuple((v, float(c)) for v, c in ranked[:8])
         assert PartitionSynopsis.from_values(values).top_k == expected
+
+    def test_batch_and_stream_ingest_agree(self):
+        values = list(range(5_000, 9_096))
+        tops = []
+        for path in ("batch", "stream"):
+            wh = SampleWarehouse(bound_values=64, rng=SplittableRng(1))
+            if path == "batch":
+                wh.ingest_batch("d", values, partitions=1)
+            else:
+                stream = wh.open_stream("d", policy=CountPolicy(len(values)))
+                stream.feed_many(values[:1000])
+                for v in values[1000:1010]:
+                    stream.feed(v)
+                stream.feed_many(values[1010:])
+                stream.close()
+            (meta,) = wh.catalog.partitions("d")
+            tops.append(meta.synopsis.top_k)
+        assert tops[0] == tops[1]
+        assert [v for v, _ in tops[0]] == values[:8]
+
+    def test_merge_and_rollup_deterministic(self):
+        members = [PartitionSynopsis.from_values(
+            [i * 100 + j for j in range(50)] + [7] * (i % 3))
+            for i in range(6)]
+        first = PartitionSynopsis.merge(members)
+        assert PartitionSynopsis.merge(list(members)) == first
+        # 7 leads with a summed count of 5; the tied counts of 1 keep
+        # the values seen first, in member order.
+        assert first.top_k[0] == (7, 5.0)
+        assert [v for v, _ in first.top_k[1:]] == list(range(7))
+
+        def rolled():
+            wh = SampleWarehouse(bound_values=32, rng=SplittableRng(4))
+            for day in range(6):
+                wh.ingest_batch("d", [day * 100 + j for j in range(40)],
+                                labels=[f"day{day}"])
+            return temporal_rollup_with_synopses(wh, "d", window=3,
+                                                 rng=SplittableRng(5))
+
+        one, two = rolled(), rolled()
+        assert [s.top_k for _, s in one.values()] == \
+            [s.top_k for _, s in two.values()]
+        assert [v for v, _ in one["w0"][1].top_k] == list(range(8))
 
 
 class TestFromSample:
