@@ -42,7 +42,6 @@ print("after bulk:", engine.sampling_summary("fact.amount"))
 for day in range(DAYS):
     delta = gen.generate(DAILY_SIZE, rng.spawn("day", day))
     wh.ingest_batch("fact.amount", delta, labels=[f"day-{day}"])
-    engine.invalidate()
     est = engine.count("fact.amount")
     print(f"day {day}: COUNT ~ {est.value:,.0f} "
           f"[{est.ci_low:,.0f}, {est.ci_high:,.0f}]")
@@ -54,7 +53,6 @@ for label in ("day-0", "day-1"):
     for key in wh.partition_keys("fact.amount"):
         if wh.catalog.get(key).label == label:
             wh.roll_out(key)
-engine.invalidate()
 est = engine.count("fact.amount")
 expected = BULK_SIZE + (DAYS - 2) * DAILY_SIZE
 print(f"after roll-out: COUNT ~ {est.value:,.0f} "

@@ -5,6 +5,10 @@
 SampleWarehouse`: each query selects a set of partitions (all active ones
 by default, or a temporal label set), merges their samples into one
 uniform sample via the warehouse, and evaluates the estimator on it.
+The engine holds no state between queries: every call merges afresh,
+and because a merge is a pure function of the selection and the
+warehouse seed (docs/determinism.md), a repeated query repeats its
+answer and a query after any mutation sees it.
 
 This is the "quick approximate analytics" use case of the paper's
 abstract: COUNT / SUM / AVG with confidence intervals, GROUP BY counts,
@@ -32,8 +36,6 @@ from repro.analytics.estimators import (Estimate, estimate_avg,
                                         estimate_sum)
 from repro.analytics.planner import QueryPlan, QueryPlanner
 from repro.core.phases import SampleKind
-from repro.core.sample import WarehouseSample
-from repro.warehouse.dataset import PartitionKey
 
 __all__ = ["ApproximateQueryEngine", "Estimate"]
 
@@ -58,46 +60,6 @@ class ApproximateQueryEngine:
     def __init__(self, warehouse) -> None:
         self._warehouse = warehouse
         self._planner = QueryPlanner(warehouse)
-        # Merged-sample cache keyed by (dataset, selection signature):
-        # queries against the same selection reuse one merge.  Planned
-        # estimates cache separately, keyed by the plan's read-set
-        # signature, so the two paths never collide.
-        self._cache: Dict[tuple, WarehouseSample] = {}
-        self._plan_cache: Dict[tuple, Estimate] = {}
-        # Warehouse mutations (ingest / roll-in / roll-out / delete)
-        # invalidate only the touched dataset's cached answers.
-        register = getattr(warehouse, "add_mutation_listener", None)
-        if register is not None:
-            register(self.invalidate)
-
-    def _sample(self, dataset: str,
-                keys: Optional[Iterable[PartitionKey]] = None,
-                labels: Optional[Iterable[str]] = None) -> WarehouseSample:
-        key_sig = tuple(sorted(map(str, keys))) if keys is not None else None
-        label_sig = tuple(sorted(labels)) if labels is not None else None
-        cache_key = (dataset, key_sig, label_sig)
-        sample = self._cache.get(cache_key)
-        if sample is None:
-            sample = self._warehouse.sample_of(dataset, keys=keys,
-                                               labels=labels)
-            self._cache[cache_key] = sample
-        return sample
-
-    def invalidate(self, dataset: Optional[str] = None) -> None:
-        """Drop cached answers — all of them, or one dataset's.
-
-        Called automatically (per dataset) when the warehouse mutates;
-        an unrelated dataset's cached merges survive its neighbours'
-        ingests.
-        """
-        if dataset is None:
-            self._cache.clear()
-            self._plan_cache.clear()
-            return
-        for cache in (self._cache, self._plan_cache):
-            stale = [k for k in cache if k[0] == dataset]
-            for k in stale:
-                del cache[k]
 
     # ------------------------------------------------------------------
     # Planner integration
@@ -115,12 +77,7 @@ class ApproximateQueryEngine:
                 confidence=confidence, labels=labels, relative=relative)
         if plan.fallback:
             return None
-        cache_key = (dataset,) + plan.signature + (confidence,)
-        estimate = self._plan_cache.get(cache_key)
-        if estimate is None:
-            estimate = self._planner.execute(plan)
-            self._plan_cache[cache_key] = estimate
-        return estimate
+        return self._planner.execute(plan)
 
     def plan_summary(self, dataset: str, agg: str = "sum", *,
                      target_half_width: float,
@@ -159,7 +116,7 @@ class ApproximateQueryEngine:
                 confidence=confidence)
             if estimate is not None:
                 return estimate
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         return estimate_count(sample, where=where, confidence=confidence)
 
     def sum(self, dataset: str, *,
@@ -179,7 +136,7 @@ class ApproximateQueryEngine:
                 confidence=confidence)
             if estimate is not None:
                 return estimate
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         return estimate_sum(sample, value_fn=value_fn,
                             confidence=confidence)
 
@@ -200,14 +157,14 @@ class ApproximateQueryEngine:
                 confidence=confidence)
             if estimate is not None:
                 return estimate
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         return estimate_avg(sample, value_fn=value_fn,
                             confidence=confidence)
 
     def quantile(self, dataset: str, fraction: float, *,
                  labels: Optional[Iterable[str]] = None) -> float:
         """Estimated ``fraction``-quantile of the values."""
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         return estimate_quantile(sample, fraction)
 
     def group_by_count(self, dataset: str,
@@ -220,7 +177,7 @@ class ApproximateQueryEngine:
         Returns ``[(group, estimated_count), ...]`` sorted by estimate,
         largest first, truncated to ``top`` groups if given.
         """
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         scale = sample.scale_factor
         groups: Dict[object, float] = {}
         for value, cnt in sample.histogram.pairs():
@@ -232,7 +189,7 @@ class ApproximateQueryEngine:
     def sampling_summary(self, dataset: str, *,
                          labels: Optional[Iterable[str]] = None) -> dict:
         """Diagnostics: what the query sample actually is."""
-        sample = self._sample(dataset, labels=labels)
+        sample = self._warehouse.sample_of(dataset, labels=labels)
         return {
             "kind": sample.kind.name,
             "exact": sample.kind is SampleKind.EXHAUSTIVE,

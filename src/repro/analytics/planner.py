@@ -85,12 +85,6 @@ class QueryPlan:
     ranked: Tuple[Tuple[str, float], ...]
     seconds: float
 
-    @property
-    def signature(self) -> Tuple[object, ...]:
-        """Cache-key component identifying what this plan reads."""
-        return (self.agg, tuple(map(str, self.selected)),
-                tuple(map(str, self.synopsis_keys)), self.fallback)
-
     def to_dict(self) -> dict:
         """JSON-serializable diagnostics (the served ``plan`` block)."""
         return {
@@ -162,9 +156,10 @@ class QueryPlanner:
             raise ConfigurationError(
                 f"cannot plan aggregate {agg!r}; "
                 f"expected one of {PLAN_AGGREGATES}")
-        if target_half_width < 0.0:
+        if not math.isfinite(target_half_width) or target_half_width < 0.0:
             raise ConfigurationError(
-                f"target_half_width must be >= 0, got {target_half_width}")
+                f"target_half_width must be finite and >= 0, "
+                f"got {target_half_width}")
         if not 0.0 < confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must be in (0, 1), got {confidence}")

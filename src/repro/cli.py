@@ -232,10 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-queue", type=int, default=256,
                          help="waiting requests before shedding (503)")
     p_serve.add_argument("--cache-entries", type=int, default=128,
-                         help="merge-cache capacity before LRU spill")
-    p_serve.add_argument("--spill-dir", default=None,
-                         help="spill evicted cache entries here "
-                              "(relaxed-durability FileStore)")
+                         help="merge-cache capacity before LRU eviction")
 
     return parser
 
@@ -482,8 +479,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     enable()  # the /metrics endpoint reports live counters
     config = ServeConfig(max_concurrent=args.max_concurrent,
                          max_queue=args.max_queue,
-                         cache_entries=args.cache_entries,
-                         spill_dir=args.spill_dir)
+                         cache_entries=args.cache_entries)
     service = WarehouseService(wh, config=config)
 
     async def run() -> None:

@@ -50,7 +50,7 @@ from repro.serve.occ import VersionedCatalog
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 from repro.warehouse.dataset import PartitionKey
 from repro.warehouse.parallel import ThreadExecutor
-from repro.warehouse.storage import FileStore, sample_to_dict
+from repro.warehouse.storage import sample_to_dict
 
 __all__ = ["ServeConfig", "WarehouseService", "DEFAULT_HOST",
            "DEFAULT_PORT"]
@@ -73,7 +73,6 @@ class ServeConfig:
     retry_base_delay: float = 0.02
     retry_max_delay: float = 0.5
     cache_entries: int = 128
-    spill_dir: Optional[str] = None
     max_workers: Optional[int] = None
 
 
@@ -102,10 +101,7 @@ class WarehouseService:
         self._config = config
         self._clock = clock
         self._occ = VersionedCatalog()
-        spill = FileStore(config.spill_dir, durability="relaxed") \
-            if config.spill_dir else None
-        self._cache = MergeCache(max_entries=config.cache_entries,
-                                 spill_store=spill)
+        self._cache = MergeCache(max_entries=config.cache_entries)
         self._admission = AdmissionController(
             max_concurrent=config.max_concurrent,
             max_queue=config.max_queue,
@@ -323,20 +319,6 @@ class WarehouseService:
         policy = self._retry if idempotent else self._mutate_once
         return await policy.call(attempt, breaker=self._breaker)
 
-    async def _offload(self, fn: Callable[[], object]) -> object:
-        """Run post-commit housekeeping on the pool, off the loop.
-
-        Unlike :meth:`_guarded`, no breaker or retry wraps the call:
-        cache invalidation after a committed mutation must always
-        run — tripping the breaker on it would strand stale merge
-        plans behind a successful write.  The pool hop matters
-        because ``MergeCache`` methods take a ``threading.Lock`` and
-        eviction can touch the spill store (file I/O); doing either
-        on the loop thread would stall every in-flight request
-        (RPR111).
-        """
-        return await asyncio.wrap_future(self._executor.submit(fn))
-
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
@@ -417,15 +399,18 @@ class WarehouseService:
             # registration as one atomic mutation; see docs/serving.md
             # ("Why ingest samples inside the lock"): seq numbers must
             # not race.
-            return self._occ.mutate(
+            committed = self._occ.mutate(
                 dataset,
                 lambda: self._wh.ingest_batch(
                     dataset, values, partitions=partitions,
                     scheme=scheme, labels=labels, stream=stream),
                 expected=expected)
+            # Drop the dataset's now-unhittable entries here, on the
+            # pool thread: the cache takes a threading.Lock (RPR111).
+            self._cache.invalidate(dataset)
+            return committed
 
         keys, version = await self._guarded(op, idempotent=False)
-        await self._offload(lambda: self._cache.invalidate(dataset))
         return Response(200, {"dataset": dataset,
                               "keys": [str(k) for k in keys],
                               "version": version})
@@ -576,10 +561,11 @@ class WarehouseService:
         def op() -> Tuple[None, int]:
             mutation = (self._wh.roll_out if action == "rollout"
                         else self._wh.roll_in)
-            return self._occ.mutate(dataset, lambda: mutation(key),
-                                    expected=expected)
+            committed = self._occ.mutate(dataset, lambda: mutation(key),
+                                         expected=expected)
+            self._cache.invalidate(dataset)
+            return committed
 
         _, version = await self._guarded(op, idempotent=False)
-        await self._offload(lambda: self._cache.invalidate(dataset))
         return Response(200, {"dataset": dataset, "key": raw_key,
                               "action": action, "version": version})

@@ -14,34 +14,24 @@ dataset's :class:`~repro.serve.occ.VersionedCatalog` tag:
   unreachable immediately; :meth:`invalidate` additionally garbage-
   collects them.
 
-Capacity is LRU-bounded.  With a spill store attached (a
-:class:`~repro.warehouse.storage.FileStore` opened with
-``durability="relaxed"`` — cache entries are recomputable, so fsync
-per spill would buy nothing), evicted entries move to disk and can be
-re-promoted on a later hit.  Spill files get synthetic partition keys
-under ``<dataset>.cache``; a unique per-store sequence number keeps
-distinct selectors from ever aliasing one file, and an in-memory index
-maps the exact selector back, so a spill hit is as collision-proof as
-a memory hit.
+Capacity is LRU-bounded: an evicted entry is simply dropped and
+recomputed on its next miss.
 
 Thread-safety: the service calls into the cache from pool threads (the
-query op runs lookup → merge → store as one blocking unit), so all
-index state is mutated under ``self._lock``; spill file I/O happens
-outside it.
+query op runs lookup → merge → store as one blocking unit, and each
+mutation op ends with :meth:`invalidate`), so all index state is
+mutated under ``self._lock``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.sample import WarehouseSample
-from repro.errors import (ConfigurationError, PartitionNotFoundError,
-                          StorageError)
+from repro.errors import ConfigurationError
 from repro.obs.runtime import OBS
-from repro.rng import stable_hash
-from repro.warehouse.dataset import PartitionKey
 
 __all__ = ["MergeCache"]
 
@@ -52,16 +42,12 @@ _Entry = Tuple[int, WarehouseSample]  # (version, merged sample)
 class MergeCache:
     """LRU cache of merged samples, keyed on dataset version tags."""
 
-    def __init__(self, *, max_entries: int = 128,
-                 spill_store=None) -> None:
+    def __init__(self, *, max_entries: int = 128) -> None:
         if max_entries <= 0:
             raise ConfigurationError(
                 f"max_entries must be positive, got {max_entries}")
         self._max = max_entries
-        self._spill_store = spill_store
         self._entries: "OrderedDict[_CacheKey, _Entry]" = OrderedDict()
-        self._spilled: Dict[_CacheKey, Tuple[int, PartitionKey]] = {}
-        self._spill_seq = 0
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -72,12 +58,10 @@ class MergeCache:
         """The cached merge for this selector **at this version**.
 
         Returns ``None`` (a miss) when there is no entry or the entry
-        was computed under a different version; stale entries found on
-        the way are dropped.  A miss in memory consults the spill
-        store and re-promotes on success.
+        was computed under a different version; a stale entry found on
+        the way is dropped.
         """
         cache_key = (dataset, selector)
-        spilled = None
         with self._lock:
             entry = self._entries.get(cache_key)
             if entry is not None:
@@ -87,18 +71,6 @@ class MergeCache:
                         OBS.registry.counter("serve.cache.hit").inc()
                     return entry[1]
                 del self._entries[cache_key]  # stale: unreachable anyway
-            spilled = self._spilled.get(cache_key)
-        if spilled is not None and spilled[0] == version \
-                and self._spill_store is not None:
-            try:
-                sample = self._spill_store.get(spilled[1])
-            except (PartitionNotFoundError, StorageError):
-                sample = None  # relaxed durability: losing a spill is fine
-            if sample is not None:
-                if OBS.enabled:
-                    OBS.registry.counter("serve.cache.hit").inc()
-                self.put(dataset, selector, version, sample)
-                return sample
         if OBS.enabled:
             OBS.registry.counter("serve.cache.miss").inc()
         return None
@@ -107,83 +79,22 @@ class MergeCache:
             sample: WarehouseSample) -> None:
         """Store a merge computed under ``version``; evict LRU excess."""
         cache_key = (dataset, selector)
-        evicted = None
         with self._lock:
             self._entries[cache_key] = (version, sample)
             self._entries.move_to_end(cache_key)
             if len(self._entries) > self._max:
-                evicted = self._entries.popitem(last=False)
-        if evicted is not None and self._spill_store is not None:
-            self._spill(evicted[0], evicted[1])
-
-    def _spill(self, cache_key: _CacheKey, entry: _Entry) -> None:
-        dataset, selector = cache_key
-        version, sample = entry
-        with self._lock:
-            seq = self._spill_seq
-            self._spill_seq += 1
-            # The stream field carries the selector hash purely for
-            # debuggability of the spill directory; uniqueness comes
-            # from the sequence number, so selectors can never alias
-            # a file.
-            key = PartitionKey(dataset + ".cache",
-                               stream=stable_hash(selector) % (2 ** 31),
-                               seq=seq)
-            # Reserve the slot before any I/O: a concurrent spill of
-            # the same cache_key then sees this key as its `previous`
-            # and GCs it, so no successful spill file can end up on
-            # disk unreferenced.
-            previous = self._spilled.get(cache_key)
-            self._spilled[cache_key] = (version, key)
-        try:
-            self._spill_store.put(key, sample)
-        except StorageError:
-            # A failed spill only loses a recomputable entry; withdraw
-            # the reservation (unless a later spill already replaced
-            # it) so get() stops consulting a file that never landed,
-            # and put the previous spill back — its file is still good.
-            with self._lock:
-                if self._spilled.get(cache_key) == (version, key):
-                    if previous is not None:
-                        self._spilled[cache_key] = previous
-                        previous = None  # restored: keep its file
-                    else:
-                        del self._spilled[cache_key]
-        else:
-            with self._lock:
-                superseded = self._spilled.get(cache_key) != (version, key)
-            if superseded:
-                # A racing spill (or invalidate) took the slot while we
-                # wrote; our file is unreachable, so drop it ourselves.
-                self._drop_spill_file(key)
-            elif OBS.enabled:
-                OBS.registry.counter("serve.cache.spill").inc()
-        if previous is not None:
-            self._drop_spill_file(previous[1])
-
-    def _drop_spill_file(self, key: PartitionKey) -> None:
-        try:
-            self._spill_store.delete(key)
-        except (PartitionNotFoundError, StorageError):
-            pass  # best-effort GC; unreachable files are merely dead weight
+                self._entries.popitem(last=False)
 
     def invalidate(self, dataset: str) -> int:
         """Garbage-collect every entry of a mutated dataset.
 
         Correctness never depends on this — version-tag mismatches
         already make stale entries unhittable — but dropping them
-        promptly frees memory and spill files.  Returns how many
-        entries (memory + spilled) were dropped.
+        promptly frees their memory.  Returns how many entries were
+        dropped.
         """
         with self._lock:
             dead = [k for k in self._entries if k[0] == dataset]
             for k in dead:
                 del self._entries[k]
-            dead_spills = [(k, v) for k, v in self._spilled.items()
-                           if k[0] == dataset]
-            for k, _ in dead_spills:
-                del self._spilled[k]
-        if self._spill_store is not None:
-            for _, (_, key) in dead_spills:
-                self._drop_spill_file(key)
-        return len(dead) + len(dead_spills)
+        return len(dead)

@@ -41,6 +41,10 @@ _PHRASES = {
 }
 
 
+def _reject_constant(token: str) -> None:
+    raise ConfigurationError(f"{token} is not a JSON number")
+
+
 @dataclass(frozen=True)
 class Request:
     """One parsed HTTP request."""
@@ -52,11 +56,16 @@ class Request:
     body: bytes = b""
 
     def json(self) -> dict:
-        """The body as a JSON object (400 via ConfigurationError)."""
+        """The body as a JSON object (400 via ConfigurationError).
+
+        ``NaN``/``Infinity``/``-Infinity`` are rejected: they are not
+        JSON, though ``json.loads`` accepts them by default.
+        """
         if not self.body:
             return {}
         try:
-            data = json.loads(self.body.decode("utf-8"))
+            data = json.loads(self.body.decode("utf-8"),
+                              parse_constant=_reject_constant)
         except (ValueError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"request body is not valid JSON: {exc}") from exc

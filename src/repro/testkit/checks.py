@@ -322,11 +322,7 @@ def served_query_equivalence(rng: SplittableRng, *,
     async def one_trial(trial_rng: SplittableRng) -> Tuple[dict, dict]:
         warehouse = SampleWarehouse(bound_values=bound, scheme="hr",
                                     rng=trial_rng)
-        # Constructing the service touches the filesystem when spill is
-        # configured (FileStore.__init__ makedirs); this check harness
-        # runs one task per loop via asyncio.run, so there is nothing
-        # else on the loop to stall.
-        service = WarehouseService(warehouse)  # repro: noqa[RPR111]
+        service = WarehouseService(warehouse)
         try:
             ingest = Request(
                 method="POST", path="/datasets/d/ingest",

@@ -184,4 +184,3 @@ def warehouse_delete(warehouse, key: PartitionKey, value: object,
     meta.sample_size = updated.size
     if meta.synopsis is not None:
         meta.synopsis = meta.synopsis.without(value)
-    warehouse._notify_mutation(key.dataset)

@@ -27,8 +27,7 @@ from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
-from repro.errors import (ConfigurationError, PartitionNotFoundError,
-                          StorageError)
+from repro.errors import PartitionNotFoundError, StorageError
 from repro.warehouse.dataset import PartitionKey
 
 __all__ = ["InMemoryStore", "FileStore", "sample_to_dict",
@@ -129,8 +128,9 @@ class InMemoryStore:
 class FileStore:
     """Directory-backed sample store (one JSON file per sample).
 
-    Writes are atomic (write to a temp file, then rename), so a crashed
-    ingest never leaves a truncated sample behind.
+    Writes are atomic and durable (write to a temp file, fsync, then
+    rename): a crashed ingest never leaves a truncated sample behind,
+    and an acknowledged ``put`` survives a machine crash.
 
     Parameters
     ----------
@@ -142,29 +142,11 @@ class FileStore:
         storage at some processing cost; both plain and compressed files
         are always *readable* regardless of this flag (it only selects
         the write format).
-    durability:
-        ``"strict"`` (the default) fsyncs each temp file before the
-        rename, so an acknowledged ``put`` survives a machine crash —
-        the right contract for warehouse partitions, which are the
-        source of truth.  ``"relaxed"`` skips the fsync: the rename
-        still guarantees readers never see a torn file, but a crash may
-        lose recently acknowledged writes.  The serving layer spills
-        its merge-result cache with ``"relaxed"`` — every cache entry
-        is recomputable from the partitions, so paying an fsync per
-        spill would buy nothing (see ``docs/serving.md``).
     """
 
-    _DURABILITY = ("strict", "relaxed")
-
-    def __init__(self, directory: str, *, compress: bool = False,
-                 durability: str = "strict") -> None:
-        if durability not in self._DURABILITY:
-            raise ConfigurationError(
-                f"unknown durability {durability!r}; "
-                f"expected one of {self._DURABILITY}")
+    def __init__(self, directory: str, *, compress: bool = False) -> None:
         self._dir = directory
         self._compress = compress
-        self._durability = durability
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
@@ -219,21 +201,19 @@ class FileStore:
             path = self._path(key)
             if path.endswith(".gz"):
                 payload = gzip.compress(payload)
-            # The write(-fsync)-then-rename MUST stay under the lock:
-            # it is what makes concurrent put()s to the same key
-            # atomic.  Under "strict" durability that includes a
-            # blocking fsync per put — acceptable because the lock
-            # scope is one sample file, and correctness (acknowledged
-            # partitions surviving a crash) beats put() concurrency
-            # here; "relaxed" callers opt out of exactly this wait.
+            # The write-fsync-rename MUST stay under the lock: it is
+            # what makes concurrent put()s to the same key atomic.
+            # That includes a blocking fsync per put — acceptable
+            # because the lock scope is one sample file, and
+            # correctness (acknowledged partitions surviving a crash)
+            # beats put() concurrency here.
             fd, tmp = tempfile.mkstemp(  # repro: noqa[RPR103]
                 dir=self._dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as f:
                     f.write(payload)
-                    if self._durability == "strict":
-                        f.flush()
-                        os.fsync(f.fileno())  # repro: noqa[RPR103]
+                    f.flush()
+                    os.fsync(f.fileno())  # repro: noqa[RPR103]
                 os.replace(tmp, path)
             except OSError as exc:
                 try:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
@@ -93,10 +92,6 @@ class SampleWarehouse:
         self._store = store if store is not None else InMemoryStore()
         self._model = model
         self._catalog = Catalog()
-        # Weakly-held bound methods called with the dataset name after
-        # every catalog mutation (ingest, roll-in/out, deletion) — the
-        # hook query-engine caches use for per-dataset invalidation.
-        self._mutation_listeners: List[weakref.WeakMethod] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -127,29 +122,6 @@ class SampleWarehouse:
             dataset, only_active=only_active)]
 
     # ------------------------------------------------------------------
-    # Mutation listeners
-    # ------------------------------------------------------------------
-    def add_mutation_listener(self, listener: Callable[[str], None]
-                              ) -> None:
-        """Register a bound method called with the dataset name after
-        every mutation of that dataset.
-
-        Held weakly: a listener whose owner is garbage-collected is
-        pruned on the next notification, so short-lived query engines
-        can subscribe without pinning themselves alive.
-        """
-        self._mutation_listeners.append(weakref.WeakMethod(listener))
-
-    def _notify_mutation(self, dataset: str) -> None:
-        alive = []
-        for ref in self._mutation_listeners:
-            listener = ref()
-            if listener is not None:
-                alive.append(ref)
-                listener(dataset)
-        self._mutation_listeners = alive
-
-    # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _register(self, key: PartitionKey, sample: WarehouseSample,
@@ -169,7 +141,6 @@ class SampleWarehouse:
             label=label,
             synopsis=synopsis,
         ))
-        self._notify_mutation(key.dataset)
 
     @traced("ingest.batch", timer="ingest.batch.seconds")
     def ingest_batch(self, dataset: str, values: Sequence, *,
@@ -348,7 +319,6 @@ class SampleWarehouse:
         self._catalog.roll_out(key)
         if drop_sample and key in self._store:
             self._store.delete(key)
-        self._notify_mutation(key.dataset)
 
     def roll_in(self, key: PartitionKey,
                 sample: Optional[WarehouseSample] = None) -> None:
@@ -359,7 +329,6 @@ class SampleWarehouse:
         elif key not in self._store:
             raise ConfigurationError(
                 f"partition {key} has no stored sample; pass one to roll_in")
-        self._notify_mutation(key.dataset)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -414,10 +414,10 @@ class TestAsyncCoverageGate:
         assert "FileStore.put" in blocked_shorts
         assert "ThreadExecutor.close" in blocked_shorts
         # The guarded dispatch path stays clean: coroutines are never
-        # in the sync blocks table, and the offload helper routes its
-        # callable parameter off the loop.
+        # in the sync blocks table, and the guarded helper routes its
+        # callable parameter off the loop (through its nested attempt).
         assert not any(key.endswith("WarehouseService._guarded")
                        for key in model.blocks)
-        assert any(key.endswith("WarehouseService._offload")
+        assert any(key.endswith("WarehouseService._guarded")
                    and fns == {"fn"}
                    for key, fns in model.routes.items())

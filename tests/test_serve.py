@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
 import pytest
 
 from repro.errors import (ConfigurationError, OverloadedError,
-                          StorageError, VersionConflictError)
+                          VersionConflictError)
 from repro.obs import capture
 from repro.rng import SplittableRng
 from repro.serve import (AdmissionController, MergeCache, ServeConfig,
                          VersionedCatalog, WarehouseService)
 from repro.serve.http import (Request, Response, read_request,
                               render_response)
-from repro.warehouse.storage import FileStore, sample_to_dict
+from repro.warehouse.storage import sample_to_dict
 from repro.warehouse.warehouse import SampleWarehouse
 
 
@@ -121,6 +120,14 @@ class TestHttpLayer:
     def test_body_json_object_required(self):
         request = Request(method="POST", path="/", body=b"[1, 2]")
         with pytest.raises(ConfigurationError):
+            request.json()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_body_non_finite_constants_rejected(self, token):
+        # json.loads accepts these tokens by default; they are not JSON.
+        body = f'{{"values": [1, {token}]}}'.encode()
+        request = Request(method="POST", path="/", body=body)
+        with pytest.raises(ConfigurationError, match=token):
             request.json()
 
     def test_render_response(self):
@@ -231,102 +238,6 @@ class TestMergeCache:
         assert cache.get("d", "s2", 1) is None
         assert cache.get("d", "s1", 1) is sample
         assert cache.get("d", "s3", 1) is sample
-
-    def test_spill_and_repromote(self, tmp_path):
-        store = FileStore(str(tmp_path), durability="relaxed")
-        cache = MergeCache(max_entries=1, spill_store=store)
-        s1 = merged_sample(seed=1)
-        s2 = merged_sample(seed=2)
-        with capture() as (reg, _):
-            cache.put("d", "s1", 5, s1)
-            cache.put("d", "s2", 5, s2)    # evicts + spills s1
-            assert reg.counter("serve.cache.spill").value == 1
-            restored = cache.get("d", "s1", 5)
-        assert restored is not None
-        assert restored.histogram == s1.histogram
-        # Distinct selectors never alias: s2 must still be intact
-        # (it was evicted and spilled by the re-promotion above).
-        back = cache.get("d", "s2", 5)
-        assert back.histogram == s2.histogram
-
-    def test_spilled_entry_respects_version(self, tmp_path):
-        store = FileStore(str(tmp_path), durability="relaxed")
-        cache = MergeCache(max_entries=1, spill_store=store)
-        cache.put("d", "s1", 5, merged_sample(seed=1))
-        cache.put("d", "s2", 5, merged_sample(seed=2))
-        assert cache.get("d", "s1", 6) is None   # spilled but stale
-
-    def test_invalidate_drops_spill_files(self, tmp_path):
-        store = FileStore(str(tmp_path), durability="relaxed")
-        cache = MergeCache(max_entries=1, spill_store=store)
-        cache.put("d", "s1", 5, merged_sample(seed=1))
-        cache.put("d", "s2", 5, merged_sample(seed=2))
-        assert len(store) == 1
-        assert cache.invalidate("d") == 2        # 1 memory + 1 spilled
-        assert len(store) == 0
-
-    def test_failed_spill_keeps_the_previous_spill_usable(self, tmp_path):
-        """A put() failure during spill withdraws the reservation: the
-        selector's earlier spill file stays referenced and servable,
-        and the never-written reservation is not consulted."""
-        inner = FileStore(str(tmp_path), durability="relaxed")
-
-        class FlakyStore:
-            fail_puts = 0
-
-            def put(self, key, sample):
-                if self.fail_puts > 0:
-                    self.fail_puts -= 1
-                    raise StorageError("spill disk full")
-                inner.put(key, sample)
-
-            def get(self, key):
-                return inner.get(key)
-
-            def delete(self, key):
-                inner.delete(key)
-
-        flaky = FlakyStore()
-        cache = MergeCache(max_entries=1, spill_store=flaky)
-        s1 = merged_sample(seed=1)
-        cache.put("d", "s1", 5, s1)
-        cache.put("d", "s2", 5, merged_sample(seed=2))  # spills s1 ok
-        restored = cache.get("d", "s1", 5)              # repromote;
-        assert restored.histogram == s1.histogram       # spills s2 ok
-        flaky.fail_puts = 1
-        cache.put("d", "s2", 6, merged_sample(seed=3))  # re-spill of
-        # s1 fails; its version-5 file must still be reachable.
-        assert cache.get("d", "s1", 5).histogram == s1.histogram
-
-    def test_racing_spills_of_one_key_orphan_no_files(self, tmp_path):
-        """Two threads spilling the same cache_key concurrently must
-        leave exactly one referenced file on disk — the loser GCs its
-        own write once it sees the slot was taken."""
-        inner = FileStore(str(tmp_path), durability="relaxed")
-        gate = threading.Barrier(2, timeout=5)
-
-        class GatedStore:
-            def put(self, key, sample):
-                gate.wait()     # both spills reserve before either writes
-                inner.put(key, sample)
-
-            def get(self, key):
-                return inner.get(key)
-
-            def delete(self, key):
-                inner.delete(key)
-
-        cache = MergeCache(max_entries=4, spill_store=GatedStore())
-        sample = merged_sample(seed=1)
-        threads = [threading.Thread(
-            target=cache._spill, args=(("d", "sel"), (1, sample)))
-            for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(inner) == 1              # no orphaned spill file
-        assert cache.get("d", "sel", 1) is not None
 
 
 class TestAdmissionController:
@@ -511,6 +422,49 @@ class TestEndToEnd:
                 "/datasets/d/estimate?stat=sum&target_half_width=abc")
             assert status == 400
             assert payload["error"] == "bad-request"
+
+        serve(check)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_target_half_width_is_400(self, raw):
+        async def check(host, port, service):
+            await http(host, port, "POST", "/datasets/d/ingest",
+                       body={"values": list(range(100))})
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(
+                    f"GET /datasets/d/estimate?stat=sum&"
+                    f"target_half_width={raw} HTTP/1.1\r\n\r\n"
+                    .encode())
+                await writer.drain()
+                wire = await reader.read(-1)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            head, body = wire.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 400 ")
+            # The answer is strict JSON: no NaN/Infinity tokens.
+            payload = Request(method="POST", path="/", body=body).json()
+            assert payload["error"] == "bad-request"
+            assert "finite" in payload["detail"]
+
+        serve(check)
+
+    def test_non_finite_ingest_value_is_400(self):
+        async def check(host, port, service):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                body = b'{"values": [1, 2, NaN]}'
+                writer.write(b"POST /datasets/d/ingest HTTP/1.1\r\n"
+                             + f"Content-Length: {len(body)}\r\n\r\n"
+                             .encode() + body)
+                await writer.drain()
+                wire = await reader.read(-1)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert wire.startswith(b"HTTP/1.1 400 ")
+            assert service.occ.version("d") == 0
 
         serve(check)
 

@@ -626,26 +626,24 @@ class TestMutationHousekeepingOffLoop:
 
     ``_handle_ingest`` and ``_handle_roll`` used to call
     ``MergeCache.invalidate`` directly from the handler coroutine.
-    The cache takes a ``threading.Lock`` and deletes spill files, so
-    the invalidation ran lock contention and file I/O on the
-    event-loop thread, stalling every in-flight request behind a
-    committed mutation's housekeeping.  The fix routes it through
-    ``WarehouseService._offload`` (the worker pool); before the fix
-    this test fails because the recorded invalidation thread *is*
+    The cache takes a ``threading.Lock``, so the invalidation ran lock
+    contention on the event-loop thread, stalling every in-flight
+    request behind a committed mutation's housekeeping.  The fix runs
+    it at the end of the mutation's own guarded pool op; before the
+    fix this test fails because the recorded invalidation thread *is*
     the loop thread.
     """
 
-    def test_cache_invalidation_runs_off_the_loop_thread(self,
-                                                         tmp_path):
+    def test_cache_invalidation_runs_off_the_loop_thread(self):
         warehouse = make_warehouse()
-        config = ServeConfig(spill_dir=str(tmp_path / "spill"))
-        service = WarehouseService(warehouse, config=config)
+        service = WarehouseService(warehouse)
         cache = service.cache
         seen = []
         real_invalidate = cache.invalidate
 
         def recording_invalidate(dataset):
-            seen.append((dataset, threading.current_thread()))
+            seen.append((dataset, threading.current_thread(),
+                         service.occ.version(dataset)))
             return real_invalidate(dataset)
 
         cache.invalidate = recording_invalidate
@@ -668,7 +666,9 @@ class TestMutationHousekeepingOffLoop:
             return loop_thread
 
         loop_thread = asyncio.run(drive())
-        assert [dataset for dataset, _ in seen] == ["d", "d"]
-        for _, thread in seen:
+        assert [dataset for dataset, _, _ in seen] == ["d", "d"]
+        for _, thread, _ in seen:
             assert thread is not loop_thread, (
                 "cache invalidation ran on the event-loop thread")
+        # Each invalidation follows its mutation's committed tag bump.
+        assert [version for _, _, version in seen] == [1, 2]

@@ -219,13 +219,7 @@ class TestCompressedFileStore:
 
 
 class TestFileStoreDurability:
-    """The strict/relaxed durability switch (docs/serving.md)."""
-
-    def test_unknown_durability_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            FileStore(str(tmp_path), durability="eventual")
+    """Every put fsyncs before its atomic rename."""
 
     def _count_fsyncs(self, monkeypatch):
         calls = []
@@ -236,23 +230,7 @@ class TestFileStoreDurability:
 
     def test_strict_fsyncs_every_put(self, tmp_path, monkeypatch):
         calls = self._count_fsyncs(monkeypatch)
-        store = FileStore(str(tmp_path))  # strict is the default
+        store = FileStore(str(tmp_path))
         store.put(PartitionKey("d", 0, 0), make_sample())
         store.put(PartitionKey("d", 0, 1), make_sample())
         assert len(calls) == 2
-
-    def test_relaxed_skips_fsync(self, tmp_path, monkeypatch):
-        calls = self._count_fsyncs(monkeypatch)
-        store = FileStore(str(tmp_path), durability="relaxed")
-        store.put(PartitionKey("d", 0, 0), make_sample())
-        assert calls == []
-
-    def test_relaxed_round_trip_and_reopen(self, tmp_path):
-        store = FileStore(str(tmp_path), durability="relaxed")
-        key = PartitionKey("d", 1, 2)
-        store.put(key, make_sample())
-        assert store.get(key).population_size == 100
-        # Relaxed changes crash-durability, not the on-disk format:
-        # a strict store reopens the same directory.
-        reopened = FileStore(str(tmp_path))
-        assert key in reopened
