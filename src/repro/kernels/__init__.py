@@ -3,8 +3,9 @@
 The inner loops of the merge procedures — the eq. (3) hypergeometric
 pmf, the ``L`` draw of Figure 8, the Binomial purge of Figure 3, and the
 simple-random-subsample purge of Figure 4 — are the hot path of every
-merge tree.  This package isolates them behind a small kernel API with
-two interchangeable backends:
+merge tree; HB/HR's per-arrival uniforms and the exact synopsis'
+moment fold are the hot path of ingest.  This package isolates them
+behind a small kernel API with two interchangeable backends:
 
 * ``"python"`` — the reference implementation, byte-identical to the
   historical pure-Python code paths (:mod:`repro.kernels.python`);
@@ -25,6 +26,9 @@ evaluation modes, executors, and worker counts.  The two backends
 consume the rng differently and therefore produce *different but
 equally lawful* samples; cross-backend agreement is statistical, gated
 by the ``kernels.*`` checks of ``repro verify`` (docs/testing.md).
+:func:`fold_moments` draws nothing and is held to more: its result is
+the same bits on both backends, so synopsis bytes do not depend on the
+backend.
 
 Examples
 --------
@@ -45,7 +49,7 @@ import os
 import threading
 from contextlib import contextmanager
 from types import ModuleType
-from typing import Collection, Iterator, List, Optional, Tuple
+from typing import Collection, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -62,6 +66,7 @@ __all__ = [
     "binomial_counts",
     "srs_counts",
     "arrival_uniforms",
+    "fold_moments",
 ]
 
 #: Environment variable that selects the kernel backend at import time
@@ -226,6 +231,23 @@ def arrival_uniforms(rng):
     against in law (``samplers.minibatch.law``).
     """
     return _backend().arrival_uniforms(rng)
+
+
+def fold_moments(values: Sequence, total: float, total_sq: float,
+                 lo: Optional[float], hi: Optional[float]
+                 ) -> Tuple[float, float, Optional[float], Optional[float]]:
+    """Fold a slice of real numbers into a synopsis' running moments.
+
+    Returns ``(total + Σx, total_sq + Σx², min(lo, *xs), max(hi, *xs))``
+    with every sum taken left to right from the running value, as
+    per-element ``+=`` would (``lo`` / ``hi`` are ``None`` before the
+    first value).  Unlike the draw kernels, the result is *identical*
+    on both backends, bit for bit: the numpy backend runs the same IEEE
+    additions over one ``float64`` array.  Raises
+    :class:`~repro.errors.ConfigurationError` for a number too large to
+    become a float.
+    """
+    return _backend().fold_moments(values, total, total_sq, lo, hi)
 
 
 # Backend selection happens at import so every later kernel call is a

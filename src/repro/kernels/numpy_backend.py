@@ -31,24 +31,30 @@ phase-2/3 arrival (docs/algorithms.md).  It owns a second generator,
 seeded the same way at its first draw, so the per-arrival stream never
 interleaves with the purge kernels' draws: a ``feed_many`` slice and
 per-arrival ``feed`` read the same uniforms in the same order.
+
+:func:`fold_moments` is the one kernel whose output is byte-identical
+to the python backend's: the synopsis moments are exact summaries, not
+draws, so it performs the reference's IEEE operations in the
+reference's order, only at C speed.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.kernels import python as _reference
 from repro.obs.runtime import OBS
 from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
 __all__ = ["hypergeometric_pmf", "draw_hypergeometric",
            "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "ArrivalUniforms", "arrival_uniforms"]
+           "ArrivalUniforms", "arrival_uniforms", "fold_moments"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
 _GEN_ATTR = "_repro_numpy_generator"
@@ -293,3 +299,41 @@ class ArrivalUniforms:
 def arrival_uniforms(rng: SplittableRng) -> ArrivalUniforms:
     """A per-arrival uniform stream for a sampler drawing from ``rng``."""
     return ArrivalUniforms(rng)
+
+
+def fold_moments(values: Sequence, total: float, total_sq: float,
+                 lo: Optional[float], hi: Optional[float]
+                 ) -> Tuple[float, float, Optional[float], Optional[float]]:
+    """The python backend's fold over one ``float64`` array, bit for bit.
+
+    Each total is the last entry of ``np.add.accumulate`` over
+    ``[total, x0, x1, ...]`` (or the squares): a strictly sequential
+    scan, the reference's left-to-right additions, where ``np.sum``
+    would add pairwise.  ``argmin`` / ``argmax`` return the first
+    extreme, the one ``min`` / ``max`` keep among ties such as ``0.0``
+    and ``-0.0``.  A slice holding a NaN (whose ``min`` depends on
+    position) or one that does not convert to ``float64`` goes to the
+    reference fold, which raises the same error the scalar path does.
+    """
+    try:
+        xs = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return _reference.fold_moments(values, total, total_sq, lo, hi)
+    if xs.size == 0:
+        return total, total_sq, lo, hi
+    x_lo = float(xs[xs.argmin()])
+    if x_lo != x_lo:  # argmin stops at the first NaN
+        return _reference.fold_moments(values, total, total_sq, lo, hi)
+    x_hi = float(xs[xs.argmax()])
+    scan = np.empty(xs.size + 1)
+    scan[0], scan[1:] = total, xs
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.add.accumulate(scan, out=scan)[-1])
+        scan[0] = total_sq
+        np.multiply(xs, xs, out=scan[1:])
+        total_sq = float(np.add.accumulate(scan, out=scan)[-1])
+    if lo is None or x_lo < lo:
+        lo = x_lo
+    if hi is None or x_hi > hi:
+        hi = x_hi
+    return total, total_sq, lo, hi

@@ -15,8 +15,10 @@ is the only consumer of its prefix-sum search.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Collection, List, Optional, Tuple
+import operator
+from functools import reduce
+from itertools import chain, compress
+from typing import Collection, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
@@ -28,7 +30,7 @@ from repro.sampling.skip import SkipGenerator
 
 __all__ = ["FenwickTree", "hypergeometric_pmf", "draw_hypergeometric",
            "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "arrival_uniforms"]
+           "arrival_uniforms", "fold_moments"]
 
 
 class FenwickTree:
@@ -188,3 +190,26 @@ def arrival_uniforms(rng: SplittableRng) -> None:
     """No per-arrival stream: HB/HR keep their skip-based draws."""
     del rng
     return None
+
+
+def fold_moments(values: Sequence, total: float, total_sq: float,
+                 lo: Optional[float], hi: Optional[float]
+                 ) -> Tuple[float, float, Optional[float], Optional[float]]:
+    """Fold a slice of real numbers into running moments and extremes.
+
+    ``total`` / ``total_sq`` take the same left-to-right float additions
+    as per-element ``+=`` (``sum()`` is avoided because Python 3.12
+    compensates float sums); ``lo`` / ``hi`` (``None`` before the first
+    value) fold through ``min`` / ``max`` from the running extremes, so
+    NaN ordering matches one-at-a-time folding.
+    """
+    try:
+        xs = list(map(float, values))
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"numeric value out of float range: {exc}") from None
+    total = reduce(operator.add, xs, total)
+    total_sq = reduce(operator.add, map(operator.mul, xs, xs), total_sq)
+    lo = min(chain(() if lo is None else (lo,), xs), default=None)
+    hi = max(chain(() if hi is None else (hi,), xs), default=None)
+    return total, total_sq, lo, hi

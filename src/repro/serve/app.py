@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -517,7 +518,11 @@ class WarehouseService:
                 "reason": plan.reason,
                 "selected": len(plan.selected),
                 "total_partitions": plan.total_partitions,
-                "predicted_half_width": plan.predicted_half_width,
+                # A fallback plan predicts an infinite half-width,
+                # which JSON cannot carry: it renders as null.
+                "predicted_half_width": (
+                    plan.predicted_half_width
+                    if math.isfinite(plan.predicted_half_width) else None),
                 "target_half_width": plan.target_half_width,
             }
             if est is not None:

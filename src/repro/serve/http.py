@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -45,6 +46,14 @@ def _reject_constant(token: str) -> None:
     raise ConfigurationError(f"{token} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{text} overflows a float; numbers must be finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Request:
     """One parsed HTTP request."""
@@ -59,13 +68,16 @@ class Request:
         """The body as a JSON object (400 via ConfigurationError).
 
         ``NaN``/``Infinity``/``-Infinity`` are rejected: they are not
-        JSON, though ``json.loads`` accepts them by default.
+        JSON, though ``json.loads`` accepts them by default.  So is a
+        number that overflows a float (``1e400``), which would
+        otherwise parse to ``inf``.
         """
         if not self.body:
             return {}
         try:
             data = json.loads(self.body.decode("utf-8"),
-                              parse_constant=_reject_constant)
+                              parse_constant=_reject_constant,
+                              parse_float=_finite_float)
         except (ValueError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"request body is not valid JSON: {exc}") from exc
@@ -139,12 +151,24 @@ async def read_request(reader) -> Optional[Request]:
 
 
 def render_response(response: Response) -> bytes:
-    """Serialize a :class:`Response` to wire bytes."""
-    body = json.dumps(response.payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    phrase = _PHRASES.get(response.status, "Unknown")
+    """Serialize a :class:`Response` to wire bytes.
+
+    The body is strict JSON: a payload holding a NaN or an infinity is
+    a server defect, answered as a 500 rather than sent as the
+    non-JSON ``NaN``/``Infinity`` tokens.
+    """
+    status = response.status
+    try:
+        body = json.dumps(response.payload, sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        status = 500
+        body = json.dumps({"error": "internal", "detail": str(exc)},
+                          sort_keys=True, separators=(",", ":"))
+    body = body.encode("utf-8")
+    phrase = _PHRASES.get(status, "Unknown")
     head_lines = [
-        f"HTTP/1.1 {response.status} {phrase}",
+        f"HTTP/1.1 {status} {phrase}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
         "Connection: close",

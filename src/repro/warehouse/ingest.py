@@ -210,8 +210,10 @@ class StreamIngestor:
             raise ProtocolError("ingestor already closed")
         if self._sampler is None:
             self._open_partition()
-        self._sampler.feed(value)
+        # The synopsis goes first: it rejects values the sampler takes
+        # (an int too large for a float) before any state changes.
         self._synopsis.feed(value)
+        self._sampler.feed(value)
         if self._policy.should_cut(self._sampler):
             self._finalize_current()
 
@@ -240,8 +242,8 @@ class StreamIngestor:
                 self._open_partition()
             end = min(n, pos + size - self._sampler.seen)
             chunk = values[pos:end]
-            self._sampler.feed_many(chunk)
             self._synopsis.feed_many(chunk)
+            self._sampler.feed_many(chunk)
             pos = end
             if self._policy.should_cut(self._sampler):
                 self._finalize_current()

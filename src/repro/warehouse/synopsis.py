@@ -34,12 +34,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
+from repro.kernels import fold_moments
 
 __all__ = ["PartitionSynopsis", "SynopsisAccumulator", "DEFAULT_TOP_K"]
 
@@ -60,6 +61,12 @@ def _is_number_type(kind: type) -> bool:
 
 def _is_number(value: object) -> bool:
     return _is_number_type(type(value))
+
+
+def _fold(xs: Iterable[float]) -> float:
+    """Left-to-right ``0 + x0 + x1 + ...``: ``sum()`` as Python 3.10
+    and 3.11 compute it (3.12 compensates float sums)."""
+    return reduce(operator.add, xs, 0)
 
 
 def _top_pairs(counter: Counter, top: int) -> Tuple[Tuple[object, float], ...]:
@@ -209,8 +216,8 @@ class PartitionSynopsis:
                 counter[value] += cnt
         return cls(
             count=sum(s.count for s in items),
-            total=sum(s.total for s in items) if numeric else None,
-            total_sq=sum(s.total_sq for s in items) if numeric else None,
+            total=_fold(s.total for s in items) if numeric else None,
+            total_sq=_fold(s.total_sq for s in items) if numeric else None,
             minimum=min(s.minimum for s in items) if numeric else None,
             maximum=max(s.maximum for s in items) if numeric else None,
             top_k=_top_pairs(counter, top),
@@ -311,11 +318,21 @@ class SynopsisAccumulator:
         return self._count
 
     def feed(self, value: object) -> None:
-        """Observe one arrival."""
+        """Observe one arrival.
+
+        Raises :class:`ConfigurationError`, before any state changes,
+        for a number too large to become a float (``10**400``).
+        """
+        numeric = self._numeric and _is_number(value)
+        if numeric:
+            try:
+                x = float(value)
+            except OverflowError as exc:
+                raise ConfigurationError(
+                    f"numeric value out of float range: {exc}") from None
         self._count += 1
         self._counter[value] += 1
-        if self._numeric and _is_number(value):
-            x = float(value)
+        if numeric:
             self._total += x
             self._total_sq += x * x
             self._min = x if self._min is None else min(self._min, x)
@@ -326,31 +343,28 @@ class SynopsisAccumulator:
     def feed_many(self, values: Sequence) -> None:
         """Observe a slice of arrivals, in order.
 
-        Equivalent to :meth:`feed` on each value: the moments are the
-        same left-to-right float additions from the running totals
-        (``sum()`` is avoided because Python 3.12 compensates float
-        sums), and numeric-ness is decided from the values' types, so
-        ``[1, True]`` is non-numeric although its counter key is ``1``.
-        Takes any sized sequence, numpy arrays included.
+        Equivalent to :meth:`feed` on each value, bit for bit on either
+        kernel backend: :func:`repro.kernels.fold_moments` makes the
+        same left-to-right float additions from the running totals and
+        folds the range from the running extremes.  Numeric-ness is
+        decided from the values' types, so ``[1, True]`` is non-numeric
+        although its counter key is ``1``.  Takes any sized sequence,
+        numpy arrays included.  Like :meth:`feed`, raises
+        :class:`ConfigurationError` before any state changes when a
+        number is too large to become a float.
         """
         if len(values) == 0:
             return
+        if self._numeric:
+            if all(map(_is_number_type, set(map(type, values)))):
+                (self._total, self._total_sq, self._min,
+                 self._max) = fold_moments(values, self._total,
+                                           self._total_sq, self._min,
+                                           self._max)
+            else:
+                self._numeric = False
         self._count += len(values)
         self._counter.update(values)
-        if not self._numeric:
-            return
-        if not all(map(_is_number_type, set(map(type, values)))):
-            self._numeric = False
-            return
-        xs = list(map(float, values))
-        self._total = reduce(operator.add, xs, self._total)
-        self._total_sq = reduce(operator.add, map(operator.mul, xs, xs),
-                                self._total_sq)
-        # Fold from the running extremes so NaN ordering matches feed().
-        lo = () if self._min is None else (self._min,)
-        hi = () if self._max is None else (self._max,)
-        self._min = min(chain(lo, xs))
-        self._max = max(chain(hi, xs))
 
     def finalize(self) -> PartitionSynopsis:
         """The exact synopsis of everything fed so far."""

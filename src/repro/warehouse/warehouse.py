@@ -175,6 +175,11 @@ class SampleWarehouse:
                 f"{len(labels)} labels for {partitions} partitions")
         executor = executor or SerialExecutor()
         chunks = split_batch(values, partitions)
+        # The raw chunks are still in hand, so the catalog gets each
+        # partition's *exact* summary statistics (docs/aqp.md).  They
+        # are built before anything is stored: a value the synopsis
+        # rejects (an int too large for a float) leaves no partition.
+        synopses = [PartitionSynopsis.from_values(c) for c in chunks]
         seq0 = self._catalog.next_seq(dataset, stream)
         tasks = [
             SampleTask(
@@ -192,11 +197,7 @@ class SampleWarehouse:
         for i, sample in enumerate(samples):
             key = PartitionKey(dataset, stream, seq0 + i)
             label = labels[i] if labels is not None else None
-            # The raw chunk is still in hand, so the catalog gets the
-            # partition's *exact* summary statistics (docs/aqp.md).
-            self._register(key, sample, label,
-                           synopsis=PartitionSynopsis.from_values(
-                               chunks[i]))
+            self._register(key, sample, label, synopsis=synopses[i])
             keys.append(key)
         if OBS.enabled:
             OBS.registry.counter("ingest.batch.partitions").add(len(keys))

@@ -26,8 +26,9 @@ from repro.errors import ConfigurationError
 from repro.kernels import (KERNEL_BACKEND_ENV, active_backend,
                            available_backends, binomial_counts,
                            draw_hypergeometric, draw_hypergeometric_batch,
-                           hypergeometric_pmf, numpy_available, set_backend,
-                           srs_counts, use_backend)
+                           fold_moments, hypergeometric_pmf,
+                           numpy_available, set_backend, srs_counts,
+                           use_backend)
 from repro.sampling.distributions import \
     hypergeometric_pmf as reference_pmf
 from repro.stats.uniformity import chi_square_pvalue
@@ -233,6 +234,61 @@ class TestSurvivorOps:
             for op, arg in ((srs_counts, 5), (binomial_counts, 0.5)):
                 assert (op(runs.values(), arg, SplittableRng(4))
                         == op(list(runs.values()), arg, SplittableRng(4)))
+
+
+def _loop_fold(values, total, total_sq, lo, hi):
+    """Per-element ``+=`` and ``min``/``max``: the fold's definition."""
+    for v in values:
+        x = float(v)
+        total += x
+        total_sq += x * x
+        lo = x if lo is None else min(lo, x)
+        hi = x if hi is None else max(hi, x)
+    return total, total_sq, lo, hi
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestFoldMoments:
+    """``fold_moments`` is the per-element loop, bit for bit, on every
+    backend (compared through ``repr``: NaN, -0.0 and float type)."""
+
+    @given(values=st.lists(st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.integers(-2**80, 2**80)), max_size=60),
+           running=st.one_of(st.none(), st.tuples(
+               st.floats(), st.floats(), st.floats(allow_nan=False))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_element_loop(self, backend, values, running):
+        total, total_sq, lo, hi = (0.0, 0.0, None, None) \
+            if running is None else running + (running[2],)
+        with use_backend(backend):
+            got = fold_moments(values, total, total_sq, lo, hi)
+        assert repr(got) == repr(_loop_fold(values, total, total_sq, lo, hi))
+        assert all(type(x) is float for x in got if x is not None)
+
+    def test_totals_are_not_compensated(self, backend):
+        with use_backend(backend):
+            total, *_ = fold_moments([1e16, 1.0, 1.0, -1e16] * 2048,
+                                     0.0, 0.0, None, None)
+        assert total == 0.0
+
+    def test_first_of_tied_zeros(self, backend):
+        with use_backend(backend):
+            _, _, lo, hi = fold_moments([0.0, -0.0] * 4096, 0.0, 0.0,
+                                        None, None)
+            assert repr((lo, hi)) == "(0.0, 0.0)"
+            _, _, lo, hi = fold_moments([1.0, -0.0], 0.0, 0.0, 0.0, 0.0)
+            assert repr((lo, hi)) == "(0.0, 1.0)"
+
+    def test_empty_slice_returns_the_running_state(self, backend):
+        with use_backend(backend):
+            assert fold_moments([], 1.5, 2.5, None, None) \
+                == (1.5, 2.5, None, None)
+
+    def test_int_out_of_float_range_rejected(self, backend):
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError, match="float range"):
+                fold_moments([1, 10**400], 0.0, 0.0, None, None)
 
 
 def test_law_checks_exercise_the_ops_purges_call():

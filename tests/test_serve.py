@@ -130,6 +130,22 @@ class TestHttpLayer:
         with pytest.raises(ConfigurationError, match=token):
             request.json()
 
+    @pytest.mark.parametrize("number", ["1e400", "-1e400"])
+    def test_body_number_overflowing_a_float_rejected(self, number):
+        body = f'{{"values": [1, {number}]}}'.encode()
+        request = Request(method="POST", path="/", body=body)
+        with pytest.raises(ConfigurationError, match="finite"):
+            request.json()
+
+    def test_render_response_is_strict_json(self):
+        # A non-finite number in a payload is a server defect: a 500,
+        # never the non-JSON NaN/Infinity tokens.
+        raw = render_response(Response(200, {"x": float("inf")}))
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 500 ")
+        assert json.loads(body, parse_constant=pytest.fail)["error"] \
+            == "internal"
+
     def test_render_response(self):
         raw = render_response(Response(
             503, {"b": 2, "a": 1}, headers={"Retry-After": "0.5"}))
@@ -465,6 +481,54 @@ class TestEndToEnd:
                 await writer.wait_closed()
             assert wire.startswith(b"HTTP/1.1 400 ")
             assert service.occ.version("d") == 0
+
+        serve(check)
+
+    @pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400],
+                             ids=["1e400", "10**400"])
+    def test_ingest_number_out_of_float_range_is_400(self, number):
+        warehouse = make_warehouse()
+
+        async def check(host, port, service):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                body = f'{{"values": [1, 2, {number}]}}'.encode()
+                writer.write(b"POST /datasets/d/ingest HTTP/1.1\r\n"
+                             + f"Content-Length: {len(body)}\r\n\r\n"
+                             .encode() + body)
+                await writer.drain()
+                wire = await reader.read(-1)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            head, body = wire.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(body)["error"] == "bad-request"
+            assert service.occ.version("d") == 0
+            assert warehouse.catalog.datasets() == []
+
+        serve(check, warehouse=warehouse)
+
+    def test_fallback_plan_renders_infinite_prediction_as_null(self):
+        async def check(host, port, service):
+            # A bool among ints leaves the synopsis without moments, so
+            # the plan falls back with an infinite predicted width.
+            await http(host, port, "POST", "/datasets/d/ingest",
+                       body={"values": [1, 2, 3, True]})
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b"GET /datasets/d/estimate?stat=sum&"
+                             b"target_half_width=1 HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                wire = await reader.read(-1)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            head, body = wire.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            plan = json.loads(body, parse_constant=pytest.fail)["plan"]
+            assert plan["fallback"] and not plan["certified"]
+            assert plan["predicted_half_width"] is None
 
         serve(check)
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.kernels import numpy_available
+from repro.kernels import available_backends, numpy_available, use_backend
 from repro.rng import SplittableRng
 from repro.warehouse.ingest import CountPolicy
 from repro.warehouse.parallel import SampleTask, sample_partition
 from repro.warehouse.rollup import temporal_rollup_with_synopses
+from repro.warehouse.storage import sample_to_dict
 from repro.warehouse.synopsis import (PartitionSynopsis,
                                       SynopsisAccumulator)
 from repro.warehouse.warehouse import SampleWarehouse
@@ -132,6 +133,140 @@ class TestFeedMany:
         acc.feed_many(())
         assert acc.count == 0
         assert not acc.finalize().numeric
+
+
+def _edge_slice(kind, seed, n):
+    """``n`` values of one edge case of the moment fold."""
+    rng = SplittableRng(seed)
+    if kind == "zipf":
+        return [int(rng.paretovariate(1.2)) for _ in range(n)]
+    if kind == "unique":
+        start = rng.randrange(-10**9, 10**9)
+        return list(range(start, start + n))
+    if kind == "lognormal":
+        return _lognormal(seed, n)
+    if kind == "huge":
+        return [rng.choice([1e300, -1e300, 1.0, 2.5]) for _ in range(n)]
+    if kind == "int70":
+        return [2**70 + rng.randrange(2**40) for _ in range(n)]
+    if kind == "int64":
+        return [rng.randrange(-2**63, 2**63) for _ in range(n)]
+    if kind == "zeros":
+        return [rng.choice([0.0, -0.0, 0, 1.0, -1.0]) for _ in range(n)]
+    if kind == "inf":
+        return [rng.choice([math.inf, -math.inf, 1.0]) for _ in range(n)]
+    if kind == "square_overflow":
+        return [rng.choice([1e200, -1e200, 3.0]) for _ in range(n)]
+    if kind == "nan":
+        values = _lognormal(seed, n)
+        for _ in range(rng.randrange(1, 4)):
+            values[rng.randrange(n)] = math.nan
+        return values
+    import numpy as np
+    if kind == "numpy_int32":
+        return np.array([rng.randrange(-2**31, 2**31) for _ in range(n)],
+                        dtype=np.int32)
+    if kind == "numpy_float32":
+        return np.array(_lognormal(seed, n), dtype=np.float32)
+    assert kind == "numpy_scalars", kind
+    return [rng.choice([np.int32(-7), np.float32(0.1), np.float64(-0.0),
+                        np.int64(2**62), 3, 0.5]) for _ in range(n)]
+
+
+_EDGE_KINDS = ("zipf", "unique", "lognormal", "huge", "int70", "int64",
+               "zeros", "inf", "square_overflow", "nan", "numpy_int32",
+               "numpy_float32", "numpy_scalars")
+
+_LARGE_SLICES = st.builds(_edge_slice, st.sampled_from(_EDGE_KINDS),
+                          st.integers(0, 2**32), st.integers(4096, 6000))
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestBackendsAgree:
+    """Synopses do not depend on the kernel backend: the numpy moment
+    fold is the python fold's IEEE operations in the same order, so the
+    two give the same ``repr``, split anywhere."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.one_of(_VALUE_LISTS, _LARGE_SLICES), data=st.data())
+    def test_same_synopsis_on_both_backends(self, values, data):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(values)), max_size=5)))
+        reprs = []
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                acc = SynopsisAccumulator(top=3)
+                for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+                    acc.feed_many(values[lo:hi])
+                reprs.append(repr(acc.finalize()))
+        assert reprs[0] == reprs[1]
+
+    @pytest.mark.parametrize("kind", _EDGE_KINDS)
+    def test_every_edge_case_in_large_slices(self, kind):
+        values = _edge_slice(kind, 11, 5000)
+        reprs = []
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                reprs.append(repr(PartitionSynopsis.from_values(values)))
+        assert reprs[0] == reprs[1]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestOutOfRangeInts:
+    """An int too large for a float is rejected before any state
+    changes, on either backend."""
+
+    def test_feed_many_leaves_accumulator_unchanged(self, backend):
+        acc = SynopsisAccumulator()
+        acc.feed_many([3, 4])
+        before = repr(acc.finalize())
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError, match="float range"):
+                acc.feed_many([1, 10**400])
+        assert acc.count == 2
+        assert repr(acc.finalize()) == before
+
+    def test_feed_leaves_accumulator_unchanged(self, backend):
+        acc = SynopsisAccumulator()
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError, match="float range"):
+                acc.feed(-10**400)
+        assert acc.count == 0
+        assert acc.finalize().top_k == ()
+
+    def test_non_numeric_slice_keeps_big_ints(self, backend):
+        # No float is taken of a non-numeric partition's values.
+        with use_backend(backend):
+            s = PartitionSynopsis.from_values(["a", 10**400])
+        assert s.count == 2 and not s.numeric
+
+    def test_ingest_batch_registers_nothing(self, backend):
+        wh = SampleWarehouse(bound_values=64, rng=SplittableRng(1))
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError):
+                wh.ingest_batch("d", list(range(100)) + [10**400],
+                                partitions=4)
+        assert wh.catalog.datasets() == []
+
+    def test_stream_rejects_the_slice_only(self, backend):
+        values = list(range(300))
+
+        def run(bad):
+            wh = SampleWarehouse(bound_values=16, rng=SplittableRng(2))
+            with use_backend(backend):
+                stream = wh.open_stream("d", policy=CountPolicy(128))
+                stream.feed_many(values[:200])
+                if bad:
+                    with pytest.raises(ConfigurationError):
+                        stream.feed_many([7, 10**400])
+                    with pytest.raises(ConfigurationError):
+                        stream.feed(10**400)
+                stream.feed_many(values[200:])
+                stream.close()
+            return [(repr(m.synopsis), sample_to_dict(wh.sample_for(m.key)))
+                    for m in wh.catalog.partitions("d")]
+
+        assert run(bad=True) == run(bad=False)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -278,6 +413,15 @@ class TestMerge:
         merged = PartitionSynopsis.merge([exact, est])
         assert not merged.exact
         assert merged.count == 12 and merged.basis == 6
+
+    def test_merge_adds_totals_left_to_right(self):
+        # Compensated summation (sum() on Python 3.12) would give 2.0.
+        members = [PartitionSynopsis(count=1, total=t, total_sq=t * t,
+                                     minimum=t, maximum=t)
+                   for t in (1e16, 1.0, 1.0, -1e16)]
+        merged = PartitionSynopsis.merge(members)
+        assert merged.total == 0.0
+        assert merged.total_sq == 2e32
 
     def test_merge_empty_rejected(self):
         with pytest.raises(ConfigurationError):
