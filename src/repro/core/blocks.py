@@ -1,0 +1,161 @@
+"""Block steps: HB and HR on numpy as merges over whole blocks.
+
+A block of arrivals is an exhaustive sample of itself, so every step of
+Algorithms HB and HR can be a merge of the running sample with a block
+(the paper's merge law, eq. (2) and Theorem 1, taken once per block as
+Tangwongsan & Tirthapura update a reservoir once per minibatch).  On
+the numpy kernel backend both samplers run over one fixed grid of
+:data:`BLOCK` arrivals, counted from the sampler's first arrival (at
+construction or at ``resume``); every draw happens at a block end or at
+``finalize``:
+
+* **phase 1** — arrivals are counted into the histogram; the phase ends
+  at a block end whose footprint has reached ``F``;
+* **HR phase 2** — an HRMerge node of (SRS of the ``t`` arrivals so far,
+  exhaustive block): :func:`repro.kernels.reservoir_block`;
+* **HB phase 2** — a ``Bern(q)`` subset of the block joins the sample
+  (:func:`repro.kernels.bernoulli_block`);
+* **HB phase 3** — the HRMerge node over the Bernoulli-thinned block,
+  so the reservoir stays an SRS of all inclusions.
+
+After phase 1 a block is kept as its arrivals: the later steps read only
+their picks, so an excluded arrival costs one list append.  Everything a
+step reads is fixed by the grid, so ``feed``, ``feed_many`` and
+``finalize`` give the same bytes however a caller slices the stream.
+The python backend keeps its per-arrival skip-based steps.
+docs/algorithms.md argues each step's law; docs/performance.md has the
+per-block overhead curve :data:`BLOCK` was chosen from.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List, Optional, Sequence
+
+from repro.core.histogram import CompactHistogram
+from repro.core.phases import SampleKind
+from repro.kernels import active_backend, reservoir_block
+from repro.rng import SplittableRng
+
+__all__ = ["BLOCK", "BlockGrid"]
+
+#: Arrivals per block on the numpy backend.  Transient sampler state is
+#: at most ``F`` plus one block.
+BLOCK = 2048
+
+
+class BlockGrid:
+    """The block grid HB and HR share (numpy backend only).
+
+    The host sampler provides ``_phase``, ``_histogram`` (phase 1),
+    ``_bag`` / ``_capacity`` / ``_rng`` (reservoir steps), ``_seen``,
+    ``_close_block()`` and ``_materialize()`` (the bag of a reservoir
+    still held compact).  In phase 1 arrivals go straight into the
+    histogram; later they pile up in ``_buffer``.  ``_block_len``
+    arrivals are in the open block and ``_block_left`` more close it.
+    """
+
+    _phase: SampleKind
+    _histogram: Optional[CompactHistogram]
+    _bag: Optional[List[object]]
+    _capacity: int
+    _rng: SplittableRng
+    _seen: int
+
+    def _init_grid(self) -> None:
+        self._blocks = active_backend() == "numpy"
+        self._buffer: List[object] = []
+        self._block_len = 0
+        self._block_left = BLOCK
+
+    def _close_block(self, block: Sequence,
+                     start: int) -> None:  # pragma: no cover - abstract
+        """The steps at a block end; after phase 1 the block's arrivals
+        are ``block[start:start + self._block_len]``."""
+        raise NotImplementedError
+
+    def _materialize(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _end_block(self, block: Optional[Sequence] = None,
+                   start: int = 0) -> None:
+        """Close the open block (held in the buffer unless given) and
+        start the next one on the grid."""
+        if block is None:
+            block, self._buffer = self._buffer, []
+        self._close_block(block, start)
+        self._block_len = 0
+        self._block_left = BLOCK
+
+    def _flush_block(self) -> None:
+        """Close a non-empty open block early (``feed_run``,
+        ``finalize``); an empty one draws nothing."""
+        if self._block_len:
+            self._end_block()
+
+    def _grid_feed(self, value: object) -> None:
+        """One arrival on the grid."""
+        self._seen += 1
+        if self._phase is SampleKind.EXHAUSTIVE:
+            assert self._histogram is not None
+            self._histogram.insert(value)
+        else:
+            self._buffer.append(value)
+        self._block_len += 1
+        self._block_left -= 1
+        if not self._block_left:
+            self._end_block()
+
+    def _grid_feed_many(self, values: Sequence,
+                        counts: Optional[Dict[object, int]]) -> None:
+        """A slice on the grid, one block piece at a time.
+
+        In phase 1 each piece is counted into the histogram, since each
+        block end inside the slice needs the footprint so far.  When the
+        slice started on an empty histogram and phase 1 lasts to its
+        last piece, ``counts`` — the slice's first-seen count — is that
+        histogram, and a copy of it stands in for counting the last
+        piece.  (Folding a count into a non-empty map costs more than
+        counting the raw values into it, so only this case uses it.)
+        """
+        pos, n = 0, len(values)
+        fresh = counts is not None and not (self._histogram is None
+                                            or self._histogram.size)
+        while pos < n:
+            take = min(n - pos, self._block_left)
+            if self._phase is not SampleKind.EXHAUSTIVE:
+                if take == BLOCK:  # a whole block: step on it in place
+                    self._seen += take
+                    self._block_len = take
+                    pos += take
+                    self._end_block(values, pos - take)
+                    continue
+                self._buffer += values[pos:pos + take]
+            elif fresh and pos + take == n:
+                self._histogram = CompactHistogram.from_counts(dict(counts),
+                                                               n)
+            else:
+                assert self._histogram is not None
+                self._histogram.extend(values[pos:pos + take])
+            self._seen += take
+            self._block_len += take
+            self._block_left -= take
+            pos += take
+            if not self._block_left:
+                self._end_block()
+
+    def _reservoir_step(self, block: Sequence, start: int, length: int,
+                        seen: int) -> None:
+        """HRMerge of the reservoir (an SRS of the ``seen`` values
+        before the block) and the exhaustive block
+        ``block[start:start + length]``: uniform block values replace
+        uniform victims, as many as ``capacity - L``."""
+        slots, picks = reservoir_block(seen, length, self._capacity,
+                                       self._rng)
+        if slots:
+            if self._bag is None:
+                self._materialize()
+            assert self._bag is not None
+            deque(map(self._bag.__setitem__, slots,
+                      map(block.__getitem__, map(start.__add__, picks))),
+                  maxlen=0)

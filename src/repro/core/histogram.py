@@ -18,6 +18,12 @@ Python-level work is proportional to that overlap.
 :meth:`CompactHistogram.joined` does the same on two :data:`Tally`
 triples, which is how HRMerge joins its two purges' survivors without
 building a histogram for either.
+
+Block ingest (:mod:`repro.core.blocks`) grows a histogram the other way
+round: :meth:`CompactHistogram.extend` counts a slice's values into the
+running map at C speed, keeping the map's order and appending the new
+values in first-seen order, as one :meth:`~CompactHistogram.insert` per
+value would.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import (Collection, Dict, Hashable, Iterable, Iterator, List,
 from repro.core.footprint import FootprintModel
 from repro.errors import ConfigurationError
 
-__all__ = ["CompactHistogram", "Tally"]
+__all__ = ["CompactHistogram", "Tally", "count_values"]
 
 Value = Hashable
 
@@ -37,6 +43,14 @@ Value = Hashable
 #: :class:`CompactHistogram`, and what a purge hands to a join without
 #: building one.
 Tally = Tuple[Dict[Value, int], int, int]
+
+
+def count_values(values: Iterable[Value]) -> Dict[Value, int]:
+    """``values`` counted at C speed, keys in first-seen order: the map
+    one :meth:`CompactHistogram.insert` per value would leave."""
+    counts: Dict[Value, int] = {}
+    _count_elements(counts, values)
+    return counts
 
 
 class CompactHistogram:
@@ -68,8 +82,7 @@ class CompactHistogram:
         Counts at C speed; pairs come out in first-occurrence order, as
         repeated :meth:`insert` calls would leave them.
         """
-        counts: Dict[Value, int] = {}
-        _count_elements(counts, values)
+        counts = count_values(values)
         hist = cls()
         hist._counts = counts
         tallies = list(counts.values())
@@ -99,6 +112,12 @@ class CompactHistogram:
         hist = cls()
         hist._counts, hist._size, hist._singletons = tally
         return hist
+
+    @classmethod
+    def from_counts(cls, counts: Dict[Value, int],
+                    size: int) -> "CompactHistogram":
+        """Wrap a first-seen count map of ``size`` elements (not copied)."""
+        return cls.from_tally((counts, size, list(counts.values()).count(1)))
 
     @classmethod
     def joined(cls, first: Tally, second: Tally) -> "CompactHistogram":
@@ -186,32 +205,45 @@ class CompactHistogram:
         One insert adds 0, ``count_bytes`` or ``value_bytes`` to the
         footprint, and ``count_bytes <= value_bytes``, so the next
         ``ceil(gap / value_bytes)`` values cannot cross the bound before
-        the last of them.  Each step counts that whole slice at C speed;
-        ``singletons`` stays exact by reading the slice's distinct keys
-        before and after the count.
+        the last of them.  Each step counts that whole slice at C speed
+        (:meth:`extend`).
         """
-        counts = self._counts
-        get = counts.get
         value_bytes = model.value_bytes
         n = len(values)
         pos = start
         while pos < n:
             gap = bound_bytes - self.footprint(model)
             stop = min(n, pos + max(1, -(-gap // value_bytes)))
-            chunk = values[pos:stop]
-            if not isinstance(chunk, (list, tuple)):
-                # Iterate once: numpy arrays yield fresh scalars per pass,
-                # which a NaN key would not match by identity.
-                chunk = list(chunk)
-            keys = dict.fromkeys(chunk)
-            before = list(map(get, keys)).count(1)
-            _count_elements(counts, chunk)
-            self._singletons += list(map(get, keys)).count(1) - before
-            self._size += stop - pos
+            self.extend(values[pos:stop])
             pos = stop
             if self.footprint(model) >= bound_bytes:
                 break
         return pos
+
+    def extend(self, values: Sequence[Value]) -> None:
+        """Insert every value, in order, at C speed.
+
+        The result equals one :meth:`insert` per value.  The singleton
+        tally stays exact: a slice under a sixteenth of the map's size
+        reads its distinct keys' counts before and after the count;
+        a longer one recounts the map's counts, which costs less per
+        entry than hashing the slice twice more.
+        """
+        if not isinstance(values, (list, tuple)):
+            # Iterate once: numpy arrays yield fresh scalars per pass,
+            # which a NaN key would not match by identity.
+            values = list(values)
+        counts = self._counts
+        if len(values) * 16 < len(counts):
+            get = counts.get
+            keys = dict.fromkeys(values)
+            before = list(map(get, keys)).count(1)
+            _count_elements(counts, values)
+            self._singletons += list(map(get, keys)).count(1) - before
+        else:
+            _count_elements(counts, values)
+            self._singletons = list(counts.values()).count(1)
+        self._size += len(values)
 
     def insert_count(self, value: Value, count: int) -> None:
         """Insert ``count`` occurrences of ``value`` at once."""

@@ -15,11 +15,13 @@ The sampler moves through up to three phases:
    sampling with capacity ``n_F`` (Figure 4 for the transition subsample,
    then standard skip-based reservoir steps).
 
-On the numpy kernel backend, phase-2 and phase-3 steps take one
-uniform per arrival (:func:`repro.kernels.arrival_uniforms`), drawn a
-whole ``feed_many`` slice at a time: phase 2 includes an arrival iff
-``u < q``, phase 3 is Algorithm R.  The python backend keeps the
-geometric and skip-based draws (see docs/algorithms.md).
+On the numpy kernel backend, ``feed``, ``feed_many`` and ``finalize``
+take every step as a merge with one block of arrivals
+(:mod:`repro.core.blocks`): the phase-1 exit is tested at block ends,
+phase 2 joins a ``Bern(q)`` subset of each block, and phase 3 keeps an
+SRS of the Bernoulli-thinned stream with one HRMerge node per block.
+The python backend keeps the per-arrival geometric and skip-based
+draws (see docs/algorithms.md).
 
 The final sample is uniform in every case; in the usual phase-2 case it
 can be treated as a Bernoulli sample, which makes merging cheap
@@ -32,11 +34,20 @@ see ``tests/test_merge.py::TestHbMergeStatistics``):
 * the phase-2 output is Bern(q) *truncated* at ``|S| = n_F``
   ("not quite a true Bernoulli sample"), so merging it as Bernoulli is
   exact only up to the truncation probability ≈ ``p``;
-* the phase-2 → phase-3 fallback enters reservoir mode with the first
-  ``n_F`` *inclusions* of the Bernoulli process as its reservoir, which
-  is not an exact size-``n_F`` SRS of the prefix (the inclusion that
-  triggered the switch is always present); the paper's "terminates in
-  phase 3 ⇒ clearly uniform" is exact only for the phase-1 → 3 path.
+* on the python backend, the phase-2 → phase-3 fallback enters
+  reservoir mode with the first ``n_F`` *inclusions* of the Bernoulli
+  process as its reservoir, which is not an exact size-``n_F`` SRS of
+  the prefix (the inclusion that triggered the switch is always
+  present); the paper's "terminates in phase 3 ⇒ clearly uniform" is
+  exact there only for the phase-1 → 3 path.  The numpy block path is
+  exact: it switches at a block end by purging the whole Bernoulli
+  sample to ``n_F``, and keeps thinning the stream at rate ``q`` in
+  phase 3, so its reservoir is an SRS of all Bernoulli inclusions;
+  those are exchangeable given that there are ``n_F`` or more, so the
+  phase-3 sample is an SRS of the partition
+  (``tests/test_hybrid_bernoulli.py::TestPhase3Law``).  Purging at the
+  switch alone would not do: which block end the switch falls on
+  depends on where the inclusions fell.
 
 At the paper's operating point (``p ≤ 0.001``, ``n_F`` in the
 thousands) both effects are statistically invisible; they matter only
@@ -50,9 +61,9 @@ sampling's value-dependence breaks uniformity).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.core.blocks import BlockGrid
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
@@ -60,7 +71,7 @@ from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import arrival_uniforms
+from repro.kernels import bernoulli_block
 from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
@@ -72,7 +83,7 @@ __all__ = ["AlgorithmHB"]
 T = TypeVar("T")
 
 
-class AlgorithmHB:
+class AlgorithmHB(BlockGrid):
     """Streaming hybrid Bernoulli sampler with an a-priori footprint bound.
 
     Parameters
@@ -151,12 +162,14 @@ class AlgorithmHB:
         self._skips: Optional[SkipGenerator] = None       # phase 3
         self._next_insert = 0                             # phase-3 n
         self._capacity = bound_values                     # phase-3 size
+        # Block-path phase 3 keeps an SRS of the Bernoulli inclusions:
+        # how many there have been (None: reservoir over arrivals).
+        self._included: Optional[int] = None
         self._finalized = False
-        # Per-arrival uniforms on the numpy backend (None: skip-based).
-        # A uniform step leaves the gap/skip state stale; feed_run,
-        # which stays skip-based, redraws it first.
-        self._uniforms = arrival_uniforms(self._rng)
+        # Block steps on the numpy backend leave the gap/skip state
+        # stale; feed_run, which stays skip-based, redraws it first.
         self._skips_stale = False
+        self._init_grid()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -272,11 +285,13 @@ class AlgorithmHB:
                 self._pending = purge_reservoir(subsample, self._bound,
                                                 self._rng)
                 self._enter_phase3()
+                self._included = subsample.size
 
     def _enter_phase3(self) -> None:
         """Switch to reservoir mode (lines 9-10 / 18-19 of Figure 2)."""
         with span("hb.phase3", seen=self._seen):
             self._phase = SampleKind.RESERVOIR
+            self._included = None
             self._capacity = self._bound
             self._skips = SkipGenerator(self._capacity, self._rng)
             self._next_insert = self._seen + self._skips.next_skip(self._seen)
@@ -290,25 +305,22 @@ class AlgorithmHB:
         self._pending = None
 
     def feed(self, value: T) -> None:
-        """Observe one arriving data element (Figure 2's per-arrival body)."""
+        """Observe one arriving data element (Figure 2's per-arrival body;
+        on numpy, one arrival on the block grid)."""
         self._check_open()
+        if self._blocks:
+            self._grid_feed(value)
+        else:
+            self._feed_one(value)
+
+    def _feed_one(self, value: T) -> None:
+        """Figure 2's per-arrival body with skip-based phases 2-3."""
         self._seen += 1
         if self._phase is SampleKind.EXHAUSTIVE:
             assert self._histogram is not None
             self._histogram.insert(value)
             if self._histogram.footprint(self._model) >= self._bound_bytes:
                 self._enter_phase2_or_3()
-            return
-        if self._uniforms is not None:
-            self._skips_stale = True
-            u = self._uniforms.next()
-            if self._phase is SampleKind.BERNOULLI:
-                if u < self._rate:
-                    self._include((value,))
-            elif u * self._seen < self._capacity:
-                if self._bag is None:
-                    self._expand_pending()
-                self._bag[int(u * self._seen)] = value
             return
         if self._phase is SampleKind.BERNOULLI:
             if self._until_next == 0:
@@ -331,21 +343,28 @@ class AlgorithmHB:
             self._next_insert = (self._seen
                                  + self._skips.next_skip(self._seen))
 
-    def feed_many(self, values: Iterable[T]) -> None:
+    def feed_many(self, values: Iterable[T], *,
+                  counts: Optional[Dict[T, int]] = None) -> None:
         """Observe a batch of values.
 
-        Indexable sequences get fast paths in phases 2 and 3: skip-based
-        on the python backend (jumping straight between inclusions), one
-        vectorized uniform draw per slice on numpy.  General iterables
-        fall back to per-element :meth:`feed`.  Any split into ``feed`` /
-        ``feed_many`` calls gives the same sample on either backend.
+        Lists, tuples and ranges take a fast path: on the python
+        backend phase 1 counts whole slices and phases 2-3 jump between
+        inclusions; on numpy the slice goes onto the block grid, one
+        merge per block (:mod:`repro.core.blocks`).  ``counts``, the
+        slice's first-seen count if the caller already has it, can stand
+        in for counting the slice in phase 1; the python backend does
+        not use it.  General iterables fall back to per-element
+        :meth:`feed`.  Any split into ``feed`` / ``feed_many`` calls
+        gives the same sample on either backend.
         """
         self._check_open()
-        if isinstance(values, (list, tuple, range)):
-            self._feed_sequence(values, uniform=self._uniforms is not None)
-        else:
+        if not isinstance(values, (list, tuple, range)):
             for v in values:
                 self.feed(v)
+        elif self._blocks:
+            self._grid_feed_many(values, counts)
+        else:
+            self._feed_sequence(values)
 
     def feed_run(self, value: T, count: int) -> None:
         """Observe ``count`` consecutive occurrences of one value.
@@ -353,10 +372,13 @@ class AlgorithmHB:
         This is how the merge procedures stream a compact sample into a
         running sampler without expanding it: cost is O(#inclusions), not
         O(count), once the run's footprint contribution has stabilized.
+        On numpy it first closes the open block; the run itself takes
+        the skip-based steps, and the next block starts after it.
         """
         self._check_open()
+        self._flush_block()
         while count > 0 and self._phase is SampleKind.EXHAUSTIVE:
-            self.feed(value)
+            self._feed_one(value)
             count -= 1
             if (self._phase is SampleKind.EXHAUSTIVE and count > 0
                     and self._histogram is not None
@@ -367,19 +389,17 @@ class AlgorithmHB:
                 self._seen += count
                 count = 0
         if count > 0:
+            self._included = None  # these arrivals are not thinned
             self._feed_sequence(RepeatedValue(value, count))
 
-    def _feed_sequence(self, values: Sequence[T], *,
-                       uniform: bool = False) -> None:
+    def _feed_sequence(self, values: Sequence[T]) -> None:
         offset = 0
         n = len(values)
-        if self._skips_stale and not uniform:
+        if self._skips_stale:
             self._redraw_skips()
         while offset < n:
             if self._phase is SampleKind.EXHAUSTIVE:
                 offset = self._feed_seq_phase1(values, offset)
-            elif uniform:
-                offset = self._feed_seq_uniform(values, offset)
             elif self._phase is SampleKind.BERNOULLI:
                 offset = self._feed_seq_phase2(values, offset)
             else:
@@ -437,45 +457,47 @@ class AlgorithmHB:
                                  + self._skips.next_skip(self._seen))
         self._skips_stale = False
 
-    def _feed_seq_uniform(self, values: Sequence[T], offset: int) -> int:
-        """Phase 2 or 3 over up to ``MAX_TAKE`` arrivals, one uniform each.
-
-        Returns where it stopped: the end of the piece, or just past
-        the phase-2 inclusion that filled the bag.
-        """
-        uniforms = self._uniforms
-        assert uniforms is not None
-        stop = min(len(values), offset + uniforms.MAX_TAKE)
+    def _close_block(self, block: Sequence, start: int) -> None:
+        """The steps at a block end (numpy): see :mod:`repro.core.blocks`."""
+        if self._phase is SampleKind.EXHAUSTIVE:
+            assert self._histogram is not None
+            if self._histogram.footprint(self._model) >= self._bound_bytes:
+                self._enter_phase2_or_3()
+            return
+        length = self._block_len
         self._skips_stale = True
-        if self._phase is SampleKind.BERNOULLI:
-            room = max(1, self._bound - self.sample_size)
-            hits = uniforms.bernoulli(offset, stop, self._rate, room)
-            if len(hits) == room:
-                stop = hits[-1] + 1
-            self._seen += stop - offset
-            if hits:
-                self._include(list(map(values.__getitem__, hits)))
-            return stop
-        hits, slots = uniforms.reservoir(offset, stop, self._seen,
-                                         self._capacity)
-        if hits:
-            self._replace(list(map(values.__getitem__, hits)), slots)
-        self._seen += stop - offset
-        return stop
-
-    def _include(self, picked: Sequence[T]) -> None:
-        """Phase-2 inclusions; the one that fills the bag enters phase 3."""
+        if self._phase is SampleKind.RESERVOIR and self._included is None:
+            self._reservoir_step(block, start, length, self._seen - length)
+            return
+        assert self._rate is not None
+        picks = bernoulli_block(length, self._rate, self._rng)
+        if not picks:
+            return
+        thinned = list(map(block.__getitem__, map(start.__add__, picks)))
+        if self._phase is SampleKind.RESERVOIR:
+            # Phase 3 samples the Bernoulli-thinned stream, so the
+            # reservoir stays an SRS of all inclusions.
+            assert self._included is not None
+            self._reservoir_step(thinned, 0, len(thinned), self._included)
+            self._included += len(thinned)
+            return
         if self._bag is None:
             self._expand_pending()
-        self._bag.extend(picked)
+        self._bag.extend(thinned)
         if len(self._bag) >= self._bound:
+            # Given its size, the Bernoulli sample is an SRS of the
+            # inclusions; purging it keeps an SRS of n_F of them.
+            included = len(self._bag)
+            self._pending = purge_reservoir(
+                CompactHistogram.from_values(self._bag), self._bound,
+                self._rng)
+            self._bag = None
             self._enter_phase3()
+            self._included = included
 
-    def _replace(self, picked: List[T], slots: List[int]) -> None:
-        """Phase-3 inclusions overwrite their slots, in arrival order."""
-        if self._bag is None:
-            self._expand_pending()
-        deque(map(self._bag.__setitem__, slots, picked), maxlen=0)
+    def _materialize(self) -> None:
+        """The phase-3 reservoir as a bag (it holds ``capacity``)."""
+        self._expand_pending()
 
     # ------------------------------------------------------------------
     # Finalization
@@ -495,6 +517,7 @@ class AlgorithmHB:
             raise ProtocolError(
                 f"saw {self._seen} elements but population was declared as "
                 f"{self._population}")
+        self._flush_block()
         self._finalized = True
         if self._phase is SampleKind.EXHAUSTIVE:
             assert self._histogram is not None

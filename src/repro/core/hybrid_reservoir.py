@@ -11,10 +11,15 @@ Two phases:
    statistically equivalent because the purge outcome is independent of
    which arrival triggers it.
 
-On the numpy kernel backend, phase-2 steps are Algorithm R with one
-uniform per arrival (:func:`repro.kernels.arrival_uniforms`), drawn a
-whole ``feed_many`` slice at a time; the python backend keeps the
-skip-based draws (see docs/algorithms.md).
+On the numpy kernel backend, ``feed``, ``feed_many`` and ``finalize``
+take every step as a merge with one block of arrivals
+(:mod:`repro.core.blocks`): the phase-1 exit is taken at a block end and
+each later block is an HRMerge node; the python backend keeps the
+per-arrival skip-based draws (see docs/algorithms.md).  On both,
+:attr:`AlgorithmHR.phase` and :attr:`AlgorithmHR.sample_size` report the
+reservoir as soon as the footprint reaches ``F`` — the switch draws
+nothing, so it is settled then — and a :class:`FractionPolicy` cuts at
+the same arrival on both.
 
 Compared with Algorithm HB, HR needs **no a-priori knowledge of the
 partition size** and always delivers a full-size (``min(N, n_F)``-element)
@@ -24,9 +29,9 @@ sample — at the price of more expensive merges (the hypergeometric draw in
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.core.blocks import BlockGrid
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
@@ -34,7 +39,6 @@ from repro.core.purge import purge_reservoir
 from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import arrival_uniforms
 from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
@@ -45,7 +49,7 @@ __all__ = ["AlgorithmHR"]
 T = TypeVar("T")
 
 
-class AlgorithmHR:
+class AlgorithmHR(BlockGrid):
     """Streaming hybrid reservoir sampler with an a-priori footprint bound.
 
     Parameters
@@ -99,19 +103,31 @@ class AlgorithmHR:
         self._skips: Optional[SkipGenerator] = None
         self._next_insert = 0
         self._finalized = False
-        # Per-arrival uniforms on the numpy backend (None: skip-based).
-        # A uniform step leaves the skip state stale; feed_run, which
-        # stays skip-based, redraws it first.
-        self._uniforms = arrival_uniforms(self._rng)
+        # Block steps on the numpy backend leave the skip state stale;
+        # feed_run, which stays skip-based, redraws it first.
         self._skips_stale = False
+        self._init_grid()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def phase(self) -> SampleKind:
-        """Current phase: EXHAUSTIVE or RESERVOIR."""
+        """Current phase: EXHAUSTIVE or RESERVOIR.
+
+        RESERVOIR from the arrival that brings the footprint to ``F``,
+        also while the numpy block path has yet to take the switch.
+        """
+        if self._full():
+            return SampleKind.RESERVOIR
         return self._phase
+
+    def _full(self) -> bool:
+        """Phase 1 with the footprint at ``F``: the switch is due."""
+        return (self._phase is SampleKind.EXHAUSTIVE
+                and self._histogram is not None
+                and self._histogram.footprint(self._model)
+                >= self._bound_bytes)
 
     @property
     def seen(self) -> int:
@@ -128,12 +144,15 @@ class AlgorithmHR:
         """Current number of data elements in the sample.
 
         During the lazy-purge window (phase 2 before the first insertion)
-        this reports the reservoir capacity the purge will shrink to.
+        this reports the reservoir capacity the purge will shrink to, as
+        it does from the arrival that brings the footprint to ``F``.
         """
         if self._bag is not None:
             return len(self._bag)
         if self._pending is not None:
             return min(self._pending.size, self._capacity)
+        if self._full():
+            return self._capacity
         assert self._histogram is not None
         return self._histogram.size
 
@@ -196,7 +215,7 @@ class AlgorithmHR:
         if OBS.enabled:
             OBS.registry.counter("hr.phase2.enter").inc()
 
-    def _materialize_reservoir(self) -> None:
+    def _materialize(self) -> None:
         """Lazy purgeReservoir + expand (Figure 7, lines 9-11)."""
         assert self._pending is not None
         with span("hr.purge", size=self._pending.size,
@@ -207,8 +226,16 @@ class AlgorithmHR:
             self._pending = None
 
     def feed(self, value: T) -> None:
-        """Observe one arriving data element (Figure 7's per-arrival body)."""
+        """Observe one arriving data element (Figure 7's per-arrival body;
+        on numpy, one arrival on the block grid)."""
         self._check_open()
+        if self._blocks:
+            self._grid_feed(value)
+        else:
+            self._feed_one(value)
+
+    def _feed_one(self, value: T) -> None:
+        """Figure 7's per-arrival body with skip-based reservoir steps."""
         self._seen += 1
         if self._phase is SampleKind.EXHAUSTIVE:
             assert self._histogram is not None
@@ -216,17 +243,9 @@ class AlgorithmHR:
             if self._histogram.footprint(self._model) >= self._bound_bytes:
                 self._enter_phase2()
             return
-        if self._uniforms is not None:
-            self._skips_stale = True
-            x = self._uniforms.next() * self._seen
-            if x < self._capacity:
-                if self._bag is None:
-                    self._materialize_reservoir()
-                self._bag[int(x)] = value
-            return
         if self._seen == self._next_insert:
             if self._bag is None:
-                self._materialize_reservoir()
+                self._materialize()
             if len(self._bag) < self._capacity:
                 self._bag.append(value)
             else:
@@ -236,30 +255,39 @@ class AlgorithmHR:
             self._next_insert = (self._seen
                                  + self._skips.next_skip(self._seen))
 
-    def feed_many(self, values: Iterable[T]) -> None:
+    def feed_many(self, values: Iterable[T], *,
+                  counts: Optional[Dict[T, int]] = None) -> None:
         """Observe a batch of values.
 
         Lists, tuples and ranges take a fast path: skip-based on the
-        python backend, one vectorized uniform draw per slice on numpy.
-        Any split into ``feed`` / ``feed_many`` calls gives the same
-        sample on either backend.
+        python backend, one merge per block of the grid on numpy
+        (:mod:`repro.core.blocks`).  ``counts``, the slice's first-seen
+        count if the caller already has it, can stand in for counting
+        the slice in phase 1; the python backend does not use it.  Any
+        split into ``feed`` / ``feed_many`` calls gives the same sample
+        on either backend.
         """
         self._check_open()
-        if isinstance(values, (list, tuple, range)):
-            self._feed_sequence(values, uniform=self._uniforms is not None)
-        else:
+        if not isinstance(values, (list, tuple, range)):
             for v in values:
                 self.feed(v)
+        elif self._blocks:
+            self._grid_feed_many(values, counts)
+        else:
+            self._feed_sequence(values)
 
     def feed_run(self, value: T, count: int) -> None:
         """Observe ``count`` consecutive occurrences of one value.
 
         Used by the merge procedures to stream a compact sample through a
-        running sampler without expanding it.
+        running sampler without expanding it.  On numpy it first closes
+        the open block; the run itself takes the skip-based steps, and
+        the next block starts after it.
         """
         self._check_open()
+        self._flush_block()
         while count > 0 and self._phase is SampleKind.EXHAUSTIVE:
-            self.feed(value)
+            self._feed_one(value)
             count -= 1
             if (self._phase is SampleKind.EXHAUSTIVE and count > 0
                     and self._histogram is not None
@@ -270,8 +298,7 @@ class AlgorithmHR:
         if count > 0:
             self._feed_sequence(RepeatedValue(value, count))
 
-    def _feed_sequence(self, values: Sequence[T], *,
-                       uniform: bool = False) -> None:
+    def _feed_sequence(self, values: Sequence[T]) -> None:
         offset = 0
         n = len(values)
         if self._phase is SampleKind.EXHAUSTIVE:
@@ -282,9 +309,6 @@ class AlgorithmHR:
             if hist.footprint(self._model) < self._bound_bytes:
                 return
             self._enter_phase2()
-        if uniform:
-            self._feed_uniform(values, offset)
-            return
         if self._skips_stale:
             self._skips = SkipGenerator(self._capacity, self._rng)
             self._next_insert = (self._seen
@@ -294,7 +318,7 @@ class AlgorithmHR:
         assert self._skips is not None
         while self._next_insert - base <= n:
             if self._bag is None:
-                self._materialize_reservoir()
+                self._materialize()
             value = values[self._next_insert - base - 1]
             if len(self._bag) < self._capacity:
                 self._bag.append(value)
@@ -306,31 +330,15 @@ class AlgorithmHR:
                                  + self._skips.next_skip(self._seen))
         self._seen = base + n
 
-    def _feed_uniform(self, values: Sequence[T], offset: int) -> None:
-        """Phase 2 as Algorithm R over ``values[offset:]``, one uniform
-        per arrival, up to ``MAX_TAKE`` arrivals per draw."""
-        uniforms = self._uniforms
-        assert uniforms is not None
-        n = len(values)
-        for start in range(offset, n, uniforms.MAX_TAKE):
-            stop = min(n, start + uniforms.MAX_TAKE)
-            self._skips_stale = True
-            hits, slots = uniforms.reservoir(start, stop, self._seen,
-                                             self._capacity)
-            if hits:
-                self._replace(list(map(values.__getitem__, hits)), slots)
-            self._seen += stop - start
-
-    def _replace(self, picked: List[T], slots: List[int]) -> None:
-        """Included arrivals overwrite their slots, in arrival order.
-
-        The materialized reservoir is always full: phase 2 starts from
-        a histogram whose footprint reached ``n_F`` values, so it holds
-        at least ``n_F`` elements.
-        """
-        if self._bag is None:
-            self._materialize_reservoir()
-        deque(map(self._bag.__setitem__, slots, picked), maxlen=0)
+    def _close_block(self, block: Sequence, start: int) -> None:
+        """The steps at a block end (numpy): see :mod:`repro.core.blocks`."""
+        if self._phase is SampleKind.EXHAUSTIVE:
+            if self._full():
+                self._enter_phase2()
+            return
+        self._skips_stale = True
+        self._reservoir_step(block, start, self._block_len,
+                             self._seen - self._block_len)
 
     # ------------------------------------------------------------------
     # Finalization
@@ -344,6 +352,7 @@ class AlgorithmHR:
         the switch and evicted nothing since.
         """
         self._check_open()
+        self._flush_block()
         self._finalized = True
         if self._phase is SampleKind.EXHAUSTIVE:
             assert self._histogram is not None

@@ -51,9 +51,32 @@ from repro.rng import SplittableRng
 from repro.sampling.distributions import CachedHypergeometric
 from repro.sampling.exceedance import rate_for_bound
 
-__all__ = ["hb_merge", "hr_merge", "merge_samples", "sb_union", "merge_tree"]
+__all__ = ["hb_merge", "hr_merge", "merge_samples", "sb_union", "merge_tree",
+           "merge_cap"]
 
 MergeFn = Callable[[WarehouseSample, WarehouseSample], WarehouseSample]
+
+
+def merge_cap(size1: int, population1: int, size2: int,
+              population2: int) -> int:
+    """The largest HRMerge target ``k`` Theorem 1 supports.
+
+    ``L`` ranges over ``max(0, k - N2) .. min(k, N1)``, and each input
+    must hold the values drawn from it.  A proper sample (``|S| < N``)
+    therefore caps ``k`` at its size, which gives the paper's
+    ``min(|S1|, |S2|)`` for two of them.  An input that holds its whole
+    partition (``|S| = N``) always holds its share, so it lifts its own
+    cap: with an exhaustive right input of ``b`` values ``k <= |S1|``,
+    and ``k <= |S1| + b`` when the left input is exhaustive too.  The
+    samplers' block steps are the exhaustive-right case
+    (:mod:`repro.core.blocks`).
+    """
+    cap = population1 + population2
+    if size1 < population1:
+        cap = min(cap, size1)
+    if size2 < population2:
+        cap = min(cap, size2)
+    return cap
 
 
 def _check_compatible(s1: WarehouseSample, s2: WarehouseSample) -> None:
@@ -178,9 +201,11 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     Parameters
     ----------
     target_size:
-        The merged size ``k``; defaults to ``min(|S1|, |S2|)`` (the
-        largest size the theorem supports).  May be any value in
-        ``1..min(|S1|, |S2|)``.
+        The merged size ``k``; defaults to ``min(|S1|, |S2|)``.  May be
+        any value up to :func:`merge_cap`: ``min(|S1|, |S2|)`` for two
+        proper samples, while an input that holds its whole partition
+        does not cap ``k`` (``k <= |S1|`` with an exhaustive right
+        input of ``b`` values, ``k <= |S1| + b`` with both exhaustive).
     method:
         ``"inversion"`` (default) or ``"alias"`` for the ``L`` draw; a
         ``cache`` (see :class:`CachedHypergeometric`) overrides both and
@@ -207,10 +232,12 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         _resume_feed(sampler, exhaustive)
         return sampler.finalize().with_scheme(scheme)
 
+    n1, n2 = s1.population_size, s2.population_size
     k = min(s1.size, s2.size) if target_size is None else target_size
-    if not 0 <= k <= min(s1.size, s2.size):
+    cap = merge_cap(s1.size, n1, s2.size, n2)
+    if not 0 <= k <= cap:
         raise ConfigurationError(
-            f"target_size must be in 0..{min(s1.size, s2.size)}, got {k}")
+            f"target_size must be in 0..{cap}, got {k}")
     if k == 0:
         # One input sampled nothing (possible for a tiny Bernoulli
         # sample); the theorem's min-size rule makes the merged sample
@@ -225,7 +252,6 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
             model=s1.model,
         )
 
-    n1, n2 = s1.population_size, s2.population_size
     take_first = draw_hypergeometric(n1, n2, k, rng, cache=cache,
                                      method=method)
     if OBS.enabled:
@@ -235,10 +261,10 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         # of the hypergeometric support for this (n1, n2, k).
         reg.histogram("merge.hr.recursion_depth").observe(
             min(k, n1) - max(0, k - n2))
-    # Clamp to the realized sample sizes.  The hypergeometric support
-    # already guarantees take_first <= min(k, n1), but with k <= |S_i| we
-    # also need take_first <= |S1| and k - take_first <= |S2|, which holds
-    # because take_first <= k <= |S1| and k - take_first <= k <= |S2|.
+    # The purges need take_first <= |S1| and k - take_first <= |S2|.
+    # The hypergeometric support gives take_first <= min(k, n1) and
+    # k - take_first <= min(k, n2); merge_cap makes k <= |S_i| unless
+    # S_i holds its whole partition, where n_i = |S_i| bounds the share.
     # Both purges hand their survivors straight to one join: no
     # intermediate histogram is built.
     first = purge_reservoir_tally(s1.histogram, take_first, rng)

@@ -3,9 +3,12 @@
 The inner loops of the merge procedures — the eq. (3) hypergeometric
 pmf, the ``L`` draw of Figure 8, the Binomial purge of Figure 3, and the
 simple-random-subsample purge of Figure 4 — are the hot path of every
-merge tree; HB/HR's per-arrival uniforms and the exact synopsis'
-moment fold are the hot path of ingest.  This package isolates them
-behind a small kernel API with two interchangeable backends:
+merge tree.  On ingest, HB/HR's block steps (:mod:`repro.core.blocks`)
+merge a running sample with a block of arrivals through
+:func:`reservoir_block` and :func:`bernoulli_block` and the same
+purges, and the exact synopsis folds its moments through
+:func:`fold_moments`.  This package isolates them behind a small
+kernel API with two interchangeable backends:
 
 * ``"python"`` — the reference implementation, byte-identical to the
   historical pure-Python code paths (:mod:`repro.kernels.python`);
@@ -65,7 +68,8 @@ __all__ = [
     "draw_hypergeometric_batch",
     "binomial_counts",
     "srs_counts",
-    "arrival_uniforms",
+    "reservoir_block",
+    "bernoulli_block",
     "fold_moments",
 ]
 
@@ -219,22 +223,34 @@ def srs_counts(runs: Collection[int], size: int,
     return _backend().srs_counts(runs, size, rng)
 
 
-def arrival_uniforms(rng):
-    """A per-arrival uniform stream for HB/HR phases 2-3, or ``None``.
+def reservoir_block(seen: int, block: int, capacity: int,
+                    rng) -> Tuple[List[int], List[int]]:
+    """One block step of a size-``capacity`` reservoir (Figure 8's node).
 
-    The numpy backend returns an
-    :class:`~repro.kernels.numpy_backend.ArrivalUniforms`, and the
-    samplers' phase-2/3 steps then take one uniform per arrival, a
-    whole slice per generator call (docs/algorithms.md).  The python
-    backend returns ``None``: the samplers keep their skip-based
-    per-inclusion draws, the reference the numpy steps are checked
-    against in law (``samplers.minibatch.law``).
+    The reservoir is an SRS of the ``seen`` arrivals before a block of
+    ``block`` more.  Draws ``L ~ Hypergeom(seen, block, capacity)`` as
+    eq. (2) does, and returns ``m = capacity - L`` distinct reservoir
+    slots (the victims) and ``m`` distinct block positions (their
+    replacements), both uniform.  Writing the picks into the slots
+    leaves an SRS of ``capacity`` of all ``seen + block`` arrivals
+    (Theorem 1).  No table is cached: ``seen`` grows every block.
     """
-    return _backend().arrival_uniforms(rng)
+    return _backend().reservoir_block(seen, block, capacity, rng)
+
+
+def bernoulli_block(block: int, q: float, rng) -> List[int]:
+    """The positions of a ``Bern(q)`` subset of a block, increasing.
+
+    ``Binomial(block, q)`` positions, uniform given their number — the
+    law of including each arrival independently with probability
+    ``q`` (HB phase 2 over one block).
+    """
+    return _backend().bernoulli_block(block, q, rng)
 
 
 def fold_moments(values: Sequence, total: float, total_sq: float,
-                 lo: Optional[float], hi: Optional[float]
+                 lo: Optional[float], hi: Optional[float], *,
+                 ints: bool = False
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """Fold a slice of real numbers into a synopsis' running moments.
 
@@ -246,8 +262,14 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     additions over one ``float64`` array.  Raises
     :class:`~repro.errors.ConfigurationError` for a number too large to
     become a float.
+
+    ``ints=True`` promises that every value's type is exactly ``int``
+    (the accumulator's type check), which lets the numpy backend convert
+    through ``int64``; set it from a type check only, since that
+    conversion would truncate a float.
     """
-    return _backend().fold_moments(values, total, total_sq, lo, hi)
+    return _backend().fold_moments(values, total, total_sq, lo, hi,
+                                   ints=ints)
 
 
 # Backend selection happens at import so every later kernel call is a

@@ -13,7 +13,10 @@ determinism is a per-backend contract (docs/determinism.md):
   over the run-length vector;
 * Figure 4's simple random subsample over runs is a single
   ``Generator.multivariate_hypergeometric`` draw — the distribution of
-  surviving counts per run under an SRS is exactly that law.
+  surviving counts per run under an SRS is exactly that law;
+* a block step of HB/HR draws its ``L`` with one
+  ``Generator.hypergeometric`` call and its victims and picks with one
+  ``Generator.choice`` each, so it costs O(inclusions), not O(block).
 
 Run lengths are read with one ``np.fromiter`` (a histogram's
 ``dict.values()`` view needs no intermediate list) and both purge ops
@@ -25,12 +28,6 @@ Each :class:`~repro.rng.SplittableRng` lazily owns one
 the rng's state and the call sequence — byte-identical across
 executors and worker counts, like every other consumer of the
 seed-splitting discipline.
-
-:class:`ArrivalUniforms` gives Algorithms HB and HR one uniform per
-phase-2/3 arrival (docs/algorithms.md).  It owns a second generator,
-seeded the same way at its first draw, so the per-arrival stream never
-interleaves with the purge kernels' draws: a ``feed_many`` slice and
-per-arrival ``feed`` read the same uniforms in the same order.
 
 :func:`fold_moments` is the one kernel whose output is byte-identical
 to the python backend's: the synopsis moments are exact summaries, not
@@ -54,7 +51,7 @@ from repro.sampling.distributions import hypergeometric_logpmf_term
 
 __all__ = ["hypergeometric_pmf", "draw_hypergeometric",
            "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "ArrivalUniforms", "arrival_uniforms", "fold_moments"]
+           "reservoir_block", "bernoulli_block", "fold_moments"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
 _GEN_ATTR = "_repro_numpy_generator"
@@ -214,95 +211,49 @@ def srs_counts(runs: Collection[int], size: int,
         arr, size, method=method))
 
 
-class ArrivalUniforms:
-    """One ``U[0, 1)`` per stream arrival, for Figures 2/7 phases 2-3.
+#: ``Generator.hypergeometric`` takes populations below this.
+_HYPERGEOMETRIC_LIMIT = 10**9
 
-    Uniforms are drawn in blocks from a generator seeded from the rng's
-    stream at the first draw, and handed out strictly in arrival order,
-    so how a stream is split into :meth:`next` and slice calls never
-    changes which uniform an arrival gets (``Generator.random(n)``
-    yields the same doubles as ``n`` scalar calls).
+
+def reservoir_block(seen: int, block: int, capacity: int,
+                    rng: SplittableRng) -> Tuple[List[int], List[int]]:
+    """``L`` from ``Generator.hypergeometric`` (the cumulative pmf past
+    its population limit, uncached), then two ``choice`` draws.
+
+    The method is a pure function of the sizes, so draws stay
+    deterministic for a given rng state.
     """
-
-    __slots__ = ("_rng", "_gen", "_buf", "_pos", "_list")
-
-    #: Uniforms drawn ahead for per-arrival :meth:`next` calls.
-    BLOCK = 512
-    #: Most arrivals a sampler passes per slice call (bounds the
-    #: scratch arrays of one draw).
-    MAX_TAKE = 1 << 16
-
-    def __init__(self, rng: SplittableRng) -> None:
-        self._rng = rng
-        self._gen = None
-        self._buf = np.empty(0)
-        self._pos = 0
-        self._list: Optional[List[float]] = []  # the buffer, for next()
-
-    def _take(self, n: int) -> "np.ndarray":
-        """The next ``n`` uniforms (a view into the buffer)."""
-        pos, buf = self._pos, self._buf
-        short = n - (len(buf) - pos)
-        if short > 0:
-            if self._gen is None:
-                self._gen = np.random.Generator(
-                    np.random.PCG64(self._rng.getrandbits(64)))
-            buf = np.concatenate(
-                (buf[pos:], self._gen.random(max(short, self.BLOCK))))
-            self._buf, pos = buf, 0
-            self._list = None
-        self._pos = pos + n
-        return buf[pos:pos + n]
-
-    def next(self) -> float:
-        """The next arrival's uniform."""
-        pos = self._pos
-        if pos == len(self._buf):
-            self._take(1)
-            pos = 0
-        else:
-            self._pos = pos + 1
-        if self._list is None:
-            self._list = self._buf.tolist()
-        return self._list[pos]
-
-    def bernoulli(self, start: int, stop: int, q: float,
-                  limit: int) -> List[int]:
-        """HB phase 2 over arrivals ``start..stop-1``: include iff ``u < q``.
-
-        Returns the included indices, stopping at the ``limit``-th (the
-        one that fills the bag); the uniforms of the arrivals after it
-        stay unread, for the reservoir steps that follow.
-        """
-        us = self._take(stop - start)
-        hits = np.flatnonzero(us < q)
-        if len(hits) >= limit:
-            hits = hits[:limit]
-            self._pos -= len(us) - 1 - int(hits[-1])
-        return (hits + start).tolist()
-
-    def reservoir(self, start: int, stop: int, seen: int,
-                  capacity: int) -> Tuple[List[int], List[int]]:
-        """Algorithm R over arrivals ``start..stop-1``.
-
-        The arrival at stream position ``j`` (``seen + 1`` for
-        ``start``) is included iff ``u * j < capacity``, and replaces
-        slot ``floor(u * j)``.  Returns the included indices and their
-        slots, in arrival order.
-        """
-        x = self._take(stop - start) * np.arange(
-            seen + 1, seen + 1 + stop - start, dtype=np.float64)
-        hits = np.flatnonzero(x < capacity)
-        return (hits + start).tolist(), x[hits].astype(np.int64).tolist()
+    gen = _generator(rng)
+    if seen < _HYPERGEOMETRIC_LIMIT and block < _HYPERGEOMETRIC_LIMIT:
+        kept = int(gen.hypergeometric(seen, block, capacity))
+    else:
+        cdf = np.cumsum(_pmf_array(seen, block, capacity))
+        kept = int(min(np.searchsorted(cdf, gen.random(), side="left"),
+                       capacity))
+    entering = capacity - kept
+    if entering == 0:
+        return [], []
+    return (gen.choice(capacity, entering, replace=False).tolist(),
+            gen.choice(block, entering, replace=False).tolist())
 
 
-def arrival_uniforms(rng: SplittableRng) -> ArrivalUniforms:
-    """A per-arrival uniform stream for a sampler drawing from ``rng``."""
-    return ArrivalUniforms(rng)
+def bernoulli_block(block: int, q: float,
+                    rng: SplittableRng) -> List[int]:
+    """One ``binomial`` draw, then one ``choice`` of that many positions."""
+    if not 0.0 <= q <= 1.0:
+        raise ConfigurationError(f"rate must be in [0, 1], got {q}")
+    gen = _generator(rng)
+    count = int(gen.binomial(block, q))
+    if count == 0:
+        return []
+    picks = gen.choice(block, count, replace=False)
+    picks.sort()
+    return picks.tolist()
 
 
 def fold_moments(values: Sequence, total: float, total_sq: float,
-                 lo: Optional[float], hi: Optional[float]
+                 lo: Optional[float], hi: Optional[float], *,
+                 ints: bool = False
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """The python backend's fold over one ``float64`` array, bit for bit.
 
@@ -314,11 +265,25 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     and ``-0.0``.  A slice holding a NaN (whose ``min`` depends on
     position) or one that does not convert to ``float64`` goes to the
     reference fold, which raises the same error the scalar path does.
+
+    With ``ints`` (every value exactly an ``int``) the slice converts
+    through one ``int64`` array: ``np.fromiter`` reads the ints at C
+    speed without ``asarray``'s per-element type inference, and the
+    ``int64`` -> ``float64`` cast rounds to nearest even, as ``float()``
+    does.  An int outside ``int64`` takes the general path.
     """
-    try:
-        xs = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return _reference.fold_moments(values, total, total_sq, lo, hi)
+    xs = None
+    if ints:
+        try:
+            xs = np.fromiter(values, np.int64,
+                             count=len(values)).astype(np.float64)
+        except OverflowError:
+            pass
+    if xs is None:
+        try:
+            xs = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            return _reference.fold_moments(values, total, total_sq, lo, hi)
     if xs.size == 0:
         return total, total_sq, lo, hi
     x_lo = float(xs[xs.argmin()])

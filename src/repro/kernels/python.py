@@ -30,7 +30,7 @@ from repro.sampling.skip import SkipGenerator
 
 __all__ = ["FenwickTree", "hypergeometric_pmf", "draw_hypergeometric",
            "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "arrival_uniforms", "fold_moments"]
+           "reservoir_block", "bernoulli_block", "fold_moments"]
 
 
 class FenwickTree:
@@ -186,14 +186,25 @@ def srs_counts(runs: Collection[int], size: int,
     return _survivors(tree.counts())
 
 
-def arrival_uniforms(rng: SplittableRng) -> None:
-    """No per-arrival stream: HB/HR keep their skip-based draws."""
-    del rng
-    return None
+def reservoir_block(seen: int, block: int, capacity: int,
+                    rng: SplittableRng) -> Tuple[List[int], List[int]]:
+    """``L`` by eq. (2) inversion, then two ``rng.sample`` draws."""
+    entering = capacity - sample_hypergeometric(seen, block, capacity, rng)
+    return (rng.sample(range(capacity), entering),
+            rng.sample(range(block), entering))
+
+
+def bernoulli_block(block: int, q: float,
+                    rng: SplittableRng) -> List[int]:
+    """A ``Binomial(block, q)`` count, then that many sorted positions."""
+    if not 0.0 <= q <= 1.0:
+        raise ConfigurationError(f"rate must be in [0, 1], got {q}")
+    return sorted(rng.sample(range(block), rng.binomial(block, q)))
 
 
 def fold_moments(values: Sequence, total: float, total_sq: float,
-                 lo: Optional[float], hi: Optional[float]
+                 lo: Optional[float], hi: Optional[float], *,
+                 ints: bool = False
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """Fold a slice of real numbers into running moments and extremes.
 
@@ -201,8 +212,10 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     as per-element ``+=`` (``sum()`` is avoided because Python 3.12
     compensates float sums); ``lo`` / ``hi`` (``None`` before the first
     value) fold through ``min`` / ``max`` from the running extremes, so
-    NaN ordering matches one-at-a-time folding.
+    NaN ordering matches one-at-a-time folding.  ``ints`` is the
+    numpy backend's conversion hint; ``float`` needs none.
     """
+    del ints
     try:
         xs = list(map(float, values))
     except OverflowError as exc:

@@ -386,7 +386,9 @@ class WarehouseService:
             raise ConfigurationError(
                 "ingest body needs a non-empty 'values' array")
         partitions = body.get("partitions", 1)
-        if not isinstance(partitions, int) or partitions <= 0:
+        # bool is an int subclass: ``true`` is not a partition count.
+        if (isinstance(partitions, bool) or not isinstance(partitions, int)
+                or partitions <= 0):
             raise ConfigurationError(
                 f"partitions must be a positive integer, "
                 f"got {partitions!r}")

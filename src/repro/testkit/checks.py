@@ -35,7 +35,9 @@ check                            claim
                                  same eq. (3) pmf (skipped sans numpy)
 ``samplers.minibatch.law``       HB/HR fed in uneven slices, one by
                                  one and as runs keep uniform
-                                 inclusion and HB's phase-2 size law
+                                 inclusion (also over more than two
+                                 numpy blocks) and HB's phase-2 size
+                                 law
 ``serve.query.equivalence``      answers served over HTTP are
                                  byte-identical to the library path
                                  and uniform in law across seeds
@@ -71,6 +73,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core import blocks
 from repro.core.concise import ConciseSampler
 from repro.core.counting import CountingSampler
 from repro.core.footprint import FootprintModel
@@ -206,16 +209,16 @@ def _negative_control_pvalue(sampler_factory, rng: SplittableRng,
 
 
 # ----------------------------------------------------------------------
-# Sliced feeding (docs/algorithms.md: phases 2-3 on numpy)
+# Sliced feeding (docs/algorithms.md: block steps on numpy)
 # ----------------------------------------------------------------------
 def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
-                rng: SplittableRng) -> None:
+                rng: SplittableRng, *, runs: bool = True) -> None:
     """Feed ``values`` in seeded uneven slices.
 
     Slices end on both sides of every mark (so each mark gets a
     one-element slice) and at a few random points; each slice goes in
-    by ``feed_many``, by per-arrival ``feed``, or as one-element
-    ``feed_run`` calls, chosen per slice.
+    by ``feed_many``, by per-arrival ``feed``, or (with ``runs``) as
+    one-element ``feed_run`` calls, chosen per slice.
     """
     n = len(values)
     cuts = {m + d for m in marks for d in (-1, 0, 1)}
@@ -223,7 +226,7 @@ def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
     prev = 0
     for cut in sorted(c for c in cuts if 0 < c < n) + [n]:
         piece = values[prev:cut]
-        how = rng.randrange(3)
+        how = rng.randrange(3 if runs else 2)
         if how == 0:
             sampler.feed_many(piece)
         elif how == 1:
@@ -238,12 +241,16 @@ def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
 def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
     """Do HB and HR keep their laws however a stream is sliced?
 
-    Three sub-tests on the active kernel backend, Bonferroni-combined:
+    Five sub-tests on the active kernel backend, Bonferroni-combined:
 
     * HR (bound 4, 150 distinct arrivals, so positions run past the
       ``22 * k`` where the python backend's skips switch to Algorithm
       L) includes every arrival equally often;
     * HB (bound 4, ``p = 0.01``) likewise;
+    * HR and HB (bound 32) over ``2 * BLOCK + 500`` arrivals — more
+      than two blocks of the numpy grid, sliced at and around the block
+      ends by ``feed_many`` and ``feed`` — include every twentieth of
+      the stream equally often;
     * HB (bound 30, 300 arrivals, ``p = 0.05``) ends in phase 2 with
       size ``s < 30`` with probability ``P(Binomial(300, q) = s)`` and
       in phase 3 with the remaining tail, so slices that straddle the
@@ -268,6 +275,26 @@ def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
         pvalues.append(inclusion_frequency_test(
             lambda values, child: run(values, child).histogram.expand(),
             list(range(150)), trials=trials, rng=rng.spawn(scheme)))
+
+    n, bins = 2 * blocks.BLOCK + 500, 20
+    for scheme in ("hr", "hb"):
+        observed = [0] * bins
+        for t in range(trials):
+            child = rng.spawn("long", scheme, t)
+            sampler = make_sampler(scheme, population_size=n,
+                                   bound_values=32, exceedance_p=0.01,
+                                   sb_rate=None, rng=child.spawn("sampler"))
+            marks = [blocks.BLOCK, 2 * blocks.BLOCK, child.randrange(n)]
+            feed_uneven(sampler, range(n), marks, child.spawn("slices"),
+                        runs=False)
+            for v in sampler.finalize().histogram.expand():
+                observed[v * bins // n] += 1
+        widths = [0] * bins
+        for v in range(n):
+            widths[v * bins // n] += 1
+        total = sum(observed)
+        pvalues.append(chi_square_pvalue(
+            observed, [total * w / n for w in widths]))
 
     n, bound, p = 300, 30, 0.05
     q = rate_for_bound(n, p, bound, method="auto")

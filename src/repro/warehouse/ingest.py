@@ -32,7 +32,7 @@ from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
 from repro.warehouse.dataset import PartitionKey
-from repro.warehouse.parallel import make_sampler
+from repro.warehouse.parallel import feed_counted, make_sampler
 from repro.warehouse.synopsis import SynopsisAccumulator
 
 __all__ = ["split_batch", "CountPolicy", "FractionPolicy", "StreamIngestor"]
@@ -221,12 +221,12 @@ class StreamIngestor:
         """Observe a sequence of stream arrivals.
 
         Under a :class:`CountPolicy` a list, tuple or range is cut into
-        slices that end exactly at partition cuts; each slice goes to
-        the sampler's and the synopsis accumulator's ``feed_many`` (the
-        samplers' skip-based fast paths).  The result is the same as
-        feeding the values one by one.  Other policies, which must be
-        asked after every arrival, and other iterables take the
-        per-arrival path.
+        slices that end exactly at partition cuts; each slice is counted
+        once and goes, with its count, to the synopsis accumulator's
+        and the sampler's ``feed_many`` (:func:`feed_counted`).  The
+        result is the same as feeding the values one by one.  Other
+        policies, which must be asked after every arrival, and other
+        iterables take the per-arrival path.
         """
         if self._closed:
             raise ProtocolError("ingestor already closed")
@@ -241,9 +241,7 @@ class StreamIngestor:
             if self._sampler is None:
                 self._open_partition()
             end = min(n, pos + size - self._sampler.seen)
-            chunk = values[pos:end]
-            self._synopsis.feed_many(chunk)
-            self._sampler.feed_many(chunk)
+            feed_counted(self._sampler, self._synopsis, values[pos:end])
             pos = end
             if self._policy.should_cut(self._sampler):
                 self._finalize_current()

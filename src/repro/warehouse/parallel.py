@@ -14,6 +14,11 @@ over partitions.  Three interchangeable executors are provided:
   unit of work is the module-level :func:`sample_partition` driven by a
   plain-data :class:`SampleTask`.
 
+A task may also ask for its partition's exact synopsis
+(``SampleTask.summarize``): the synopsis is built in the same worker
+from the same first-seen count as the sample (:func:`feed_counted`), so
+the executors parallelize it too.
+
 Determinism: every task carries its own derived seed, so results are
 identical whichever executor runs them, in whatever order.
 """
@@ -26,8 +31,10 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Callable, List, Optional, Sequence, Tuple, TypeVar,
+                    Union)
 
+from repro.core.histogram import count_values
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.multi_purge import MultiPurgeBernoulli
@@ -37,9 +44,11 @@ from repro.errors import ConfigurationError
 from repro.obs.clock import monotonic
 from repro.obs.runtime import OBS
 from repro.rng import SplittableRng
+from repro.warehouse.synopsis import PartitionSynopsis, SynopsisAccumulator
 
 __all__ = ["SampleTask", "sample_partition", "SerialExecutor",
-           "ThreadExecutor", "ProcessExecutor", "make_sampler"]
+           "ThreadExecutor", "ProcessExecutor", "make_sampler",
+           "feed_counted"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -79,9 +88,32 @@ def make_sampler(scheme: str, *, population_size: Optional[int],
         f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
+def feed_counted(sampler, synopsis: SynopsisAccumulator,
+                 values: Sequence) -> None:
+    """Feed one slice to a sampler and its synopsis, counted once.
+
+    The slice's first-seen count goes to both: the synopsis keeps its
+    heavy hitters from it (a partition's first slice hands the map
+    over), and HB/HR on numpy take a copy in place of counting the
+    slice into an empty phase-1 histogram (:mod:`repro.core.blocks`).
+    The synopsis goes first, so a value it rejects (an int too large
+    for a float) leaves both unchanged.
+    """
+    counts = count_values(values)
+    synopsis.feed_many(values, counts=counts)
+    if isinstance(sampler, (AlgorithmHB, AlgorithmHR)):
+        sampler.feed_many(values, counts=counts)
+    else:
+        sampler.feed_many(values)
+
+
 @dataclass(frozen=True)
 class SampleTask:
-    """One picklable unit of work: sample these values with this scheme."""
+    """One picklable unit of work: sample these values with this scheme.
+
+    With ``summarize`` set, the task also builds the partition's exact
+    synopsis from the same count.
+    """
 
     values: Sequence
     scheme: str
@@ -89,6 +121,7 @@ class SampleTask:
     exceedance_p: float = 0.001
     sb_rate: Optional[float] = None
     seed: int = 0
+    summarize: bool = False
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -96,8 +129,13 @@ class SampleTask:
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
 
-def sample_partition(task: SampleTask) -> WarehouseSample:
-    """Sample one partition (module-level so process pools can run it)."""
+def sample_partition(task: SampleTask) -> Union[
+        WarehouseSample, Tuple[WarehouseSample, PartitionSynopsis]]:
+    """Sample one partition (module-level so process pools can run it).
+
+    Returns the sample, or ``(sample, synopsis)`` when the task asks
+    for the exact synopsis too.
+    """
     rng = SplittableRng(task.seed)
     sampler = make_sampler(
         task.scheme,
@@ -107,8 +145,12 @@ def sample_partition(task: SampleTask) -> WarehouseSample:
         sb_rate=task.sb_rate,
         rng=rng,
     )
-    sampler.feed_many(task.values)
-    return sampler.finalize()
+    if not task.summarize:
+        sampler.feed_many(task.values)
+        return sampler.finalize()
+    synopsis = SynopsisAccumulator()
+    feed_counted(sampler, synopsis, task.values)
+    return sampler.finalize(), synopsis.finalize()
 
 
 class _TimedTask:

@@ -31,11 +31,11 @@ from __future__ import annotations
 import heapq
 import numbers
 import operator
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
@@ -69,7 +69,8 @@ def _fold(xs: Iterable[float]) -> float:
     return reduce(operator.add, xs, 0)
 
 
-def _top_pairs(counter: Counter, top: int) -> Tuple[Tuple[object, float], ...]:
+def _top_pairs(counter: Dict[object, float],
+               top: int) -> Tuple[Tuple[object, float], ...]:
     """The ``top`` largest (value, count) pairs, count-desc, ties in
     first-seen order: ``sorted(counter.items(), key=count,
     reverse=True)[:top]``, a stable sort.
@@ -286,15 +287,15 @@ class PartitionSynopsis:
 class SynopsisAccumulator:
     """Streaming builder for an exact :class:`PartitionSynopsis`.
 
-    The stream ingestor feeds its arrivals through one of these in
-    parallel with the sampler, so stream-cut partitions get exact
-    synopses without a second pass.  :meth:`feed_many` takes a whole
-    slice per call (one ``Counter.update``, one numeric-type check, and
-    C-level folds for the moments and range); :meth:`feed` takes one
-    arrival.  Any split of a value list into ``feed`` / ``feed_many``
-    calls yields the same synopsis, bit for bit.  Memory is bounded by
-    the partition's distinct-value count (partitions are
-    policy-bounded).
+    Both ingest paths feed their arrivals through one of these in
+    parallel with the sampler, so partitions get exact synopses without
+    a second pass.  :meth:`feed_many` takes a whole slice per call (one
+    first-seen count, which the caller may hand over already made, one
+    numeric-type check, and C-level folds for the moments and range);
+    :meth:`feed` takes one arrival.  Any split of a value list into
+    ``feed`` / ``feed_many`` calls yields the same synopsis, bit for
+    bit.  Memory is bounded by the partition's distinct-value count
+    (partitions are policy-bounded).
     """
 
     __slots__ = ("_top", "_count", "_total", "_total_sq", "_min", "_max",
@@ -310,7 +311,7 @@ class SynopsisAccumulator:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._numeric = True
-        self._counter: Counter = Counter()
+        self._counter: Dict[object, int] = {}
 
     @property
     def count(self) -> int:
@@ -331,7 +332,7 @@ class SynopsisAccumulator:
                 raise ConfigurationError(
                     f"numeric value out of float range: {exc}") from None
         self._count += 1
-        self._counter[value] += 1
+        self._counter[value] = self._counter.get(value, 0) + 1
         if numeric:
             self._total += x
             self._total_sq += x * x
@@ -340,7 +341,8 @@ class SynopsisAccumulator:
         else:
             self._numeric = False
 
-    def feed_many(self, values: Sequence) -> None:
+    def feed_many(self, values: Sequence, *,
+                  counts: Optional[Dict[object, int]] = None) -> None:
         """Observe a slice of arrivals, in order.
 
         Equivalent to :meth:`feed` on each value, bit for bit on either
@@ -352,19 +354,31 @@ class SynopsisAccumulator:
         numpy arrays included.  Like :meth:`feed`, raises
         :class:`ConfigurationError` before any state changes when a
         number is too large to become a float.
+
+        ``counts`` is the slice's first-seen count
+        (:func:`repro.core.histogram.count_values`) when the caller has
+        made it already, as the ingest paths do to share one count with
+        the sampler.  The first slice's count becomes the accumulator's
+        map, so the caller hands it over and must not change it; later
+        slices are counted into the map from their values, which costs
+        less than folding in another map.
         """
         if len(values) == 0:
             return
         if self._numeric:
-            if all(map(_is_number_type, set(map(type, values)))):
+            kinds = set(map(type, values))
+            if all(map(_is_number_type, kinds)):
                 (self._total, self._total_sq, self._min,
                  self._max) = fold_moments(values, self._total,
                                            self._total_sq, self._min,
-                                           self._max)
+                                           self._max, ints=kinds == {int})
             else:
                 self._numeric = False
         self._count += len(values)
-        self._counter.update(values)
+        if counts is not None and not self._counter:
+            self._counter = counts
+        else:
+            _count_elements(self._counter, values)
 
     def finalize(self) -> PartitionSynopsis:
         """The exact synopsis of everything fed so far."""

@@ -156,7 +156,8 @@ class SampleWarehouse:
         values:
             The batch (an indexable sequence).
         partitions:
-            How many partitions to divide it into.
+            How many partitions to divide it into; at most
+            ``len(values)``, so that none is empty.
         scheme:
             Override the warehouse default scheme for this load.
         executor:
@@ -173,13 +174,12 @@ class SampleWarehouse:
         if labels is not None and len(labels) != partitions:
             raise ConfigurationError(
                 f"{len(labels)} labels for {partitions} partitions")
+        if partitions > len(values):
+            raise ConfigurationError(
+                f"{partitions} partitions for {len(values)} values would "
+                f"leave a partition empty")
         executor = executor or SerialExecutor()
         chunks = split_batch(values, partitions)
-        # The raw chunks are still in hand, so the catalog gets each
-        # partition's *exact* summary statistics (docs/aqp.md).  They
-        # are built before anything is stored: a value the synopsis
-        # rejects (an int too large for a float) leaves no partition.
-        synopses = [PartitionSynopsis.from_values(c) for c in chunks]
         seq0 = self._catalog.next_seq(dataset, stream)
         tasks = [
             SampleTask(
@@ -189,15 +189,21 @@ class SampleWarehouse:
                 exceedance_p=self._p,
                 sb_rate=self._sb_rate,
                 seed=self._rng.spawn(dataset, stream, seq0 + i).seed_value,
+                summarize=True,
             )
             for i, chunk in enumerate(chunks)
         ]
-        samples = executor.map(sample_partition, tasks)
+        # The raw chunks are in hand, so each task also returns its
+        # partition's *exact* summary statistics (docs/aqp.md), built
+        # from the count the sampler uses.  Nothing is stored until
+        # every task has returned: a value the synopsis rejects (an int
+        # too large for a float) leaves no partition.
+        results = executor.map(sample_partition, tasks)
         keys: List[PartitionKey] = []
-        for i, sample in enumerate(samples):
+        for i, (sample, synopsis) in enumerate(results):
             key = PartitionKey(dataset, stream, seq0 + i)
             label = labels[i] if labels is not None else None
-            self._register(key, sample, label, synopsis=synopses[i])
+            self._register(key, sample, label, synopsis=synopsis)
             keys.append(key)
         if OBS.enabled:
             OBS.registry.counter("ingest.batch.partitions").add(len(keys))

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import strategies as st
 
+from repro.core import blocks
 from repro.kernels import active_backend
 from repro.kernels.python import FenwickTree
 from repro.rng import SplittableRng
@@ -27,6 +28,20 @@ ALPHA = 1e-4
 def rng() -> SplittableRng:
     """A deterministic master RNG, fresh per test."""
     return SplittableRng(987_654_321)
+
+
+@pytest.fixture(params=[7, 64], ids=lambda size: f"block{size}")
+def small_grid(request, monkeypatch):
+    """Run the test on a numpy block grid of 7 or 64 arrivals.
+
+    Tests parametrized over ``backend`` skip their python case: that
+    backend has no grid.
+    """
+    params = getattr(request.node, "callspec", None)
+    if params is not None and params.params.get("backend") == "python":
+        pytest.skip("the python backend has no block grid")
+    monkeypatch.setattr(blocks, "BLOCK", request.param)
+    return request.param
 
 
 def sample_fingerprint(sample):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
-                      split_plans)
+                      sample_fingerprint, split_plans)
+from repro.core import blocks
 from repro.core.footprint import FootprintModel
+from repro.core.histogram import count_values
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
@@ -163,6 +165,40 @@ class TestStatistics:
         assert abs(mean_sizes[0] - mean_sizes[1]) < 4.0
 
 
+class TestPhase3Law:
+    """On the numpy block path HB's phase-3 sample is an exact SRS: a
+    Bernoulli sample that reaches ``n_F`` at a block end is purged to an
+    SRS of ``n_F``, which reservoir steps keep.  At ``n = 12``,
+    ``n_F = 3``, ``p = 0.5`` about three runs in four end in phase 3."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("block", [None, 2, 5],
+                             ids=["default", "block2", "block5"])
+    def test_uniform_inclusion_given_reservoir(self, rng, monkeypatch,
+                                               backend, block):
+        if backend == "python":
+            pytest.skip("the python backend's phase-3 fallback keeps the "
+                        "first n_F Bernoulli inclusions, which is not an "
+                        "SRS (hybrid_bernoulli's second caveat)")
+        if block is not None:
+            monkeypatch.setattr(blocks, "BLOCK", block)
+
+        def sample_fn(values, child):
+            hb = AlgorithmHB(len(values), bound_values=3, exceedance_p=0.5,
+                             rng=child)
+            hb.feed_many(values)
+            sample = hb.finalize()
+            return (sample.values() if sample.kind is SampleKind.RESERVOIR
+                    else [])
+
+        with use_backend(backend):
+            result = sweep(
+                lambda child: inclusion_frequency_test(
+                    sample_fn, list(range(12)), trials=4_000, rng=child),
+                rng=rng, seeds=3, alpha=ALPHA)
+        assert result.accepted, result.describe()
+
+
 class TestFeedManyExact:
     """``feed_many``, split anywhere, is byte-identical to per-arrival
     ``feed``: same kind, rate, population and pairs in order."""
@@ -227,24 +263,6 @@ class TestFeedManyExact:
             for cuts in plans + [list(range(1, 64))]:
                 assert feed_in_slices(make(), values, cuts) == expected, cuts
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_pieces_of_a_slice(self, monkeypatch):
-        # A slice longer than MAX_TAKE is drawn piece by piece; the
-        # phase-2 -> 3 switch can fall anywhere in a piece.
-        from repro.kernels.numpy_backend import ArrivalUniforms
-        values = feed_shape("distinct", 3_000, 1)
-        with use_backend("numpy"):
-            bernoulli, _ = self.bernoulli_then_reservoir(values)
-
-            def make():
-                return AlgorithmHB.resume(
-                    bernoulli, bernoulli.population_size + len(values),
-                    rng=SplittableRng(5))
-
-            expected, _ = feed_per_arrival(make(), values)
-            monkeypatch.setattr(ArrivalUniforms, "MAX_TAKE", 7)
-            assert feed_in_slices(make(), values, []) == expected
-
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
     def test_resumed_reservoir(self, backend, shape):
@@ -262,6 +280,32 @@ class TestFeedManyExact:
             plans = split_plans(None, len(values), SplittableRng(9))
             for cuts in plans + [list(range(1, 64))]:
                 assert feed_in_slices(make(), values, cuts) == expected, cuts
+
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    def test_slice_counts_stand_in_for_counting(self, backend, shape):
+        # A caller's first-seen count of each slice (the ingest paths'
+        # shared count) gives the same bytes as counting the slice.
+        values = feed_shape(shape, 3_000, 1)
+        with use_backend(backend):
+            expected, exit_at = feed_per_arrival(
+                AlgorithmHB(len(values), bound_values=64, rng=SplittableRng(5)), values)
+            for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
+                sampler = AlgorithmHB(len(values), bound_values=64, rng=SplittableRng(5))
+                prev = 0
+                for cut in cuts + [len(values)]:
+                    piece = values[prev:cut]
+                    sampler.feed_many(piece, counts=count_values(piece))
+                    prev = cut
+                assert sample_fingerprint(sampler.finalize()) == expected
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+@pytest.mark.usefixtures("small_grid")
+class TestFeedManyExactSmallGrid(TestFeedManyExact):
+    """The same on grids of 7 and 64 arrivals: partitions over many
+    blocks, slices that straddle block ends, ``finalize`` mid-block."""
 
 
 class TestFeedRun:

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
-                      split_plans)
+                      sample_fingerprint, split_plans)
 from repro.core.footprint import FootprintModel
+from repro.core.histogram import count_values
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
@@ -191,18 +192,31 @@ class TestFeedManyExact:
             for cuts in plans + [list(range(1, 64))]:
                 assert feed_in_slices(make(), values, cuts) == expected, cuts
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_pieces_of_a_slice(self, monkeypatch):
-        # A slice longer than MAX_TAKE is drawn piece by piece.
-        from repro.kernels.numpy_backend import ArrivalUniforms
-        values = feed_shape("mixed", 3_000, 1)
-        with use_backend("numpy"):
-            expected, _ = feed_per_arrival(
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
+    def test_slice_counts_stand_in_for_counting(self, backend, shape):
+        # A caller's first-seen count of each slice (the ingest paths'
+        # shared count) gives the same bytes as counting the slice.
+        values = feed_shape(shape, 3_000, 1)
+        with use_backend(backend):
+            expected, exit_at = feed_per_arrival(
                 AlgorithmHR(bound_values=64, rng=SplittableRng(5)), values)
-            monkeypatch.setattr(ArrivalUniforms, "MAX_TAKE", 7)
-            assert feed_in_slices(AlgorithmHR(bound_values=64,
-                                              rng=SplittableRng(5)),
-                                  values, []) == expected
+            for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
+                sampler = AlgorithmHR(bound_values=64, rng=SplittableRng(5))
+                prev = 0
+                for cut in cuts + [len(values)]:
+                    piece = values[prev:cut]
+                    sampler.feed_many(piece, counts=count_values(piece))
+                    prev = cut
+                assert sample_fingerprint(sampler.finalize()) == expected
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+@pytest.mark.usefixtures("small_grid")
+class TestFeedManyExactSmallGrid(TestFeedManyExact):
+    """The same on grids of 7 and 64 arrivals: partitions over many
+    blocks, slices that straddle block ends, ``finalize`` mid-block."""
 
 
 class TestFeedRun:

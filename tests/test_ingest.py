@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import blocks
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
+from repro.kernels import numpy_available, use_backend
 from repro.rng import SplittableRng
 from repro.warehouse.dataset import PartitionKey
 from repro.warehouse.ingest import (CountPolicy, FractionPolicy,
@@ -252,6 +254,27 @@ class TestFeedManySlicing:
         calls = self.spy_feed(ing, monkeypatch)
         ing.feed_many(list(range(25)))
         assert len(calls) == 25 and len(ing.emitted) == 2
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    @pytest.mark.parametrize("kind", ["zipf", "distinct"])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_fraction_policy_cuts_where_per_arrival_rule_does(
+            self, monkeypatch, kind, block):
+        # HR reports the reservoir from the arrival that brings the
+        # footprint to F, so the numpy block path cuts every partition
+        # at the arrival the python backend's per-arrival switch does.
+        if block is not None:
+            monkeypatch.setattr(blocks, "BLOCK", block)
+        values = _stream_values(kind, 20_000)
+        populations = {}
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                _, items = self.run("hr", values,
+                                    policy=FractionPolicy(1 / 16))
+            populations[backend] = [s.population_size
+                                    for _, s, _, _ in items]
+        assert len(populations["numpy"]) > 10
+        assert populations["numpy"] == populations["python"]
 
     @pytest.mark.parametrize("values", [[1, 2, 3], (), iter([1])])
     def test_feed_many_after_close(self, values):

@@ -24,10 +24,11 @@ from repro.core.histogram import CompactHistogram
 from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.errors import ConfigurationError
 from repro.kernels import (KERNEL_BACKEND_ENV, active_backend,
-                           available_backends, binomial_counts,
-                           draw_hypergeometric, draw_hypergeometric_batch,
-                           fold_moments, hypergeometric_pmf,
-                           numpy_available, set_backend, srs_counts,
+                           available_backends, bernoulli_block,
+                           binomial_counts, draw_hypergeometric,
+                           draw_hypergeometric_batch, fold_moments,
+                           hypergeometric_pmf, numpy_available,
+                           reservoir_block, set_backend, srs_counts,
                            use_backend)
 from repro.sampling.distributions import \
     hypergeometric_pmf as reference_pmf
@@ -192,6 +193,62 @@ class TestNumpyBackendLaws:
         # Mean within 5 sigma of n*q.
         sigma = math.sqrt(n * q * (1 - q) / trials)
         assert abs(mean - n * q) < 5 * sigma
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestBlockOps:
+    """The block-step kernels of HB/HR (repro.core.blocks)."""
+
+    @given(seen=st.integers(1, 10**12), block=st.integers(1, 300),
+           data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_reservoir_block_shapes(self, backend, seen, block, data, seed):
+        capacity = data.draw(st.integers(1, min(seen, 200)))
+        with use_backend(backend):
+            slots, picks = reservoir_block(seen, block, capacity,
+                                           SplittableRng(seed))
+        entering = len(slots)
+        assert len(picks) == entering <= min(capacity, block)
+        assert len(set(slots)) == entering and len(set(picks)) == entering
+        assert all(0 <= i < capacity for i in slots)
+        assert all(0 <= i < block for i in picks)
+
+    def test_reservoir_block_takes_the_eq2_law(self, backend, rng):
+        seen, block, capacity, trials = 30, 12, 10, 3000
+        pmf = reference_pmf(seen, block, capacity)
+
+        def gof(child):
+            observed = [0] * len(pmf)
+            with use_backend(backend):
+                for t in range(trials):
+                    slots, _ = reservoir_block(seen, block, capacity,
+                                               child.spawn(t))
+                    observed[capacity - len(slots)] += 1
+            return chi_square_pvalue(observed, [p_ * trials for p_ in pmf])
+
+        result = sweep(gof, rng=rng, seeds=3, alpha=ALPHA)
+        assert result.accepted, result.describe()
+
+    def test_bernoulli_block(self, backend, rng):
+        block, q, trials = 20, 0.3, 3000
+
+        def gof(child):
+            per_position = [0] * block
+            with use_backend(backend):
+                for t in range(trials):
+                    picks = bernoulli_block(block, q, child.spawn(t))
+                    assert picks == sorted(set(picks))
+                    for i in picks:
+                        per_position[i] += 1
+            return chi_square_pvalue(per_position, [q * trials] * block)
+
+        result = sweep(gof, rng=rng, seeds=3, alpha=ALPHA)
+        assert result.accepted, result.describe()
+        with use_backend(backend):
+            assert bernoulli_block(50, 0.0, rng) == []
+            assert bernoulli_block(50, 1.0, rng) == list(range(50))
+            with pytest.raises(ConfigurationError):
+                bernoulli_block(5, 1.5, rng)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -13,8 +13,8 @@ from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
-from repro.core.merge import (hb_merge, hr_merge, merge_samples, merge_tree,
-                              sb_union)
+from repro.core.merge import (hb_merge, hr_merge, merge_cap, merge_samples,
+                              merge_tree, sb_union)
 from repro.core.phases import SampleKind
 from repro.core.purge import purge_reservoir
 from repro.core.sample import WarehouseSample
@@ -218,6 +218,27 @@ class TestHrMergeTheorem1:
             hr_merge(s1, s2, rng=rng, target_size=65)
         with pytest.raises(ConfigurationError):
             hr_merge(s1, s2, rng=rng, target_size=-1)
+
+    def test_merge_cap(self):
+        assert merge_cap(10, 100, 20, 200) == 10   # two proper samples
+        assert merge_cap(10, 100, 20, 20) == 10    # exhaustive right
+        assert merge_cap(10, 10, 20, 20) == 30     # both exhaustive
+        assert merge_cap(10, 10, 5, 50) == 5
+
+    def test_whole_partition_inputs_lift_the_cap(self, rng):
+        # n_F distinct values end in phase 2 holding every value: a
+        # reservoir sample of its whole partition.
+        whole = hr_sample(list(range(8)), 8, rng.spawn(1))
+        other = hr_sample(list(range(100, 108)), 8, rng.spawn(2))
+        part = hr_sample(list(range(1_000, 1_300)), 8, rng.spawn(3))
+        assert whole.size == whole.population_size == 8
+        assert part.size == 8 < part.population_size
+        merged = hr_merge(whole, other, rng=rng, target_size=16)
+        assert sorted(merged.values()) == list(range(8)) \
+            + list(range(100, 108))
+        assert hr_merge(part, whole, rng=rng, target_size=8).size == 8
+        with pytest.raises(ConfigurationError):
+            hr_merge(part, whole, rng=rng, target_size=9)
 
     def test_target_size_zero_gives_empty_uniform(self, rng):
         s1 = hr_sample(list(range(5_000)), 64, rng.spawn(1))

@@ -552,6 +552,24 @@ class TestEndToEnd:
 
         serve(check)
 
+    @pytest.mark.parametrize("body", [
+        {"values": [1, 2], "partitions": True},
+        {"values": [1, 2], "partitions": 4},
+        {"values": [1, 2], "partitions": 4, "scheme": "hb"},
+    ], ids=["partitions-true", "more-partitions-than-values", "hb"])
+    def test_bad_partition_count_is_400(self, body):
+        warehouse = make_warehouse()
+
+        async def check(host, port, service):
+            status, payload, _ = await http(host, port, "POST",
+                                            "/datasets/d/ingest", body=body)
+            assert status == 400
+            assert payload["error"] == "bad-request"
+            assert service.occ.version("d") == 0
+            assert warehouse.catalog.datasets() == []
+
+        serve(check, warehouse=warehouse)
+
     def test_cas_conflict_maps_to_409(self):
         async def check(host, port, service):
             await http(host, port, "POST", "/datasets/d/ingest",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.kernels import available_backends, numpy_available, use_backend
+from repro.kernels import (available_backends, fold_moments,
+                           numpy_available, use_backend)
 from repro.rng import SplittableRng
 from repro.warehouse.ingest import CountPolicy
 from repro.warehouse.parallel import SampleTask, sample_partition
@@ -209,6 +210,36 @@ class TestBackendsAgree:
             with use_backend(backend):
                 reprs.append(repr(PartitionSynopsis.from_values(values)))
         assert reprs[0] == reprs[1]
+
+
+    def test_int64_conversion_rounds_like_float(self):
+        # The all-int slice converts through int64; the cast must round
+        # exactly as float() does, also past 2**53.
+        rng = SplittableRng(5)
+        values = [rng.randrange(-2**63, 2**63) for _ in range(200_000)]
+        values += [2**53 + 1, 2**62 + 2**9 + 1, -2**63, 2**63 - 1]
+        folds = []
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                folds.append(repr(fold_moments(values, 0.0, 0.0, None,
+                                               None, ints=True)))
+        assert folds[0] == folds[1]
+
+    @pytest.mark.parametrize("values", [
+        [1, 2**63, 3],              # past int64: the general path
+        [2**53 + 1, 2**62 + 2**9 + 1, -5],
+        [7] * 4097,
+    ], ids=["past-int64", "rounding", "constant"])
+    def test_int_slices_split_anywhere(self, values):
+        reprs = []
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                acc = SynopsisAccumulator()
+                acc.feed_many(values[:2])
+                acc.feed_many(values[2:])
+                reprs.append(repr(acc.finalize()))
+        assert reprs[0] == reprs[1] == repr(
+            PartitionSynopsis.from_values(values))
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -10,6 +10,7 @@ from repro.rng import SplittableRng
 from repro.warehouse.dataset import PartitionKey
 from repro.warehouse.parallel import ProcessExecutor, ThreadExecutor
 from repro.warehouse.storage import FileStore
+from repro.warehouse.synopsis import PartitionSynopsis
 from repro.warehouse.warehouse import SampleWarehouse
 
 
@@ -70,6 +71,30 @@ class TestIngestBatch:
             results[name] = [dict(wh.sample_for(k).histogram.pairs())
                              for k in keys]
         assert results["serial"] == results["thread"] == results["process"]
+
+
+    @pytest.mark.parametrize("scheme", ["hr", "hb", "hb-mp", "sb"])
+    def test_more_partitions_than_values_rejected(self, scheme):
+        # An empty partition would have no usable synopsis (and HB no
+        # partition size); nothing is registered.
+        wh = make_warehouse(sb_rate=0.5)
+        with pytest.raises(ConfigurationError, match="partition empty"):
+            wh.ingest_batch("d", [1, 2], partitions=4, scheme=scheme)
+        assert wh.catalog.datasets() == []
+        assert wh.catalog.next_seq("d", 0) == 0
+        keys = wh.ingest_batch("d", [1, 2], partitions=2, scheme=scheme)
+        assert [k.seq for k in keys] == [0, 1]
+
+    def test_synopses_built_in_the_tasks(self):
+        values = [v % 97 for v in range(6000)]
+        chunks = [values[:3000], values[3000:]]
+        expected = [repr(PartitionSynopsis.from_values(c)) for c in chunks]
+        for executor in (None, ThreadExecutor(2), ProcessExecutor(2)):
+            wh = make_warehouse(seed=3)
+            keys = wh.ingest_batch("d", values, partitions=2,
+                                   executor=executor)
+            assert [repr(wh.catalog.get(k).synopsis)
+                    for k in keys] == expected
 
 
 class TestSampleOf:
