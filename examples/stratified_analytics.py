@@ -1,30 +1,20 @@
-"""Extended sampling designs (Section 6 future work, implemented).
+"""Stratified samples (Section 6 future work, implemented).
 
-1. **Stratified** — keep per-partition samples separate and weight by
-   known partition sizes: tighter intervals whenever partition means
-   differ (here: temporal drift across daily partitions).
-2. **Weighted (biased)** — A-Res weighted reservoir sampling, where
-   selection probability follows a weight (e.g. order value), with exact
-   sample merging.
-3. **Systematic** — every k-th record from a random start, for audit
-   workloads.
+Keep per-partition samples separate and weight by known partition
+sizes: tighter intervals whenever partition means differ (here:
+temporal drift across daily partitions).
 
 Run:  python examples/stratified_analytics.py
 """
 
 from repro import SampleWarehouse, SplittableRng
 from repro.analytics.estimators import estimate_avg
-from repro.sampling.systematic import SystematicSampler
-from repro.sampling.weighted import (WeightedReservoirSampler,
-                                     merge_weighted)
 
 SEED = 606
 rng = SplittableRng(SEED)
 data_rng = SplittableRng(SEED + 1)
 
-# ----------------------------------------------------------------------
-# 1. Stratified vs merged estimation under temporal drift.
-# ----------------------------------------------------------------------
+# Stratified vs merged estimation under temporal drift.
 wh = SampleWarehouse(bound_values=256, scheme="hr", rng=rng.spawn("wh"))
 DAYS, PER_DAY = 6, 20_000
 truth_total = 0.0
@@ -45,31 +35,4 @@ print(f"  merged uniform sample:  {merged_est.value:8,.1f}  "
 print(f"  stratified by day:      {stratified_est.value:8,.1f}  "
       f"± {stratified_est.half_width:7,.1f}")
 shrink = merged_est.half_width / max(stratified_est.half_width, 1e-12)
-print(f"  interval shrink factor: {shrink:.1f}x\n")
-
-# ----------------------------------------------------------------------
-# 2. Weighted reservoir sampling: big orders matter more.
-# ----------------------------------------------------------------------
-machine_a = WeightedReservoirSampler(12, rng.spawn("wa"))
-machine_b = WeightedReservoirSampler(12, rng.spawn("wb"))
-for i in range(50_000):
-    order_value = 10.0 if i % 1000 else 50_000.0  # rare whale orders
-    target = machine_a if i % 2 == 0 else machine_b
-    target.feed(f"order-{i}", weight=order_value)
-
-merged = merge_weighted(machine_a, machine_b)
-whales = [v for v in merged if int(v.split("-")[1]) % 1000 == 0]
-print(f"weighted sample of 50,000 orders (12+12 -> 12 merged): "
-      f"{len(whales)}/12 are whale orders")
-print("  (whales are 0.1% of orders but ~83% of total value)\n")
-
-# ----------------------------------------------------------------------
-# 3. Systematic sampling for audits: every 1000th record.
-# ----------------------------------------------------------------------
-audit = SystematicSampler(1000, rng.spawn("audit"))
-audit.feed_many(range(250_000))
-print(f"systematic audit sample: {len(audit.sample)} records, "
-      f"start offset {audit.start}, fixed stride 1000")
-ws = audit.to_sample()
-print(f"packaged for the warehouse as a {ws.kind.name} sample of "
-      f"{ws.size}/{ws.population_size}")
+print(f"  interval shrink factor: {shrink:.1f}x")

@@ -2,29 +2,16 @@
 approximate query answering, distinct-value estimation, and
 sampling-based metadata discovery."""
 
-from repro.analytics.accuracy import (expected_hb_sample_size, plan_bound,
-                                      required_sample_size_for_mean,
-                                      required_sample_size_for_proportion)
 from repro.analytics.aqp import ApproximateQueryEngine, Estimate
 from repro.analytics.estimators import (chao_distinct, estimate_avg,
                                         estimate_count, estimate_quantile,
                                         estimate_sum, gee_distinct)
-from repro.analytics.histograms import (HistogramSynopsis, equi_depth,
-                                        equi_width, top_k)
 from repro.analytics.metadata import (column_profile, discover_candidates,
                                       jaccard_estimate)
 
 __all__ = [
     "ApproximateQueryEngine",
     "Estimate",
-    "HistogramSynopsis",
-    "equi_depth",
-    "equi_width",
-    "top_k",
-    "required_sample_size_for_mean",
-    "required_sample_size_for_proportion",
-    "expected_hb_sample_size",
-    "plan_bound",
     "estimate_count",
     "estimate_sum",
     "estimate_avg",

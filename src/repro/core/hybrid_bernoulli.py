@@ -105,9 +105,6 @@ class AlgorithmHB(BlockGrid):
         Randomness source; defaults to a fresh :class:`SplittableRng`.
     model:
         Storage-cost model for footprint accounting.
-    rate_method:
-        How to solve for ``q``: ``"approx"`` (eq. (1)), ``"exact"``, or
-        ``"auto"`` (default).
 
     Examples
     --------
@@ -126,8 +123,7 @@ class AlgorithmHB(BlockGrid):
                  footprint_bytes: Optional[int] = None,
                  exceedance_p: float = 0.001,
                  rng: Optional[SplittableRng] = None,
-                 model: FootprintModel = DEFAULT_MODEL,
-                 rate_method: str = "auto") -> None:
+                 model: FootprintModel = DEFAULT_MODEL) -> None:
         if population_size <= 0:
             raise ConfigurationError(
                 f"population_size must be positive, got {population_size}")
@@ -150,7 +146,6 @@ class AlgorithmHB(BlockGrid):
         self._p = exceedance_p
         self._rng = rng if rng is not None else SplittableRng()
         self._model = model
-        self._rate_method = rate_method
 
         self._phase = SampleKind.EXHAUSTIVE
         self._histogram: Optional[CompactHistogram] = CompactHistogram()
@@ -214,8 +209,7 @@ class AlgorithmHB(BlockGrid):
     # ------------------------------------------------------------------
     @classmethod
     def resume(cls, sample: WarehouseSample, total_population: int, *,
-               rng: SplittableRng,
-               rate_method: str = "auto") -> "AlgorithmHB":
+               rng: SplittableRng) -> "AlgorithmHB":
         """Continue Algorithm HB from a finished sample.
 
         HBMerge's exhaustive case (Figure 6, lines 1-4) initializes the
@@ -231,7 +225,7 @@ class AlgorithmHB(BlockGrid):
                 "sample's population")
         sampler = cls(total_population, sample.bound_values,
                       exceedance_p=sample.exceedance_p, rng=rng,
-                      model=sample.model, rate_method=rate_method)
+                      model=sample.model)
         sampler._seen = sample.population_size
         sampler._phase = sample.kind
         if sample.kind is SampleKind.EXHAUSTIVE:
@@ -269,8 +263,7 @@ class AlgorithmHB(BlockGrid):
         assert self._histogram is not None
         with span("hb.phase2", seen=self._seen):
             self._rate = rate_for_bound(self._population, self._p,
-                                        self._bound,
-                                        method=self._rate_method)
+                                        self._bound)
             subsample = purge_bernoulli(self._histogram, self._rate,
                                         self._rng)
             self._histogram = None

@@ -103,8 +103,6 @@ def _resume_feed(sampler, exhaustive: WarehouseSample) -> None:
 @traced("merge.hb", timer="merge.hb.seconds")
 def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
              rng: SplittableRng,
-             exceedance_p: Optional[float] = None,
-             rate_method: str = "auto",
              hyper_cache: Optional[CachedHypergeometric] = None
              ) -> WarehouseSample:
     """Figure 6: merge two Algorithm-HB samples of disjoint partitions.
@@ -115,22 +113,16 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         The input samples.  Any combination of kinds is accepted.
     rng:
         Randomness source for the purges and draws.
-    exceedance_p:
-        Target exceedance probability for the recomputed rate; defaults
-        to the smaller of the inputs' recorded values.
-    rate_method:
-        Passed to :func:`~repro.sampling.exceedance.rate_for_bound`.
     hyper_cache:
         Optional alias-table cache for the reservoir fallback path.
 
-    Returns a sample of the union with ``scheme="hb"``.
+    Returns a sample of the union with ``scheme="hb"``.  The recomputed
+    rate targets the smaller of the inputs' exceedance probabilities.
     """
     _check_compatible(s1, s2)
     if OBS.enabled:
         OBS.registry.counter("merge.hb").inc()
-    p = exceedance_p
-    if p is None:
-        p = min(s1.exceedance_p, s2.exceedance_p)
+    p = min(s1.exceedance_p, s2.exceedance_p)
     total = s1.population_size + s2.population_size
     bound = s1.bound_values
 
@@ -138,8 +130,7 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     # resumed Algorithm HB initialized with the other sample.
     if s1.kind.is_exhaustive or s2.kind.is_exhaustive:
         exhaustive, other = (s1, s2) if s1.kind.is_exhaustive else (s2, s1)
-        sampler = AlgorithmHB.resume(other, total, rng=rng,
-                                     rate_method=rate_method)
+        sampler = AlgorithmHB.resume(other, total, rng=rng)
         _resume_feed(sampler, exhaustive)
         return sampler.finalize().with_scheme("hb")
 
@@ -151,7 +142,7 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
 
     # Lines 8-16: both Bernoulli.
     assert s1.rate is not None and s2.rate is not None
-    q = rate_for_bound(total, p, bound, method=rate_method)
+    q = rate_for_bound(total, p, bound)
     sub1 = purge_bernoulli(s1.histogram, min(1.0, q / s1.rate), rng)
     sub2 = purge_bernoulli(s2.histogram, min(1.0, q / s2.rate), rng)
     model = s1.model

@@ -67,8 +67,7 @@ class MultiPurgeBernoulli:
                  exceedance_p: float = 0.001,
                  purge_decay: float = 0.8,
                  rng: Optional[SplittableRng] = None,
-                 model: FootprintModel = DEFAULT_MODEL,
-                 rate_method: str = "auto") -> None:
+                 model: FootprintModel = DEFAULT_MODEL) -> None:
         if population_size <= 0:
             raise ConfigurationError(
                 f"population_size must be positive, got {population_size}")
@@ -88,7 +87,6 @@ class MultiPurgeBernoulli:
         self._decay = purge_decay
         self._rng = rng if rng is not None else SplittableRng()
         self._model = model
-        self._rate_method = rate_method
 
         self._exhaustive = True
         self._histogram = CompactHistogram()
@@ -129,8 +127,7 @@ class MultiPurgeBernoulli:
 
     def _first_purge(self) -> None:
         """Exhaustive -> Bernoulli transition, same rate choice as HB."""
-        self._rate = rate_for_bound(self._population, self._p, self._bound,
-                                    method=self._rate_method)
+        self._rate = rate_for_bound(self._population, self._p, self._bound)
         self._histogram = purge_bernoulli(self._histogram, self._rate,
                                           self._rng)
         self._exhaustive = False

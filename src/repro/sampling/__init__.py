@@ -15,18 +15,10 @@ from repro.sampling.exceedance import (
 )
 from repro.sampling.reservoir import ReservoirSampler
 from repro.sampling.skip import SkipGenerator, VitterZSkips, skip
-from repro.sampling.systematic import SystematicSampler
-from repro.sampling.weighted import (WeightedBernoulliSampler,
-                                     WeightedReservoirSampler,
-                                     merge_weighted)
 
 __all__ = [
     "BernoulliSampler",
     "ReservoirSampler",
-    "SystematicSampler",
-    "WeightedReservoirSampler",
-    "WeightedBernoulliSampler",
-    "merge_weighted",
     "SkipGenerator",
     "VitterZSkips",
     "skip",

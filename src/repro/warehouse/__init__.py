@@ -12,7 +12,6 @@ from repro.warehouse.parallel import (ProcessExecutor, SerialExecutor,
 from repro.warehouse.rollup import temporal_rollup
 from repro.warehouse.storage import (FileStore, InMemoryStore,
                                      sample_from_dict, sample_to_dict)
-from repro.warehouse.views import MaterializedView, ViewManager
 from repro.warehouse.warehouse import SampleWarehouse
 from repro.warehouse.window import SlidingWindowSampler
 
@@ -36,8 +35,6 @@ __all__ = [
     "sample_partition",
     "temporal_rollup",
     "SlidingWindowSampler",
-    "ViewManager",
-    "MaterializedView",
     "audit_warehouse",
     "AuditReport",
 ]

@@ -68,13 +68,15 @@ class TestOverlapEstimates:
 
 
     def test_lower_bound_discounts_few_shared_values(self, warehouse):
-        wh = SampleWarehouse(bound_values=1024, rng=SplittableRng(5))
-        wh.ingest_batch("quantity", [1 + i % 10 for i in range(20_000)])
-        quantity = wh.sample_of("quantity")
         customers = warehouse.sample_of("customers.id")
         orders = warehouse.sample_of("orders.customer_id")
-        # Ten small ints sit inside the customer-id range, as do the
-        # order customer ids; only the latter rest on many shared values.
+        # A ten-valued column whose values the customer sample holds, so
+        # its containment is high whatever the draw; the order customer
+        # ids are contained too, but only they rest on many shared values.
+        shared = sorted(customers.histogram.values())[:10]
+        wh = SampleWarehouse(bound_values=1024, rng=SplittableRng(5))
+        wh.ingest_batch("quantity", [shared[i % 10] for i in range(20_000)])
+        quantity = wh.sample_of("quantity")
         assert containment_estimate(quantity, customers) > 0.5
         fk = containment_lower_bound(orders, customers)
         assert fk <= containment_estimate(orders, customers)

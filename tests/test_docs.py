@@ -6,7 +6,9 @@ Two families of checks keep the docs from rotting:
   ``README.md``, and the other root documents points at a file that
   exists (with fragments stripped), and every backtick reference to a
   repo path (``src/...``, ``tests/...``, ``docs/...``, ``examples/...``,
-  ``benchmarks/...``, ``repro/...``) names a real file.
+  ``benchmarks/...``, ``repro/...``) names a real file, and every
+  backtick reference to a dotted name (``repro.x.y``) imports as a
+  module or resolves as an attribute of one.
 * **Drift gates** — every CLI subcommand is documented (``repro
   <command>`` must appear in the docs) and every documented invocation
   (`` `repro <command> …` `` or ``python -m repro <command> …``) names
@@ -21,6 +23,7 @@ CI runs this file in the ``docs`` job; it is also part of tier-1.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -39,6 +42,7 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PATH_REF = re.compile(
     r"`((?:src|tests|docs|examples|benchmarks|repro)/"
     r"[A-Za-z0-9_./-]+\.[a-z]+)")
+_DOTTED_REF = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -70,6 +74,31 @@ def test_backtick_path_references_exist(doc):
         if not path.exists():
             stale.append(ref)
     assert stale == [], f"{doc.name}: stale path reference(s): {stale}"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path under
+    the longest importable module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_backtick_module_references_resolve(doc):
+    text = doc.read_text(encoding="utf-8")
+    stale = sorted({ref for ref in _DOTTED_REF.findall(text)
+                    if not _resolves(ref)})
+    assert stale == [], f"{doc.name}: stale module reference(s): {stale}"
 
 
 def test_every_cli_command_documented():
