@@ -63,7 +63,7 @@ def test_throughput(benchmark, rng):
                 title=f"Sampling throughput, one core, N = {N:,} "
                       f"(paper conclusion 2 context)")
 
-    # The skip-based fast path must pay off for the bounded samplers.
+    # The block-step fast path must pay off for the bounded samplers.
     for scheme in ("hb", "hr"):
         stream, batch = rates[scheme]
         assert batch > stream, \

@@ -113,8 +113,8 @@ def run_pipeline(scenario: Scenario, scheme: str, *,
       ingest pipeline pays; per-partition cost is then proportional to
       partition size, which is what makes parallel sampling time fall
       as partitions are added (the figures' light bars).
-    * ``"batch"`` — the library's skip-based ``feed_many`` fast path,
-      which jumps over excluded elements of an in-memory sequence; use
+    * ``"batch"`` — the library's ``feed_many`` fast path, which steps
+      over an in-memory sequence one block of arrivals at a time; use
       it to measure the fast path itself.
 
     ``collect_metrics=True`` runs the pipeline under

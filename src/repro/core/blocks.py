@@ -1,10 +1,10 @@
-"""Block steps: HB and HR on numpy as merges over whole blocks.
+"""Block steps: HB and HR as merges over whole blocks.
 
 A block of arrivals is an exhaustive sample of itself, so every step of
 Algorithms HB and HR can be a merge of the running sample with a block
 (the paper's merge law, eq. (2) and Theorem 1, taken once per block as
 Tangwongsan & Tirthapura update a reservoir once per minibatch).  On
-the numpy kernel backend both samplers run over one fixed grid of
+both kernel backends the samplers run over one fixed grid of
 :data:`BLOCK` arrivals, counted from the sampler's first arrival (at
 construction or at ``resume``); every draw happens at a block end or at
 ``finalize``:
@@ -22,37 +22,61 @@ After phase 1 a block is kept as its arrivals: the later steps read only
 their picks, so an excluded arrival costs one list append.  Everything a
 step reads is fixed by the grid, so ``feed``, ``feed_many`` and
 ``finalize`` give the same bytes however a caller slices the stream.
-The python backend keeps its per-arrival skip-based steps.
-docs/algorithms.md argues each step's law; docs/performance.md has the
-per-block overhead curve :data:`BLOCK` was chosen from.
+
+The merges' exhaustive case streams a whole exhaustive sample into a
+resumed sampler; :meth:`BlockGrid.feed_exhaustive` takes it as one
+block step off the grid.  In phase 1 the input is joined into the
+histogram; later its picks are read off its runs (:class:`_Runs`), so
+the input is never expanded.  docs/algorithms.md argues each step's
+law; docs/performance.md has the per-block overhead curve
+:data:`BLOCK` was chosen from.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
-from repro.kernels import active_backend, reservoir_block
+from repro.errors import ProtocolError
+from repro.kernels import reservoir_block
 from repro.rng import SplittableRng
 
 __all__ = ["BLOCK", "BlockGrid"]
 
-#: Arrivals per block on the numpy backend.  Transient sampler state is
-#: at most ``F`` plus one block.
+#: Arrivals per block.  Transient sampler state is at most ``F`` plus
+#: one block or one exhaustive input.
 BLOCK = 2048
 
 
+class _Runs:
+    """An exhaustive input's arrivals by position, read off its runs
+    (in stored order): position ``i`` holds the value whose run covers
+    it, found by bisecting the cumulative counts."""
+
+    __slots__ = ("_values", "_ends")
+
+    def __init__(self, histogram: CompactHistogram) -> None:
+        self._values = histogram.value_list()
+        self._ends = list(accumulate(histogram.run_lengths()))
+
+    def __getitem__(self, position: int) -> object:
+        return self._values[bisect_right(self._ends, position)]
+
+
 class BlockGrid:
-    """The block grid HB and HR share (numpy backend only).
+    """The block grid HB and HR share.
 
     The host sampler provides ``_phase``, ``_histogram`` (phase 1),
     ``_bag`` / ``_capacity`` / ``_rng`` (reservoir steps), ``_seen``,
-    ``_close_block()`` and ``_materialize()`` (the bag of a reservoir
-    still held compact).  In phase 1 arrivals go straight into the
-    histogram; later they pile up in ``_buffer``.  ``_block_len``
-    arrivals are in the open block and ``_block_left`` more close it.
+    ``_finalized``, ``_close_block()`` and ``_materialize()`` (the bag
+    of a reservoir still held compact).  In phase 1 arrivals go
+    straight into the histogram; later they pile up in ``_buffer``.
+    ``_block_len`` arrivals are in the open block and ``_block_left``
+    more close it.
     """
 
     _phase: SampleKind
@@ -61,12 +85,16 @@ class BlockGrid:
     _capacity: int
     _rng: SplittableRng
     _seen: int
+    _finalized: bool
 
     def _init_grid(self) -> None:
-        self._blocks = active_backend() == "numpy"
         self._buffer: List[object] = []
         self._block_len = 0
         self._block_left = BLOCK
+
+    def _check_open(self) -> None:
+        if self._finalized:
+            raise ProtocolError("sampler already finalized")
 
     def _close_block(self, block: Sequence,
                      start: int) -> None:  # pragma: no cover - abstract
@@ -88,7 +116,7 @@ class BlockGrid:
         self._block_left = BLOCK
 
     def _flush_block(self) -> None:
-        """Close a non-empty open block early (``feed_run``,
+        """Close a non-empty open block early (``feed_exhaustive``,
         ``finalize``); an empty one draws nothing."""
         if self._block_len:
             self._end_block()
@@ -105,6 +133,27 @@ class BlockGrid:
         self._block_left -= 1
         if not self._block_left:
             self._end_block()
+
+    def feed(self, value: object) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def feed_many(self, values: Iterable, *,
+                  counts: Optional[Dict[object, int]] = None) -> None:
+        """Observe a batch of values.
+
+        Lists, tuples and ranges go onto the grid a piece at a time, one
+        merge per block; general iterables fall back to per-element
+        ``feed``.  ``counts``, the slice's first-seen count if the
+        caller already has it, can stand in for counting the slice in
+        phase 1.  Any split into ``feed`` / ``feed_many`` calls gives
+        the same sample.
+        """
+        self._check_open()
+        if not isinstance(values, (list, tuple, range)):
+            for v in values:
+                self.feed(v)
+        else:
+            self._grid_feed_many(values, counts)
 
     def _grid_feed_many(self, values: Sequence,
                         counts: Optional[Dict[object, int]]) -> None:
@@ -143,6 +192,30 @@ class BlockGrid:
             pos += take
             if not self._block_left:
                 self._end_block()
+
+    def feed_exhaustive(self, histogram: CompactHistogram) -> None:
+        """Observe every value of an exhaustive input in one block step.
+
+        This is how the merges' exhaustive case (Figures 6 and 8, lines
+        1-4) streams one input through a sampler resumed from the
+        other, without expanding it: the open block is closed, the
+        whole input is one block — joined into the histogram in phase
+        1, read off its runs later — and the grid starts again after
+        it.
+        """
+        self._check_open()
+        self._flush_block()
+        if not histogram.size:
+            return
+        block: Sequence = ()
+        if self._phase is SampleKind.EXHAUSTIVE:
+            assert self._histogram is not None
+            self._histogram = self._histogram.join(histogram)
+        else:
+            block = _Runs(histogram)
+        self._seen += histogram.size
+        self._block_len = histogram.size
+        self._end_block(block)
 
     def _reservoir_step(self, block: Sequence, start: int, length: int,
                         seen: int) -> None:

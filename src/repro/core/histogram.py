@@ -5,9 +5,7 @@ of ``(value, count)`` pairs with singletons stored as bare values (the
 concise representation of [7]).  :class:`CompactHistogram` implements that
 representation with O(1) insert/remove and *incremental* footprint
 tracking, so the samplers can test ``footprint(S) >= F`` without
-rescanning the histogram.  Batched phase 1 goes through :meth:`fill`,
-which tests the footprint once per C-speed counted slice rather than
-after every arrival, and still stops at exactly the crossing arrival.
+rescanning the histogram.
 
 The ``expand``/``compact`` round trip (Figure 2's ``expand(S)`` and the
 finalization step) and the ``join`` of two histograms (used by HBMerge and
@@ -192,34 +190,6 @@ class CompactHistogram:
         elif old == 1:
             self._singletons -= 1
 
-    def fill(self, values: Sequence[Value], start: int,
-             model: FootprintModel, bound_bytes: int) -> int:
-        """Insert ``values[start:]`` in order until the footprint crosses.
-
-        Stops right after the insertion that brings the footprint to
-        ``>= bound_bytes`` (phase 1 of Figures 2 and 7) and returns the
-        index one past it, or ``len(values)`` if the bound is never
-        reached.  The result equals one :meth:`insert` per value with the
-        footprint tested after each.
-
-        One insert adds 0, ``count_bytes`` or ``value_bytes`` to the
-        footprint, and ``count_bytes <= value_bytes``, so the next
-        ``ceil(gap / value_bytes)`` values cannot cross the bound before
-        the last of them.  Each step counts that whole slice at C speed
-        (:meth:`extend`).
-        """
-        value_bytes = model.value_bytes
-        n = len(values)
-        pos = start
-        while pos < n:
-            gap = bound_bytes - self.footprint(model)
-            stop = min(n, pos + max(1, -(-gap // value_bytes)))
-            self.extend(values[pos:stop])
-            pos = stop
-            if self.footprint(model) >= bound_bytes:
-                break
-        return pos
-
     def extend(self, values: Sequence[Value]) -> None:
         """Insert every value, in order, at C speed.
 
@@ -280,26 +250,6 @@ class CompactHistogram:
             self._counts[value] = new
             if new == 1:
                 self._singletons += 1
-            elif old == 1:
-                self._singletons -= 1  # unreachable (old==1 implies new==0)
-
-    def set_count(self, value: Value, count: int) -> None:
-        """Set the count of ``value`` outright (0 removes it)."""
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        old = self._counts.get(value, 0)
-        if old == count:
-            return
-        if old == 1:
-            self._singletons -= 1
-        if count == 0:
-            if old:
-                del self._counts[value]
-        else:
-            self._counts[value] = count
-            if count == 1:
-                self._singletons += 1
-        self._size += count - old
 
     # ------------------------------------------------------------------
     # Views and conversions

@@ -9,49 +9,41 @@ The sampler moves through up to three phases:
    ``Bern(q)`` subsample is taken (Figure 3) with ``q`` chosen from
    eq. (1) so that, for the *known* partition size ``N``, the sample size
    stays below ``n_F`` with probability ``1 - p``.  Subsequent arrivals
-   are sampled at rate ``q`` using geometric skips.
+   are sampled at rate ``q``.
 3. **Reservoir** — in the unlikely event the sample still hits ``n_F``
    (probability ~``p``), the sampler degrades gracefully to reservoir
    sampling with capacity ``n_F`` (Figure 4 for the transition subsample,
-   then standard skip-based reservoir steps).
+   then reservoir steps).
 
-On the numpy kernel backend, ``feed``, ``feed_many`` and ``finalize``
-take every step as a merge with one block of arrivals
+On both kernel backends, ``feed``, ``feed_many``, ``feed_exhaustive``
+and ``finalize`` take every step as a merge with one block of arrivals
 (:mod:`repro.core.blocks`): the phase-1 exit is tested at block ends,
 phase 2 joins a ``Bern(q)`` subset of each block, and phase 3 keeps an
-SRS of the Bernoulli-thinned stream with one HRMerge node per block.
-The python backend keeps the per-arrival geometric and skip-based
-draws (see docs/algorithms.md).
+SRS of the Bernoulli-thinned stream with one HRMerge node per block
+(see docs/algorithms.md).
 
 The final sample is uniform in every case; in the usual phase-2 case it
 can be treated as a Bernoulli sample, which makes merging cheap
 (:func:`repro.core.merge.hb_merge`).
 
-Two fine-print approximations, both of total-variation order ``p`` (the
-paper states the first; our reproduction surfaced the second —
-see ``tests/test_merge.py::TestHbMergeStatistics``):
+One fine-print approximation, of total-variation order ``p`` (the
+paper states it; see ``tests/test_merge.py::TestHbMergeStatistics``):
+the phase-2 output is Bern(q) *truncated* at ``|S| = n_F`` ("not quite
+a true Bernoulli sample"), so merging it as Bernoulli is exact only up
+to the truncation probability ≈ ``p``.  At the paper's operating point
+(``p ≤ 0.001``, ``n_F`` in the thousands) it is statistically
+invisible.
 
-* the phase-2 output is Bern(q) *truncated* at ``|S| = n_F``
-  ("not quite a true Bernoulli sample"), so merging it as Bernoulli is
-  exact only up to the truncation probability ≈ ``p``;
-* on the python backend, the phase-2 → phase-3 fallback enters
-  reservoir mode with the first ``n_F`` *inclusions* of the Bernoulli
-  process as its reservoir, which is not an exact size-``n_F`` SRS of
-  the prefix (the inclusion that triggered the switch is always
-  present); the paper's "terminates in phase 3 ⇒ clearly uniform" is
-  exact there only for the phase-1 → 3 path.  The numpy block path is
-  exact: it switches at a block end by purging the whole Bernoulli
-  sample to ``n_F``, and keeps thinning the stream at rate ``q`` in
-  phase 3, so its reservoir is an SRS of all Bernoulli inclusions;
-  those are exchangeable given that there are ``n_F`` or more, so the
-  phase-3 sample is an SRS of the partition
-  (``tests/test_hybrid_bernoulli.py::TestPhase3Law``).  Purging at the
-  switch alone would not do: which block end the switch falls on
-  depends on where the inclusions fell.
-
-At the paper's operating point (``p ≤ 0.001``, ``n_F`` in the
-thousands) both effects are statistically invisible; they matter only
-for toy configurations where ``P(|S| ≥ n_F)`` is non-negligible.
+The phase-3 sample is exact.  The phase-2 → phase-3 switch, taken at a
+block end, purges the whole Bernoulli sample to ``n_F``, and phase 3
+keeps thinning the stream at rate ``q``, so the reservoir is an SRS of
+all Bernoulli inclusions; those are exchangeable given that there are
+``n_F`` or more, so the phase-3 sample is an SRS of the partition
+(``tests/test_hybrid_bernoulli.py::TestPhase3Law``).  Purging at the
+switch alone would not do: which block end the switch falls on depends
+on where the inclusions fell.  (Keeping the first ``n_F`` inclusions
+as the reservoir, as a per-arrival switch would, is not an SRS: the
+inclusion that triggered the switch is always present.)
 
 Unlike concise sampling — which this construction otherwise resembles —
 the selection never depends on *values*, only on arrival order and coin
@@ -61,14 +53,13 @@ sampling's value-dependence breaks uniformity).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.core.blocks import BlockGrid
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
 from repro.core.purge import purge_bernoulli, purge_reservoir
-from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, ProtocolError
 from repro.kernels import bernoulli_block
@@ -76,7 +67,6 @@ from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
 from repro.sampling.exceedance import rate_for_bound
-from repro.sampling.skip import SkipGenerator
 
 __all__ = ["AlgorithmHB"]
 
@@ -153,17 +143,11 @@ class AlgorithmHB(BlockGrid):
         self._bag: Optional[List[object]] = None          # expanded S
         self._rate: Optional[float] = None                # q
         self._seen = 0                                    # i
-        self._until_next = 0        # phase-2 gap: arrivals until inclusion
-        self._skips: Optional[SkipGenerator] = None       # phase 3
-        self._next_insert = 0                             # phase-3 n
         self._capacity = bound_values                     # phase-3 size
-        # Block-path phase 3 keeps an SRS of the Bernoulli inclusions:
-        # how many there have been (None: reservoir over arrivals).
+        # Phase 3 keeps an SRS of the Bernoulli inclusions: how many
+        # there have been (None: reservoir over arrivals).
         self._included: Optional[int] = None
         self._finalized = False
-        # Block steps on the numpy backend leave the gap/skip state
-        # stale; feed_run, which stays skip-based, redraws it first.
-        self._skips_stale = False
         self._init_grid()
 
     # ------------------------------------------------------------------
@@ -214,7 +198,8 @@ class AlgorithmHB(BlockGrid):
 
         HBMerge's exhaustive case (Figure 6, lines 1-4) initializes the
         running sample to one input and streams the other input's values
-        through the algorithm.  ``total_population`` is the size of the
+        through the algorithm (:meth:`feed_exhaustive`).
+        ``total_population`` is the size of the
         *union* the continued sampler will have seen once feeding is done;
         it determines the rate ``q`` if a phase-1 -> phase-2 transition
         happens during the continuation.
@@ -234,30 +219,15 @@ class AlgorithmHB(BlockGrid):
             sampler._histogram = None
             sampler._pending = sample.histogram.copy()
             sampler._rate = sample.rate
-            sampler._until_next = sampler._draw_gap()
         else:  # RESERVOIR
             sampler._histogram = None
             sampler._pending = sample.histogram.copy()
             sampler._capacity = sample.size
-            sampler._skips = SkipGenerator(sampler._capacity, rng)
-            sampler._next_insert = (sampler._seen
-                                    + sampler._skips.next_skip(sampler._seen))
         return sampler
 
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._finalized:
-            raise ProtocolError("sampler already finalized")
-
-    def _draw_gap(self) -> int:
-        """Arrivals to pass over before the next phase-2 inclusion."""
-        assert self._rate is not None
-        if self._rate >= 1.0:
-            return 0
-        return self._rng.geometric(self._rate)
-
     def _enter_phase2_or_3(self) -> None:
         """Phase-1 exit: lines 3-11 of Figure 2."""
         assert self._histogram is not None
@@ -273,7 +243,6 @@ class AlgorithmHB(BlockGrid):
             if subsample.size < self._bound:
                 self._phase = SampleKind.BERNOULLI
                 self._pending = subsample
-                self._until_next = self._draw_gap()
             else:
                 self._pending = purge_reservoir(subsample, self._bound,
                                                 self._rng)
@@ -286,8 +255,6 @@ class AlgorithmHB(BlockGrid):
             self._phase = SampleKind.RESERVOIR
             self._included = None
             self._capacity = self._bound
-            self._skips = SkipGenerator(self._capacity, self._rng)
-            self._next_insert = self._seen + self._skips.next_skip(self._seen)
         if OBS.enabled:
             OBS.registry.counter("hb.phase3.enter").inc()
 
@@ -298,167 +265,19 @@ class AlgorithmHB(BlockGrid):
         self._pending = None
 
     def feed(self, value: T) -> None:
-        """Observe one arriving data element (Figure 2's per-arrival body;
-        on numpy, one arrival on the block grid)."""
+        """Observe one arriving data element: one arrival on the block
+        grid (Figure 2's per-arrival body, taken a block at a time)."""
         self._check_open()
-        if self._blocks:
-            self._grid_feed(value)
-        else:
-            self._feed_one(value)
-
-    def _feed_one(self, value: T) -> None:
-        """Figure 2's per-arrival body with skip-based phases 2-3."""
-        self._seen += 1
-        if self._phase is SampleKind.EXHAUSTIVE:
-            assert self._histogram is not None
-            self._histogram.insert(value)
-            if self._histogram.footprint(self._model) >= self._bound_bytes:
-                self._enter_phase2_or_3()
-            return
-        if self._phase is SampleKind.BERNOULLI:
-            if self._until_next == 0:
-                if self._bag is None:
-                    self._expand_pending()
-                self._bag.append(value)
-                self._until_next = self._draw_gap()
-                if len(self._bag) >= self._bound:
-                    self._enter_phase3()
-            else:
-                self._until_next -= 1
-            return
-        # Phase 3: reservoir step.
-        if self._seen == self._next_insert:
-            if self._bag is None:
-                self._expand_pending()
-            victim = self._rng.randrange(self._capacity)
-            self._bag[victim] = value
-            assert self._skips is not None
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-
-    def feed_many(self, values: Iterable[T], *,
-                  counts: Optional[Dict[T, int]] = None) -> None:
-        """Observe a batch of values.
-
-        Lists, tuples and ranges take a fast path: on the python
-        backend phase 1 counts whole slices and phases 2-3 jump between
-        inclusions; on numpy the slice goes onto the block grid, one
-        merge per block (:mod:`repro.core.blocks`).  ``counts``, the
-        slice's first-seen count if the caller already has it, can stand
-        in for counting the slice in phase 1; the python backend does
-        not use it.  General iterables fall back to per-element
-        :meth:`feed`.  Any split into ``feed`` / ``feed_many`` calls
-        gives the same sample on either backend.
-        """
-        self._check_open()
-        if not isinstance(values, (list, tuple, range)):
-            for v in values:
-                self.feed(v)
-        elif self._blocks:
-            self._grid_feed_many(values, counts)
-        else:
-            self._feed_sequence(values)
-
-    def feed_run(self, value: T, count: int) -> None:
-        """Observe ``count`` consecutive occurrences of one value.
-
-        This is how the merge procedures stream a compact sample into a
-        running sampler without expanding it: cost is O(#inclusions), not
-        O(count), once the run's footprint contribution has stabilized.
-        On numpy it first closes the open block; the run itself takes
-        the skip-based steps, and the next block starts after it.
-        """
-        self._check_open()
-        self._flush_block()
-        while count > 0 and self._phase is SampleKind.EXHAUSTIVE:
-            self._feed_one(value)
-            count -= 1
-            if (self._phase is SampleKind.EXHAUSTIVE and count > 0
-                    and self._histogram is not None
-                    and self._histogram.count(value) >= 2):
-                # Further occurrences of an existing pair cannot change the
-                # footprint, so no phase switch can trigger mid-run.
-                self._histogram.insert_count(value, count)
-                self._seen += count
-                count = 0
-        if count > 0:
-            self._included = None  # these arrivals are not thinned
-            self._feed_sequence(RepeatedValue(value, count))
-
-    def _feed_sequence(self, values: Sequence[T]) -> None:
-        offset = 0
-        n = len(values)
-        if self._skips_stale:
-            self._redraw_skips()
-        while offset < n:
-            if self._phase is SampleKind.EXHAUSTIVE:
-                offset = self._feed_seq_phase1(values, offset)
-            elif self._phase is SampleKind.BERNOULLI:
-                offset = self._feed_seq_phase2(values, offset)
-            else:
-                offset = self._feed_seq_phase3(values, offset)
-
-    def _feed_seq_phase1(self, values: Sequence[T], offset: int) -> int:
-        assert self._histogram is not None
-        pos = self._histogram.fill(values, offset, self._model,
-                                   self._bound_bytes)
-        self._seen += pos - offset
-        if self._histogram.footprint(self._model) >= self._bound_bytes:
-            self._enter_phase2_or_3()
-        return pos
-
-    def _feed_seq_phase2(self, values: Sequence[T], offset: int) -> int:
-        n = len(values)
-        pos = offset + self._until_next
-        while pos < n:
-            if self._bag is None:
-                self._expand_pending()
-            self._bag.append(values[pos])
-            if len(self._bag) >= self._bound:
-                self._seen += pos - offset + 1
-                self._until_next = self._draw_gap()
-                self._enter_phase3()
-                return pos + 1
-            pos += 1 + self._draw_gap()
-        self._until_next = pos - n
-        self._seen += n - offset
-        return n
-
-    def _feed_seq_phase3(self, values: Sequence[T], offset: int) -> int:
-        n = len(values)
-        base = self._seen - offset  # stream index of values[0] minus one
-        assert self._skips is not None
-        while self._next_insert - base <= n:
-            if self._bag is None:
-                self._expand_pending()
-            victim = self._rng.randrange(self._capacity)
-            self._bag[victim] = values[self._next_insert - base - 1]
-            self._seen = self._next_insert
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-        self._seen = base + n
-        return n
-
-    def _redraw_skips(self) -> None:
-        """Fresh gap or skip state from the current position (both laws
-        are memoryless, so discarding the stale state is exact)."""
-        if self._phase is SampleKind.BERNOULLI:
-            self._until_next = self._draw_gap()
-        else:
-            self._skips = SkipGenerator(self._capacity, self._rng)
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-        self._skips_stale = False
+        self._grid_feed(value)
 
     def _close_block(self, block: Sequence, start: int) -> None:
-        """The steps at a block end (numpy): see :mod:`repro.core.blocks`."""
+        """The steps at a block end: see :mod:`repro.core.blocks`."""
         if self._phase is SampleKind.EXHAUSTIVE:
             assert self._histogram is not None
             if self._histogram.footprint(self._model) >= self._bound_bytes:
                 self._enter_phase2_or_3()
             return
         length = self._block_len
-        self._skips_stale = True
         if self._phase is SampleKind.RESERVOIR and self._included is None:
             self._reservoir_step(block, start, length, self._seen - length)
             return

@@ -11,15 +11,14 @@ Two phases:
    statistically equivalent because the purge outcome is independent of
    which arrival triggers it.
 
-On the numpy kernel backend, ``feed``, ``feed_many`` and ``finalize``
-take every step as a merge with one block of arrivals
+On both kernel backends, ``feed``, ``feed_many``, ``feed_exhaustive``
+and ``finalize`` take every step as a merge with one block of arrivals
 (:mod:`repro.core.blocks`): the phase-1 exit is taken at a block end and
-each later block is an HRMerge node; the python backend keeps the
-per-arrival skip-based draws (see docs/algorithms.md).  On both,
+each later block is an HRMerge node (see docs/algorithms.md).
 :attr:`AlgorithmHR.phase` and :attr:`AlgorithmHR.sample_size` report the
 reservoir as soon as the footprint reaches ``F`` — the switch draws
 nothing, so it is settled then — and a :class:`FractionPolicy` cuts at
-the same arrival on both.
+that arrival.
 
 Compared with Algorithm HB, HR needs **no a-priori knowledge of the
 partition size** and always delivers a full-size (``min(N, n_F)``-element)
@@ -29,20 +28,18 @@ sample — at the price of more expensive merges (the hypergeometric draw in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.core.blocks import BlockGrid
 from repro.core.footprint import DEFAULT_MODEL, FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
 from repro.core.purge import purge_reservoir
-from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.obs.runtime import OBS
 from repro.obs.tracing import span
 from repro.rng import SplittableRng
-from repro.sampling.skip import SkipGenerator
 
 __all__ = ["AlgorithmHR"]
 
@@ -100,12 +97,7 @@ class AlgorithmHR(BlockGrid):
         self._bag: Optional[List[object]] = None
         self._seen = 0
         self._capacity = bound_values
-        self._skips: Optional[SkipGenerator] = None
-        self._next_insert = 0
         self._finalized = False
-        # Block steps on the numpy backend leave the skip state stale;
-        # feed_run, which stays skip-based, redraws it first.
-        self._skips_stale = False
         self._init_grid()
 
     # ------------------------------------------------------------------
@@ -116,7 +108,7 @@ class AlgorithmHR(BlockGrid):
         """Current phase: EXHAUSTIVE or RESERVOIR.
 
         RESERVOIR from the arrival that brings the footprint to ``F``,
-        also while the numpy block path has yet to take the switch.
+        also while the grid has yet to take the switch at a block end.
         """
         if self._full():
             return SampleKind.RESERVOIR
@@ -166,7 +158,7 @@ class AlgorithmHR(BlockGrid):
 
         HRMerge's exhaustive case (Figure 8, lines 1-4) initializes the
         running sample to one input and streams the other input's values
-        through the algorithm.
+        through the algorithm (:meth:`feed_exhaustive`).
         """
         if sample.kind is SampleKind.BERNOULLI:
             raise ConfigurationError(
@@ -178,7 +170,7 @@ class AlgorithmHR(BlockGrid):
         if sample.kind is SampleKind.EXHAUSTIVE:
             sampler._histogram = sample.histogram.copy()
             # The resumed histogram may already sit at the footprint
-            # boundary; re-check so the first arrival does not overshoot.
+            # boundary; take the switch now, as a block end would.
             if sampler._histogram.footprint(sampler._model) \
                     >= sampler._bound_bytes:
                 sampler._enter_phase2()
@@ -187,18 +179,11 @@ class AlgorithmHR(BlockGrid):
             sampler._pending = sample.histogram.copy()
             sampler._capacity = sample.size
             sampler._phase = SampleKind.RESERVOIR
-            sampler._skips = SkipGenerator(sampler._capacity, rng)
-            sampler._next_insert = (sampler._seen
-                                    + sampler._skips.next_skip(sampler._seen))
         return sampler
 
     # ------------------------------------------------------------------
     # Feeding
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._finalized:
-            raise ProtocolError("sampler already finalized")
-
     def _enter_phase2(self) -> None:
         """Figure 7, lines 3-5: switch to reservoir mode.
 
@@ -210,8 +195,6 @@ class AlgorithmHR(BlockGrid):
             self._pending = self._histogram
             self._histogram = None
             self._capacity = self._bound
-            self._skips = SkipGenerator(self._capacity, self._rng)
-            self._next_insert = self._seen + self._skips.next_skip(self._seen)
         if OBS.enabled:
             OBS.registry.counter("hr.phase2.enter").inc()
 
@@ -226,117 +209,17 @@ class AlgorithmHR(BlockGrid):
             self._pending = None
 
     def feed(self, value: T) -> None:
-        """Observe one arriving data element (Figure 7's per-arrival body;
-        on numpy, one arrival on the block grid)."""
+        """Observe one arriving data element: one arrival on the block
+        grid (Figure 7's per-arrival body, taken a block at a time)."""
         self._check_open()
-        if self._blocks:
-            self._grid_feed(value)
-        else:
-            self._feed_one(value)
-
-    def _feed_one(self, value: T) -> None:
-        """Figure 7's per-arrival body with skip-based reservoir steps."""
-        self._seen += 1
-        if self._phase is SampleKind.EXHAUSTIVE:
-            assert self._histogram is not None
-            self._histogram.insert(value)
-            if self._histogram.footprint(self._model) >= self._bound_bytes:
-                self._enter_phase2()
-            return
-        if self._seen == self._next_insert:
-            if self._bag is None:
-                self._materialize()
-            if len(self._bag) < self._capacity:
-                self._bag.append(value)
-            else:
-                victim = self._rng.randrange(self._capacity)
-                self._bag[victim] = value
-            assert self._skips is not None
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-
-    def feed_many(self, values: Iterable[T], *,
-                  counts: Optional[Dict[T, int]] = None) -> None:
-        """Observe a batch of values.
-
-        Lists, tuples and ranges take a fast path: skip-based on the
-        python backend, one merge per block of the grid on numpy
-        (:mod:`repro.core.blocks`).  ``counts``, the slice's first-seen
-        count if the caller already has it, can stand in for counting
-        the slice in phase 1; the python backend does not use it.  Any
-        split into ``feed`` / ``feed_many`` calls gives the same sample
-        on either backend.
-        """
-        self._check_open()
-        if not isinstance(values, (list, tuple, range)):
-            for v in values:
-                self.feed(v)
-        elif self._blocks:
-            self._grid_feed_many(values, counts)
-        else:
-            self._feed_sequence(values)
-
-    def feed_run(self, value: T, count: int) -> None:
-        """Observe ``count`` consecutive occurrences of one value.
-
-        Used by the merge procedures to stream a compact sample through a
-        running sampler without expanding it.  On numpy it first closes
-        the open block; the run itself takes the skip-based steps, and
-        the next block starts after it.
-        """
-        self._check_open()
-        self._flush_block()
-        while count > 0 and self._phase is SampleKind.EXHAUSTIVE:
-            self._feed_one(value)
-            count -= 1
-            if (self._phase is SampleKind.EXHAUSTIVE and count > 0
-                    and self._histogram is not None
-                    and self._histogram.count(value) >= 2):
-                self._histogram.insert_count(value, count)
-                self._seen += count
-                count = 0
-        if count > 0:
-            self._feed_sequence(RepeatedValue(value, count))
-
-    def _feed_sequence(self, values: Sequence[T]) -> None:
-        offset = 0
-        n = len(values)
-        if self._phase is SampleKind.EXHAUSTIVE:
-            hist = self._histogram
-            assert hist is not None
-            offset = hist.fill(values, 0, self._model, self._bound_bytes)
-            self._seen += offset
-            if hist.footprint(self._model) < self._bound_bytes:
-                return
-            self._enter_phase2()
-        if self._skips_stale:
-            self._skips = SkipGenerator(self._capacity, self._rng)
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-            self._skips_stale = False
-        base = self._seen - offset
-        assert self._skips is not None
-        while self._next_insert - base <= n:
-            if self._bag is None:
-                self._materialize()
-            value = values[self._next_insert - base - 1]
-            if len(self._bag) < self._capacity:
-                self._bag.append(value)
-            else:
-                victim = self._rng.randrange(self._capacity)
-                self._bag[victim] = value
-            self._seen = self._next_insert
-            self._next_insert = (self._seen
-                                 + self._skips.next_skip(self._seen))
-        self._seen = base + n
+        self._grid_feed(value)
 
     def _close_block(self, block: Sequence, start: int) -> None:
-        """The steps at a block end (numpy): see :mod:`repro.core.blocks`."""
+        """The steps at a block end: see :mod:`repro.core.blocks`."""
         if self._phase is SampleKind.EXHAUSTIVE:
             if self._full():
                 self._enter_phase2()
             return
-        self._skips_stale = True
         self._reservoir_step(block, start, self._block_len,
                              self._seen - self._block_len)
 

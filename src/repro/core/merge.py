@@ -7,8 +7,8 @@ a warehouse needs around them:
   samples of disjoint partitions.  The common fast path (both inputs
   Bernoulli) equalizes rates by Bernoulli purging and joins the compact
   histograms; overflow falls back to a reservoir subsample of the
-  concatenation; exhaustive inputs are streamed through a resumed
-  Algorithm HB.
+  concatenation; an exhaustive input is one block step of an Algorithm
+  HB resumed from the other input.
 * :func:`hr_merge` — Figure 8 (``HRMerge``).  Merges two simple random
   samples by drawing the take-from-the-first count ``L`` from the
   hypergeometric law of eq. (2) (Theorem 1: the result is a simple random
@@ -90,16 +90,6 @@ def _check_compatible(s1: WarehouseSample, s2: WarehouseSample) -> None:
             f"{s2.bound_values}; re-bound one of them before merging")
 
 
-def _resume_feed(sampler, exhaustive: WarehouseSample) -> None:
-    """Stream an exhaustive sample's values through a resumed sampler.
-
-    Values are fed as runs straight off the compact representation — the
-    "no expansion of S_i is required" remark under Figure 6.
-    """
-    for value, count in exhaustive.histogram.pairs():
-        sampler.feed_run(value, count)
-
-
 @traced("merge.hb", timer="merge.hb.seconds")
 def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
              rng: SplittableRng,
@@ -131,7 +121,7 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     if s1.kind.is_exhaustive or s2.kind.is_exhaustive:
         exhaustive, other = (s1, s2) if s1.kind.is_exhaustive else (s2, s1)
         sampler = AlgorithmHB.resume(other, total, rng=rng)
-        _resume_feed(sampler, exhaustive)
+        sampler.feed_exhaustive(exhaustive.histogram)
         return sampler.finalize().with_scheme("hb")
 
     # Lines 5-7: at least one reservoir sample -> hypergeometric merge
@@ -220,7 +210,7 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
                 "hr_merge cannot resume from a Bernoulli sample; use "
                 "hb_merge or merge_samples for mixed-scheme inputs")
         sampler = AlgorithmHR.resume(other, rng=rng)
-        _resume_feed(sampler, exhaustive)
+        sampler.feed_exhaustive(exhaustive.histogram)
         return sampler.finalize().with_scheme(scheme)
 
     n1, n2 = s1.population_size, s2.population_size

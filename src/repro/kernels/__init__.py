@@ -3,8 +3,9 @@
 The inner loops of the merge procedures — the eq. (3) hypergeometric
 pmf, the ``L`` draw of Figure 8, the Binomial purge of Figure 3, and the
 simple-random-subsample purge of Figure 4 — are the hot path of every
-merge tree.  On ingest, HB/HR's block steps (:mod:`repro.core.blocks`)
-merge a running sample with a block of arrivals through
+merge tree.  On ingest and in the merges' exhaustive case, HB/HR's
+block steps (:mod:`repro.core.blocks`) merge a running sample with a
+block of arrivals (or a whole exhaustive input) through
 :func:`reservoir_block` and :func:`bernoulli_block` and the same
 purges, and the exact synopsis folds its moments through
 :func:`fold_moments`.  This package isolates them behind a small

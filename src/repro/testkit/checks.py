@@ -209,16 +209,17 @@ def _negative_control_pvalue(sampler_factory, rng: SplittableRng,
 
 
 # ----------------------------------------------------------------------
-# Sliced feeding (docs/algorithms.md: block steps on numpy)
+# Sliced feeding (docs/algorithms.md: block steps)
 # ----------------------------------------------------------------------
 def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
-                rng: SplittableRng, *, runs: bool = True) -> None:
+                rng: SplittableRng, *, exhaustive: bool = True) -> None:
     """Feed ``values`` in seeded uneven slices.
 
     Slices end on both sides of every mark (so each mark gets a
     one-element slice) and at a few random points; each slice goes in
-    by ``feed_many``, by per-arrival ``feed``, or (with ``runs``) as
-    one-element ``feed_run`` calls, chosen per slice.
+    by ``feed_many``, by per-arrival ``feed``, or (with ``exhaustive``)
+    as one ``feed_exhaustive`` step over the slice's count, chosen per
+    slice.
     """
     n = len(values)
     cuts = {m + d for m in marks for d in (-1, 0, 1)}
@@ -226,15 +227,14 @@ def feed_uneven(sampler, values: Sequence, marks: Sequence[int],
     prev = 0
     for cut in sorted(c for c in cuts if 0 < c < n) + [n]:
         piece = values[prev:cut]
-        how = rng.randrange(3 if runs else 2)
+        how = rng.randrange(3 if exhaustive else 2)
         if how == 0:
             sampler.feed_many(piece)
         elif how == 1:
             for v in piece:
                 sampler.feed(v)
         else:
-            for v in piece:
-                sampler.feed_run(v, 1)
+            sampler.feed_exhaustive(CompactHistogram.from_values(piece))
         prev = cut
 
 
@@ -243,12 +243,11 @@ def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
 
     Five sub-tests on the active kernel backend, Bonferroni-combined:
 
-    * HR (bound 4, 150 distinct arrivals, so positions run past the
-      ``22 * k`` where the python backend's skips switch to Algorithm
-      L) includes every arrival equally often;
+    * HR (bound 4, 150 distinct arrivals) includes every arrival
+      equally often;
     * HB (bound 4, ``p = 0.01``) likewise;
     * HR and HB (bound 32) over ``2 * BLOCK + 500`` arrivals — more
-      than two blocks of the numpy grid, sliced at and around the block
+      than two blocks of the grid, sliced at and around the block
       ends by ``feed_many`` and ``feed`` — include every twentieth of
       the stream equally often;
     * HB (bound 30, 300 arrivals, ``p = 0.05``) ends in phase 2 with
@@ -286,7 +285,7 @@ def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
                                    sb_rate=None, rng=child.spawn("sampler"))
             marks = [blocks.BLOCK, 2 * blocks.BLOCK, child.randrange(n)]
             feed_uneven(sampler, range(n), marks, child.spawn("slices"),
-                        runs=False)
+                        exhaustive=False)
             for v in sampler.finalize().histogram.expand():
                 observed[v * bins // n] += 1
         widths = [0] * bins

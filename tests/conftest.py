@@ -32,14 +32,7 @@ def rng() -> SplittableRng:
 
 @pytest.fixture(params=[7, 64], ids=lambda size: f"block{size}")
 def small_grid(request, monkeypatch):
-    """Run the test on a numpy block grid of 7 or 64 arrivals.
-
-    Tests parametrized over ``backend`` skip their python case: that
-    backend has no grid.
-    """
-    params = getattr(request.node, "callspec", None)
-    if params is not None and params.params.get("backend") == "python":
-        pytest.skip("the python backend has no block grid")
+    """Run the test on a block grid of 7 or 64 arrivals."""
     monkeypatch.setattr(blocks, "BLOCK", request.param)
     return request.param
 

@@ -10,7 +10,6 @@ from conftest import (MIXED_KEYS, NAN, assert_same_state, counter_join,
                       histogram_state)
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
-from repro.core.runs import RepeatedValue
 from repro.errors import ConfigurationError
 from repro.kernels import numpy_available
 
@@ -97,21 +96,6 @@ class TestMutation:
             h.remove("a", 0)
         with pytest.raises(ConfigurationError):
             h.remove("missing")
-
-    def test_set_count(self):
-        h = CompactHistogram.from_values(["a", "a"])
-        h.set_count("a", 5)
-        assert h.count("a") == 5
-        assert h.size == 5
-        h.set_count("a", 1)
-        assert h.singletons == 1
-        h.set_count("a", 0)
-        assert "a" not in h
-        assert h.size == 0
-
-    def test_set_count_validation(self):
-        with pytest.raises(ConfigurationError):
-            CompactHistogram().set_count("a", -1)
 
 
 class TestViewsAndConversions:
@@ -236,7 +220,7 @@ class TestFootprint:
 
     @given(st.lists(st.tuples(st.sampled_from("abcd"),
                               st.sampled_from(["insert", "remove",
-                                               "set3", "set0"])),
+                                               "add3", "drop"])),
                     max_size=100))
     @settings(max_examples=100)
     def test_mutation_sequence_invariants(self, ops):
@@ -253,24 +237,14 @@ class TestFootprint:
                     shadow[value] -= 1
                     if shadow[value] == 0:
                         del shadow[value]
-            elif op == "set3":
-                h.set_count(value, 3)
-                shadow[value] = 3
-            else:  # set0
-                h.set_count(value, 0)
-                shadow.pop(value, None)
+            elif op == "add3":
+                h.insert_count(value, 3)
+                shadow[value] = shadow.get(value, 0) + 3
+            elif value in shadow:  # drop every occurrence
+                h.remove(value, shadow.pop(value))
         assert dict(h.pairs()) == shadow
         assert h.size == sum(shadow.values())
         assert h.singletons == sum(1 for c in shadow.values() if c == 1)
-
-
-def _insert_until(hist, values, start, model, bound_bytes):
-    """The per-arrival phase-1 loop :meth:`CompactHistogram.fill` batches."""
-    for pos in range(start, len(values)):
-        hist.insert(values[pos])
-        if hist.footprint(model) >= bound_bytes:
-            return pos + 1
-    return len(values)
 
 
 def _state(hist):
@@ -279,8 +253,6 @@ def _state(hist):
             hist.size, hist.singletons, hist.distinct)
 
 
-_MODELS = [FootprintModel(8, 0), FootprintModel(8, 4), FootprintModel(8, 8),
-           FootprintModel(3, 1), FootprintModel(1, 1)]
 _VALUES = st.one_of(
     st.lists(st.integers(0, 40), max_size=300),
     st.lists(st.text("abcdef", max_size=2), max_size=300),
@@ -290,41 +262,32 @@ _VALUES = st.one_of(
 
 
 class TestFill:
-    """``fill`` equals one ``insert`` at a time with the footprint tested
-    after each: same stop index, same pairs in the same order."""
+    """Filling a histogram a slice at a time (``extend``, phase 1 of the
+    block steps) equals one ``insert`` at a time: same pairs in the same
+    order, same counters."""
 
-    def _check(self, prefill, values, start, model, bound_bytes):
+    def _check(self, prefill, values):
         expected = CompactHistogram.from_values(prefill)
+        for v in values:
+            expected.insert(v)
         actual = CompactHistogram.from_values(prefill)
-        want = _insert_until(expected, values, start, model, bound_bytes)
-        got = actual.fill(values, start, model, bound_bytes)
-        assert got == want
+        actual.extend(values)
         assert _state(actual) == _state(expected)
-        return got
 
-    @given(prefill=_VALUES, values=_VALUES,
-           model=st.sampled_from(_MODELS),
-           bound_bytes=st.integers(0, 400), data=st.data())
+    @given(prefill=_VALUES, values=_VALUES, data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_insert_loop(self, prefill, values, model, bound_bytes,
-                                 data):
-        start = data.draw(st.integers(0, len(values)))
+    def test_matches_insert_loop(self, prefill, values, data):
         container = data.draw(st.sampled_from([list, tuple]))
-        self._check(prefill, container(values), start, model, bound_bytes)
+        self._check(prefill, container(values))
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @given(prefill=st.lists(st.integers(0, 30), max_size=100),
-           values=st.lists(st.integers(0, 30), max_size=300),
-           model=st.sampled_from(_MODELS),
-           bound_bytes=st.integers(0, 300), data=st.data())
+           values=st.lists(st.integers(0, 30), max_size=300))
     @settings(max_examples=100, deadline=None)
-    def test_numpy_int_array(self, prefill, values, model, bound_bytes,
-                             data):
+    def test_numpy_int_array(self, prefill, values):
         import numpy as np
 
-        start = data.draw(st.integers(0, len(values)))
-        self._check(prefill, np.array(values, dtype=np.int64), start, model,
-                    bound_bytes)
+        self._check(prefill, np.array(values, dtype=np.int64))
 
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_numpy_nan_keys(self):
@@ -332,27 +295,16 @@ class TestFill:
         import numpy as np
 
         values = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
-        assert self._check([], values, 0, MODEL, 1_000) == len(values)
+        self._check([], values)
+        hist = CompactHistogram()
+        hist.extend(values)
+        assert hist.distinct == 4
 
     @given(prefill=st.lists(st.sampled_from("abc"), max_size=50),
-           value=st.sampled_from("abcd"), count=st.integers(0, 200),
-           model=st.sampled_from(_MODELS),
-           bound_bytes=st.integers(0, 100), data=st.data())
+           value=st.sampled_from("abcd"), count=st.integers(0, 200))
     @settings(max_examples=100, deadline=None)
-    def test_repeated_value(self, prefill, value, count, model, bound_bytes,
-                            data):
-        start = data.draw(st.integers(0, count))
-        self._check(prefill, RepeatedValue(value, count), start, model,
-                    bound_bytes)
-
-    @pytest.mark.parametrize("model", _MODELS)
-    def test_prefilled_at_or_over_bound_inserts_once(self, model):
-        prefill = list(range(10))
-        at = CompactHistogram.from_values(prefill).footprint(model)
-        for bound_bytes in (at, at - 1, 0):
-            got = self._check(prefill, list(range(100, 200)), 3, model,
-                              bound_bytes)
-            assert got == 4
+    def test_repeated_value(self, prefill, value, count):
+        self._check(prefill, [value] * count)
 
     def test_from_values_matches_inserts_and_takes_generators(self):
         values = [3, 1.0, True, "a", 3, 3.0, "a", 7]

@@ -10,12 +10,11 @@ from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
                       sample_fingerprint, split_plans)
 from repro.core import blocks
 from repro.core.footprint import FootprintModel
-from repro.core.histogram import count_values
+from repro.core.histogram import CompactHistogram, count_values
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import (available_backends, numpy_available,
-                           use_backend)
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.stats.uniformity import inclusion_frequency_test
 from repro.testkit import sweep
@@ -166,9 +165,9 @@ class TestStatistics:
 
 
 class TestPhase3Law:
-    """On the numpy block path HB's phase-3 sample is an exact SRS: a
-    Bernoulli sample that reaches ``n_F`` at a block end is purged to an
-    SRS of ``n_F``, which reservoir steps keep.  At ``n = 12``,
+    """HB's phase-3 sample is an exact SRS: a Bernoulli sample that
+    reaches ``n_F`` at a block end is purged to an SRS of ``n_F``, which
+    reservoir steps over the thinned stream keep.  At ``n = 12``,
     ``n_F = 3``, ``p = 0.5`` about three runs in four end in phase 3."""
 
     @pytest.mark.parametrize("backend", available_backends())
@@ -176,10 +175,6 @@ class TestPhase3Law:
                              ids=["default", "block2", "block5"])
     def test_uniform_inclusion_given_reservoir(self, rng, monkeypatch,
                                                backend, block):
-        if backend == "python":
-            pytest.skip("the python backend's phase-3 fallback keeps the "
-                        "first n_F Bernoulli inclusions, which is not an "
-                        "SRS (hybrid_bernoulli's second caveat)")
         if block is not None:
             monkeypatch.setattr(blocks, "BLOCK", block)
 
@@ -301,7 +296,6 @@ class TestFeedManyExact:
                 assert sample_fingerprint(sampler.finalize()) == expected
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 @pytest.mark.usefixtures("small_grid")
 class TestFeedManyExactSmallGrid(TestFeedManyExact):
     """The same on grids of 7 and 64 arrivals: partitions over many
@@ -309,10 +303,13 @@ class TestFeedManyExactSmallGrid(TestFeedManyExact):
 
 
 class TestFeedRun:
+    """Runs of one value fed as exhaustive inputs (``feed_exhaustive``,
+    one block step each), as the merges' exhaustive case feeds them."""
+
     def test_run_equals_repeated_feeds_size(self, rng):
         hb = AlgorithmHB(10_000, bound_values=64, rng=rng)
-        hb.feed_run("x", 6_000)
-        hb.feed_run("y", 4_000)
+        hb.feed_exhaustive(CompactHistogram.from_pairs([("x", 6_000)]))
+        hb.feed_exhaustive(CompactHistogram.from_pairs([("y", 4_000)]))
         s = hb.finalize()
         assert s.population_size == 10_000
         # Two distinct values fit exhaustively.
@@ -322,8 +319,9 @@ class TestFeedRun:
     def test_run_crossing_phase_boundary(self, rng):
         hb = AlgorithmHB(9_000, bound_values=64, rng=rng)
         for v in range(200):
-            hb.feed_run(v, 1)      # distinct singletons -> trigger
-        hb.feed_run("tail", 8_800)
+            # distinct singletons -> trigger
+            hb.feed_exhaustive(CompactHistogram.from_values([v]))
+        hb.feed_exhaustive(CompactHistogram.from_pairs([("tail", 8_800)]))
         s = hb.finalize()
         s.check_invariants()
         assert s.population_size == 9_000

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from conftest import (ALPHA, feed_in_slices, feed_per_arrival, feed_shape,
                       sample_fingerprint, split_plans)
 from repro.core.footprint import FootprintModel
-from repro.core.histogram import count_values
+from repro.core.histogram import CompactHistogram, count_values
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import (available_backends, numpy_available,
-                           use_backend)
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
@@ -212,7 +211,6 @@ class TestFeedManyExact:
                 assert sample_fingerprint(sampler.finalize()) == expected
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 @pytest.mark.usefixtures("small_grid")
 class TestFeedManyExactSmallGrid(TestFeedManyExact):
     """The same on grids of 7 and 64 arrivals: partitions over many
@@ -220,10 +218,13 @@ class TestFeedManyExactSmallGrid(TestFeedManyExact):
 
 
 class TestFeedRun:
+    """Runs of one value fed as exhaustive inputs (``feed_exhaustive``,
+    one block step each), as the merges' exhaustive case feeds them."""
+
     def test_run_preserved_exhaustively(self, rng):
         hr = AlgorithmHR(bound_values=64, rng=rng)
-        hr.feed_run("x", 5_000)
-        hr.feed_run("y", 5_000)
+        hr.feed_exhaustive(CompactHistogram.from_pairs([("x", 5_000)]))
+        hr.feed_exhaustive(CompactHistogram.from_pairs([("y", 5_000)]))
         s = hr.finalize()
         assert s.kind is SampleKind.EXHAUSTIVE
         assert s.histogram.count("x") == 5_000
@@ -231,8 +232,8 @@ class TestFeedRun:
     def test_run_crossing_phase_boundary(self, rng):
         hr = AlgorithmHR(bound_values=64, rng=rng)
         for v in range(200):
-            hr.feed_run(v, 1)
-        hr.feed_run("tail", 8_800)
+            hr.feed_exhaustive(CompactHistogram.from_values([v]))
+        hr.feed_exhaustive(CompactHistogram.from_pairs([("tail", 8_800)]))
         s = hr.finalize()
         s.check_invariants()
         assert s.population_size == 9_000

@@ -16,7 +16,7 @@ from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.merge import (hb_merge, hr_merge, merge_cap, merge_samples,
                               merge_tree, sb_union)
 from repro.core.phases import SampleKind
-from repro.core.purge import purge_reservoir
+from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.core.sample import WarehouseSample
 from repro.core.stratified_bernoulli import AlgorithmSB
 from repro.errors import ConfigurationError, IncompatibleSamplesError
@@ -170,19 +170,57 @@ class TestHbMergeStatistics:
             rng=rng, seeds=3, alpha=ALPHA)
         assert result.accepted, result.describe()
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_exhaustive_into_bernoulli_phase3_is_srs(self, rng, backend):
+        """HBMerge's exhaustive case is one block step: the exhaustive
+        input is thinned at the Bernoulli input's rate, and a sample
+        that reaches ``n_F`` is purged to an SRS of all inclusions.  So
+        with an untruncated ``Bern(q)`` input, a merge that ends in
+        phase 3 is an exact SRS of the union; keeping the first ``n_F``
+        inclusions (the inclusion that triggered the switch is always
+        present) is rejected here."""
+        def sample_fn(values, child):
+            first, second = values[:5], values[5:]
+            # Five values at q = 0.6 never reach n_F = 6: no truncation.
+            bernoulli = WarehouseSample(
+                histogram=purge_bernoulli(
+                    CompactHistogram.from_values(first), 0.6,
+                    child.spawn("a")),
+                kind=SampleKind.BERNOULLI, population_size=len(first),
+                bound_values=6, rate=0.6)
+            exhaustive = WarehouseSample(
+                histogram=CompactHistogram.from_values(second),
+                kind=SampleKind.EXHAUSTIVE, population_size=len(second),
+                bound_values=6)
+            merged = hb_merge(exhaustive, bernoulli, rng=child.spawn("m"))
+            return (merged.values() if merged.kind is SampleKind.RESERVOIR
+                    else [])
+
+        with use_backend(backend):
+            result = sweep(
+                lambda child: inclusion_frequency_test(
+                    sample_fn, list(range(10)), trials=3_000, rng=child),
+                rng=rng, seeds=3, alpha=ALPHA)
+        assert result.accepted, result.describe()
+
     def test_truncation_approximation_is_real(self, rng):
         """Reproduction finding: HB's phase-2 output is Bern(q)
         *truncated* at |S| = n_F (the paper's "not quite a true
         Bernoulli sample").  At toy scale — where P(|S| >= n_F) is large
         — merging truncated inputs as if they were Bernoulli visibly
         under-represents within-partition pairs, and the strong subset
-        test must reject.  At realistic scale (previous test) the
-        deviation is O(p) and undetectable."""
+        test must reject.  Only the both-Bernoulli path merges them as
+        Bernoulli, so the other runs are left out: the phase-3 inputs
+        are exact SRSs, and their merges would only dilute the effect.
+        At realistic scale (previous test) the deviation is O(p) and
+        undetectable."""
         def sample_fn(values, child):
             mid = len(values) // 2
             # N=4, n_F=3, p=0.05: P(|S| >= n_F) ~ 0.27 per input.
             s1 = hb_sample(values[:mid], 3, child.spawn("a"), p=0.05)
             s2 = hb_sample(values[mid:], 3, child.spawn("b"), p=0.05)
+            if not (s1.kind.is_bernoulli and s2.kind.is_bernoulli):
+                return []
             merged = hb_merge(s1, s2, rng=child.spawn("m"))
             return merged.values()
 

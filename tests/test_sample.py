@@ -1,4 +1,4 @@
-"""Tests for repro.core.sample (WarehouseSample) and repro.core.runs."""
+"""Tests for repro.core.sample (WarehouseSample)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.phases import SampleKind
-from repro.core.runs import RepeatedValue
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
 
@@ -98,30 +97,3 @@ class TestInvariants:
                         bound=5)
         with pytest.raises(ConfigurationError):
             s.check_invariants()
-
-
-class TestRepeatedValue:
-    def test_basics(self):
-        r = RepeatedValue("x", 3)
-        assert len(r) == 3
-        assert r[0] == r[2] == "x"
-        assert list(r) == ["x", "x", "x"]
-
-    def test_negative_index(self):
-        assert RepeatedValue("x", 3)[-1] == "x"
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            RepeatedValue("x", 3)[3]
-
-    def test_slice(self):
-        r = RepeatedValue("x", 10)[2:5]
-        assert isinstance(r, RepeatedValue)
-        assert len(r) == 3
-
-    def test_negative_count(self):
-        with pytest.raises(ConfigurationError):
-            RepeatedValue("x", -1)
-
-    def test_empty(self):
-        assert list(RepeatedValue("x", 0)) == []
