@@ -10,10 +10,9 @@ merged uniform sample's, at identical storage cost.
 
 from __future__ import annotations
 
-from repro.analytics.estimators import estimate_avg
+from repro.analytics.estimators import StratifiedSample, estimate_avg
 from repro.bench.report import print_table
 from repro.core.merge import merge_tree
-from repro.core.stratified import StratifiedSample
 from repro.warehouse.parallel import SampleTask, sample_partition
 
 

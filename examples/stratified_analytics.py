@@ -8,6 +8,7 @@ Run:  python examples/stratified_analytics.py
 """
 
 from repro import SampleWarehouse, SplittableRng
+from repro.analytics.aqp import ApproximateQueryEngine
 from repro.analytics.estimators import estimate_avg
 
 SEED = 606
@@ -26,7 +27,8 @@ for day in range(DAYS):
 truth_mean = truth_total / (DAYS * PER_DAY)
 
 merged_est = estimate_avg(wh.sample_of("revenue"))
-stratified_est = wh.stratified_sample_of("revenue").estimate_avg()
+stratified_est = (ApproximateQueryEngine(wh).stratified_sample("revenue")
+                  .estimate_avg())
 
 print("AVG(revenue) under day-over-day drift "
       f"(truth {truth_mean:,.1f}):")

@@ -22,6 +22,7 @@ from repro.analysis.rules import errors as _errors  # noqa: F401,E402
 from repro.analysis.rules import executors as _executors  # noqa: F401,E402
 from repro.analysis.rules import interprocedural as _interprocedural  # noqa: F401,E402
 from repro.analysis.rules import kernels as _kernels  # noqa: F401,E402
+from repro.analysis.rules import layering as _layering  # noqa: F401,E402
 from repro.analysis.rules import locks as _locks  # noqa: F401,E402
 from repro.analysis.rules import obs as _obs  # noqa: F401,E402
 from repro.analysis.rules import rng as _rng  # noqa: F401,E402

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.analytics.estimators import (Estimate, estimate_avg,
-                                        estimate_count, estimate_quantile,
-                                        estimate_sum)
+from repro.analytics.estimators import (Estimate, StratifiedSample,
+                                        estimate_avg, estimate_count,
+                                        estimate_quantile, estimate_sum)
 from repro.analytics.planner import QueryPlan, QueryPlanner
 from repro.core.phases import SampleKind
 
@@ -160,6 +160,17 @@ class ApproximateQueryEngine:
         sample = self._warehouse.sample_of(dataset, labels=labels)
         return estimate_avg(sample, value_fn=value_fn,
                             confidence=confidence)
+
+    def stratified_sample(self, dataset: str, *,
+                          labels: Optional[Iterable[str]] = None
+                          ) -> StratifiedSample:
+        """The selected partitions (all active ones, or those carrying
+        one of ``labels``) kept as strata instead of merged."""
+        catalog = self._warehouse.catalog
+        metas = (catalog.merge_labels(dataset, labels)
+                 if labels is not None else catalog.partitions(dataset))
+        return StratifiedSample(
+            [self._warehouse.sample_for(m.key) for m in metas])
 
     def quantile(self, dataset: str, fraction: float, *,
                  labels: Optional[Iterable[str]] = None) -> float:

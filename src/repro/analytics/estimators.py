@@ -10,7 +10,9 @@ from samples [9, 10, 19].  Each estimator consumes a
   finite-population correction in their variance.
 
 All interval-producing estimators return an :class:`Estimate` with a
-normal-approximation confidence interval.  Distinct-value estimation —
+normal-approximation confidence interval; the merge-all, stratified
+and planner paths share one moment pass, one stratum variance and one
+interval builder.  Distinct-value estimation —
 the metadata-discovery workhorse — gets the classical Chao and GEE
 estimators, both computed directly from the compact histogram's
 frequency-of-frequencies (a free by-product of the storage format).
@@ -21,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
@@ -30,6 +33,7 @@ from repro.warehouse.synopsis import PartitionSynopsis
 
 __all__ = ["Estimate", "estimate_count", "estimate_sum", "estimate_avg",
            "estimate_quantile", "stratified_partition_estimate",
+           "StratifiedSample",
            "frequency_of_frequencies", "chao_distinct",
            "gee_distinct", "naive_distinct"]
 
@@ -83,6 +87,7 @@ class Estimate:
 
 
 def _z(confidence: float) -> float:
+    """Two-sided normal quantile; the one ``confidence`` check."""
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(
             f"confidence must be in (0, 1), got {confidence}")
@@ -90,14 +95,55 @@ def _z(confidence: float) -> float:
 
 
 def _interval(value: float, std_err: float, confidence: float,
-              exact: bool = False) -> Estimate:
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(
-            f"confidence must be in (0, 1), got {confidence}")
-    if exact or std_err == 0.0:
-        return Estimate(value, value, value, confidence, exact=exact)
-    half = _z(confidence) * std_err
-    return Estimate(value, value - half, value + half, confidence)
+              exact: bool = False, sample_size: Optional[int] = None,
+              population_size: Optional[int] = None) -> Estimate:
+    """``value ± z·std_err`` (zero width when exact or no spread)."""
+    z = _z(confidence)
+    low = high = value
+    if not exact and std_err != 0.0:
+        half = z * std_err
+        low, high = value - half, value + half
+    return Estimate(value, low, high, confidence, exact=exact,
+                    sample_size=sample_size,
+                    population_size=population_size)
+
+
+class _Moments(NamedTuple):
+    n: int
+    total: float      # Σ x·count
+    mean: float
+    variance: float   # n-1 denominator
+    sum_sq: float     # Σ x²·count
+
+
+def _moments(sample: WarehouseSample,
+             value_fn: Callable[[object], float] = float) -> _Moments:
+    """One pass over the sample's ``(value, count)`` runs.
+
+    The totals fold strictly left to right, like the synopses' folds,
+    and not through builtin ``sum``, which compensates on Python 3.12+:
+    an answer must not depend on the interpreter version.
+    """
+    n = sample.size
+    total = 0.0
+    sum_sq = 0.0
+    for value, cnt in sample.histogram.pairs():
+        x = value_fn(value)
+        total += x * cnt
+        sum_sq += x * x * cnt
+    mean = total / n if n else 0.0
+    variance = 0.0
+    if n > 1:
+        variance = max(0.0, sum_sq / n - mean * mean) * n / (n - 1)
+    return _Moments(n, total, mean, variance, sum_sq)
+
+
+def _stratum_variance(population: int, variance: float, n: int) -> float:
+    """Variance of one stratum's expanded total ``N·mean`` estimated
+    from ``n`` of its ``N`` values: ``N² s²/n`` times the
+    finite-population correction ``1 − n/N``."""
+    fpc = max(0.0, 1.0 - n / max(1, population))
+    return population ** 2 * variance / n * fpc
 
 
 Predicate = Callable[[object], bool]
@@ -139,28 +185,19 @@ def estimate_sum(sample: WarehouseSample, *,
                  value_fn: Callable[[object], float] = float,
                  confidence: float = 0.95) -> Estimate:
     """Estimated population total of ``value_fn(v)``."""
-    pairs = list(sample.histogram.pairs())
-    n = sample.size
-    total = sum(value_fn(v) * cnt for v, cnt in pairs)
+    m = _moments(sample, value_fn)
     if sample.kind is SampleKind.EXHAUSTIVE:
-        return _interval(total, 0.0, confidence, exact=True)
+        return _interval(m.total, 0.0, confidence, exact=True)
     if sample.kind is SampleKind.BERNOULLI:
         assert sample.rate is not None
         q = sample.rate
-        sum_sq = sum(value_fn(v) ** 2 * cnt for v, cnt in pairs)
-        value = total / q
-        std_err = math.sqrt(max(0.0, sum_sq * (1.0 - q))) / q
-        return _interval(value, std_err, confidence)
-    big_n = sample.population_size
-    if n == 0:
+        std_err = math.sqrt(max(0.0, m.sum_sq * (1.0 - q))) / q
+        return _interval(m.total / q, std_err, confidence)
+    if m.n == 0:
         return _interval(0.0, 0.0, confidence)
-    mean = total / n
-    var = (sum(value_fn(v) ** 2 * cnt for v, cnt in pairs) / n
-           - mean * mean)
-    var = max(0.0, var) * (n / (n - 1) if n > 1 else 1.0)
-    fpc = max(0.0, 1.0 - n / big_n)
-    std_err = big_n * math.sqrt(var / n * fpc)
-    return _interval(big_n * mean, std_err, confidence)
+    big_n = sample.population_size
+    std_err = math.sqrt(_stratum_variance(big_n, m.variance, m.n))
+    return _interval(big_n * m.mean, std_err, confidence)
 
 
 def estimate_avg(sample: WarehouseSample, *,
@@ -172,22 +209,18 @@ def estimate_avg(sample: WarehouseSample, *,
     interval uses the sample variance with a finite-population correction
     for reservoir samples.
     """
-    pairs = list(sample.histogram.pairs())
-    n = sample.size
-    if n == 0:
+    m = _moments(sample, value_fn)
+    if m.n == 0:
         raise ConfigurationError("cannot average an empty sample")
-    total = sum(value_fn(v) * cnt for v, cnt in pairs)
-    mean = total / n
     if sample.kind is SampleKind.EXHAUSTIVE:
-        return _interval(mean, 0.0, confidence, exact=True)
-    var = (sum(value_fn(v) ** 2 * cnt for v, cnt in pairs) / n
-           - mean * mean)
-    var = max(0.0, var) * (n / (n - 1) if n > 1 else 1.0)
-    fpc = 1.0
-    if sample.kind is SampleKind.RESERVOIR and sample.population_size:
-        fpc = max(0.0, 1.0 - n / sample.population_size)
-    std_err = math.sqrt(var / n * fpc)
-    return _interval(mean, std_err, confidence)
+        return _interval(m.mean, 0.0, confidence, exact=True)
+    if sample.kind is SampleKind.RESERVOIR:
+        big_n = sample.population_size
+        variance = (_stratum_variance(big_n, m.variance, m.n)
+                    / float(big_n) ** 2)
+    else:
+        variance = m.variance / m.n
+    return _interval(m.mean, math.sqrt(variance), confidence)
 
 
 def estimate_quantile(sample: WarehouseSample, fraction: float, *,
@@ -212,28 +245,13 @@ def estimate_quantile(sample: WarehouseSample, fraction: float, *,
 
 
 # ----------------------------------------------------------------------
-# Stratified partition estimation (the planner's estimator)
+# Stratified estimation (the planner's estimator, Section 4.1)
 # ----------------------------------------------------------------------
-def _sample_moments(sample: WarehouseSample) -> Tuple[float, float]:
-    """Sample mean and (n-1) variance of the numeric values."""
-    n = sample.size
-    total = 0.0
-    total_sq = 0.0
-    for value, cnt in sample.histogram.pairs():
-        x = float(value)
-        total += x * cnt
-        total_sq += x * x * cnt
-    mean = total / n
-    variance = 0.0
-    if n > 1:
-        variance = max(0.0, total_sq / n - mean * mean) * n / (n - 1)
-    return mean, variance
-
-
 def stratified_partition_estimate(
         agg: str, *,
         sampled: Sequence[Tuple[int, WarehouseSample]] = (),
         synopses: Sequence[PartitionSynopsis] = (),
+        value_fn: Callable[[object], float] = float,
         confidence: float = 0.95,
         variance_scale: float = 1.0) -> Estimate:
     """Full-population estimate combining samples and synopses.
@@ -241,13 +259,13 @@ def stratified_partition_estimate(
     Each partition is one stratum (``docs/aqp.md``).  The strata the
     plan *selected* arrive in ``sampled`` as ``(N_h, sample)`` pairs
     and contribute the classical stratified expansion ``N_h · mean_h``
-    with variance ``N_h² s_h² / n_h`` (finite-population corrected);
-    the *unselected* strata arrive as their catalog synopses and
-    contribute their summary totals — with zero variance when exact,
-    or with the scale-up variance ``N_h² σ̂_h² / m_h`` (fpc over the
-    ``m_h``-value basis) when sample-estimated.  The point estimate
-    therefore always covers the full population, whatever subset the
-    planner chose to read.
+    of ``value_fn`` with variance ``N_h² s_h² / n_h``
+    (finite-population corrected); the *unselected* strata arrive as
+    their catalog synopses and contribute their summary totals of the
+    raw values — with zero variance when exact, or with the scale-up
+    variance ``N_h² σ̂_h² / m_h`` (fpc over the ``m_h``-value basis)
+    when sample-estimated.  The point estimate therefore always covers
+    the full population, whatever subset the planner chose to read.
 
     ``agg`` is ``"count"``, ``"sum"``, or ``"avg"``.  Counts need no
     samples at all: per-partition parent sizes are catalog facts.
@@ -280,11 +298,10 @@ def stratified_partition_estimate(
                     "cannot estimate from an empty stratum sample "
                     "with a non-empty parent")
             continue
-        mean, var = _sample_moments(sample)
-        total += population * mean
+        m = _moments(sample, value_fn)
+        total += population * m.mean
         if sample.kind is not SampleKind.EXHAUSTIVE:
-            fpc = max(0.0, 1.0 - sample.size / max(1, population))
-            variance += population ** 2 * var / sample.size * fpc
+            variance += _stratum_variance(population, m.variance, m.n)
     for synopsis in synopses:
         if synopsis.count == 0:
             continue
@@ -299,9 +316,8 @@ def stratified_partition_estimate(
                     "an estimated synopsis with no observed basis "
                     "cannot contribute; the planner should have "
                     "fallen back")
-            fpc = max(0.0, 1.0 - synopsis.basis / synopsis.count)
-            variance += (synopsis.count ** 2 * synopsis.variance
-                         / synopsis.basis * fpc)
+            variance += _stratum_variance(synopsis.count,
+                                          synopsis.variance, synopsis.basis)
     variance *= variance_scale
 
     if agg == "avg":
@@ -309,11 +325,104 @@ def stratified_partition_estimate(
             raise ConfigurationError("cannot average an empty population")
         total /= big_n
         variance /= float(big_n) ** 2
-    std_err = math.sqrt(variance)
-    est = _interval(total, std_err, confidence, exact=variance == 0.0)
-    return Estimate(est.value, est.ci_low, est.ci_high, confidence,
-                    exact=est.exact, sample_size=observed,
-                    population_size=big_n)
+    return _interval(total, math.sqrt(variance), confidence,
+                     exact=variance == 0.0, sample_size=observed,
+                     population_size=big_n)
+
+
+class StratifiedSample:
+    """Per-partition samples kept separate, with stratified estimators.
+
+    Section 4.1: HB/HR samples "can also be simply concatenated,
+    yielding a stratified random sample".  Weighting each stratum by
+    its exact parent size removes the between-strata variance, which
+    pays off when partition means differ (e.g. temporal drift).  The
+    estimators are :func:`stratified_partition_estimate`.
+
+    Parameters
+    ----------
+    strata:
+        Per-partition :class:`WarehouseSample` objects (disjoint parents).
+
+    Examples
+    --------
+    >>> from repro import AlgorithmHR, SplittableRng
+    >>> rng = SplittableRng(0)
+    >>> strata = []
+    >>> for lo in (0, 1000):
+    ...     hr = AlgorithmHR(bound_values=64, rng=rng.spawn(lo))
+    ...     hr.feed_many(list(range(lo, lo + 1000)))
+    ...     strata.append(hr.finalize())
+    >>> s = StratifiedSample(strata)
+    >>> s.population_size
+    2000
+    """
+
+    def __init__(self, strata: Sequence[WarehouseSample]) -> None:
+        if not strata:
+            raise ConfigurationError(
+                "a stratified sample needs at least one stratum")
+        self._strata = list(strata)
+
+    @property
+    def strata(self) -> List[WarehouseSample]:
+        """The per-partition samples."""
+        return list(self._strata)
+
+    @property
+    def num_strata(self) -> int:
+        """Number of strata."""
+        return len(self._strata)
+
+    @property
+    def population_size(self) -> int:
+        """Total parent elements across strata."""
+        return sum(s.population_size for s in self._strata)
+
+    @property
+    def size(self) -> int:
+        """Total sampled elements across strata."""
+        return sum(s.size for s in self._strata)
+
+    def values(self) -> List[object]:
+        """The concatenated bag of sampled values (Section 4.1's
+        'simply concatenated' stratified sample)."""
+        out: List[object] = []
+        for s in self._strata:
+            out.extend(s.values())
+        return out
+
+    def _sampled(self) -> List[Tuple[int, WarehouseSample]]:
+        return [(s.population_size, s) for s in self._strata]
+
+    def estimate_sum(self, *,
+                     value_fn: Callable[[object], float] = float,
+                     confidence: float = 0.95) -> Estimate:
+        """Stratified total: ``Σ_h N_h · mean_h`` with per-stratum fpc."""
+        return stratified_partition_estimate(
+            "sum", sampled=self._sampled(), value_fn=value_fn,
+            confidence=confidence)
+
+    def estimate_avg(self, *,
+                     value_fn: Callable[[object], float] = float,
+                     confidence: float = 0.95) -> Estimate:
+        """Stratified mean: the stratified total over the known N."""
+        return stratified_partition_estimate(
+            "avg", sampled=self._sampled(), value_fn=value_fn,
+            confidence=confidence)
+
+    def estimate_count(self, *,
+                       where: Callable[[object], bool],
+                       confidence: float = 0.95) -> Estimate:
+        """Stratified count of elements satisfying ``where``."""
+        return stratified_partition_estimate(
+            "sum", sampled=self._sampled(),
+            value_fn=lambda v: 1.0 if where(v) else 0.0,
+            confidence=confidence)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"StratifiedSample(strata={self.num_strata}, "
+                f"size={self.size}, population={self.population_size})")
 
 
 # ----------------------------------------------------------------------

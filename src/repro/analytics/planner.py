@@ -34,16 +34,21 @@ or a bound tighter than even full selection reaches — the plan
 **falls back to merge-all**, the legacy estimator whose answer is
 never wrong, just slower.  Execution combines the chosen strata with
 :func:`repro.analytics.estimators.stratified_partition_estimate`.
+
+**Plan versus execution** share the stratum variance, but a selected
+stratum is priced from its synopsis ``σ̂_h²`` and executed with the
+live ``s_h²``, so an executed interval can be wider than
+``predicted_half_width`` (docs/aqp.md).  Unselected estimated strata
+skip the fpc at plan time only, on purpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Iterable, List, Optional, Tuple
 
-from repro.analytics.estimators import (Estimate,
+from repro.analytics.estimators import (Estimate, _stratum_variance, _z,
                                         stratified_partition_estimate)
 from repro.errors import ConfigurationError
 from repro.obs.clock import monotonic
@@ -51,8 +56,6 @@ from repro.obs.runtime import OBS
 from repro.warehouse.dataset import PartitionKey
 
 __all__ = ["QueryPlan", "QueryPlanner", "PLAN_AGGREGATES"]
-
-_NORMAL = NormalDist()
 
 #: Aggregates the planner can certify from synopses.
 PLAN_AGGREGATES = ("count", "sum", "avg")
@@ -160,9 +163,7 @@ class QueryPlanner:
             raise ConfigurationError(
                 f"target_half_width must be finite and >= 0, "
                 f"got {target_half_width}")
-        if not 0.0 < confidence < 1.0:
-            raise ConfigurationError(
-                f"confidence must be in (0, 1), got {confidence}")
+        z = _z(confidence)
         t0 = monotonic()
         label_sig = tuple(sorted(labels)) if labels is not None else None
         catalog = self._warehouse.catalog
@@ -207,6 +208,7 @@ class QueryPlanner:
         strata: List[_Stratum] = []
         population_total = 0
         point_total = 0.0
+        variance = 0.0   # folded left to right, as execution folds
         for meta in metas:
             synopsis = meta.synopsis
             if synopsis is None or not synopsis.numeric:
@@ -226,15 +228,17 @@ class QueryPlanner:
             else:
                 big_n = synopsis.count
                 sigma_sq = synopsis.variance
+                # The one deliberate plan/execute difference: no fpc
+                # here, execution applies 1 - m/N (docs/aqp.md).
                 v_u = big_n ** 2 * sigma_sq / synopsis.basis
                 n_live = meta.sample_size
                 if n_live > 0:
-                    fpc = max(0.0, 1.0 - n_live / max(1, big_n))
-                    v_s = big_n ** 2 * sigma_sq / n_live * fpc
+                    v_s = _stratum_variance(big_n, sigma_sq, n_live)
                     selectable = True
                 else:
                     v_s = v_u
                     selectable = False
+            variance += v_u
             strata.append(_Stratum(meta.key, synopsis.count, v_u, v_s,
                                    selectable))
 
@@ -252,12 +256,10 @@ class QueryPlanner:
                               "empty population")
             sum_target = target * population_total
 
-        z = _NORMAL.inv_cdf(0.5 + confidence / 2.0)
         ranked = tuple(
             (str(s.key), s.unselected_variance)
             for s in sorted(strata, key=lambda s: (-s.unselected_variance,
                                                    s.key)))
-        variance = sum(s.unselected_variance for s in strata)
         selected: List[PartitionKey] = []
         candidates = sorted((s for s in strata if s.selectable
                              and s.gain > 0.0),

@@ -13,11 +13,9 @@ from repro.core.merge import hb_merge, hr_merge, merge_samples, merge_tree
 from repro.core.multi_purge import MultiPurgeBernoulli
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
-from repro.core.stratified import StratifiedSample
 from repro.core.stratified_bernoulli import AlgorithmSB
 
 __all__ = [
-    "StratifiedSample",
     "AlgorithmHB",
     "AlgorithmHR",
     "AlgorithmSB",

@@ -290,33 +290,6 @@ class SampleWarehouse:
         samples = [self._store.get(k) for k in keys]
         return merge_tree(samples, rng=self._rng.spawn("merge", dataset))
 
-    def stratified_sample_of(self, dataset: str, *,
-                             keys: Optional[Iterable[PartitionKey]] = None,
-                             labels: Optional[Iterable[str]] = None):
-        """The selected partitions as a stratified sample.
-
-        Instead of merging into one uniform sample, keeps each
-        partition's sample as a stratum with its known parent size —
-        Section 4.1's "simply concatenated" design.  Stratified
-        estimators (on the returned object) remove between-partition
-        variance, which pays off when partition means differ.
-        """
-        from repro.core.stratified import StratifiedSample
-
-        if keys is not None and labels is not None:
-            raise ConfigurationError("give keys or labels, not both")
-        if keys is None:
-            if labels is not None:
-                metas = self._catalog.merge_labels(dataset, labels)
-            else:
-                metas = self._catalog.partitions(dataset)
-            keys = [m.key for m in metas]
-        keys = list(keys)
-        if not keys:
-            raise ConfigurationError(
-                f"no partitions selected for dataset {dataset!r}")
-        return StratifiedSample([self._store.get(k) for k in keys])
-
     # ------------------------------------------------------------------
     # Roll-in / roll-out
     # ------------------------------------------------------------------

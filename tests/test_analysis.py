@@ -675,6 +675,48 @@ class TestKernelDiscipline:
         assert codes(found) == ["RPR003"]
 
 
+class TestLayering:
+    def test_module_level_upward_import_flagged(self, tmp_path):
+        found = lint_tree(tmp_path, {"core/x.py": """\
+            from repro.analytics.estimators import Estimate
+            """}, select=["RPR121"])
+        assert codes(found) == ["RPR121"]
+        assert found[0].line == 1
+
+    def test_function_local_upward_import_flagged(self, tmp_path):
+        found = lint_tree(tmp_path, {"warehouse/x.py": """\
+            def stratified():
+                import repro.analytics.aqp as aqp
+                return aqp
+            """}, select=["RPR121"])
+        assert codes(found) == ["RPR121"]
+        assert found[0].line == 2
+
+    def test_relative_and_root_imports_resolve(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "sampling/x.py": "from ..kernels import python\n",
+            "errors.py": "from repro import rng\n",
+        }, select=["RPR121"])
+        assert codes(found) == ["RPR121", "RPR121"]
+
+    def test_downward_and_same_layer_imports_clean(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "kernels/python.py": "from repro.sampling.skip import x\n",
+            "core/x.py": ("from repro.core.sample import WarehouseSample\n"
+                          "from . import merge\n"),
+            "serve/app.py": "from repro.analytics.aqp import Engine\n",
+        }, select=["RPR121"])
+        assert found == []
+
+    def test_packages_outside_the_table_are_exempt(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "obs/metrics.py": "from repro.bench.ascii_chart import bar\n",
+            "testkit/x.py": "from repro.serve.app import Service\n",
+            "rng.py": "from repro.obs.runtime import OBS\n",
+        }, select=["RPR121"])
+        assert found == []
+
+
 class TestSuppressions:
     def test_noqa_with_code_suppresses(self, tmp_path):
         found = lint_tree(tmp_path, {

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analytics import estimators
 from repro.analytics.estimators import (chao_distinct, estimate_avg,
                                         estimate_count, estimate_quantile,
                                         estimate_sum,
                                         frequency_of_frequencies,
-                                        gee_distinct, naive_distinct)
+                                        gee_distinct, naive_distinct,
+                                        stratified_partition_estimate)
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
@@ -189,3 +195,64 @@ class TestEstimateObject:
         est = estimate_avg(s)
         assert est.half_width == pytest.approx(
             (est.ci_high - est.ci_low) / 2)
+
+
+@st.composite
+def reservoir_samples(draw):
+    """A reservoir sample of 1-60 values from a population up to 10^4
+    larger.  Values are rounded to 1e-6 so no cancellation lands in the
+    subnormal range."""
+    values = draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: round(x, 6)),
+        min_size=1, max_size=60))
+    return WarehouseSample(
+        histogram=CompactHistogram.from_values(values),
+        kind=SampleKind.RESERVOIR,
+        population_size=len(values) + draw(st.integers(0, 10_000)),
+        bound_values=len(values),
+        model=MODEL)
+
+
+def _bits(est):
+    return (est.ci_low.hex(), est.ci_high.hex())
+
+
+class TestSinglePath:
+    """A reservoir sample is one stratum: the merge-all estimators and
+    the stratified estimator share the moment pass, the stratum variance
+    and the interval builder, so they agree bit for bit."""
+
+    @given(reservoir_samples(), st.sampled_from([0.8, 0.95, 0.99]))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_is_one_stratum(self, sample, confidence):
+        merged = estimate_sum(sample, confidence=confidence)
+        strat = stratified_partition_estimate(
+            "sum", sampled=[(sample.population_size, sample)],
+            confidence=confidence)
+        assert merged.value.hex() == strat.value.hex()
+        assert _bits(merged) == _bits(strat)
+
+    @given(reservoir_samples(), st.sampled_from([0.8, 0.95, 0.99]))
+    @settings(max_examples=200, deadline=None)
+    def test_avg_is_one_stratum(self, sample, confidence):
+        """The point values differ on purpose (``estimate_avg`` keeps the
+        sample mean, the stratified path divides its total by N), so the
+        interval is compared through the standard error both hand to
+        the interval builder, and endpoint for endpoint whenever the
+        points agree."""
+        std_errs = []
+        build = estimators._interval
+
+        def spy(value, std_err, *args, **kwargs):
+            std_errs.append(std_err)
+            return build(value, std_err, *args, **kwargs)
+
+        with mock.patch.object(estimators, "_interval", spy):
+            merged = estimate_avg(sample, confidence=confidence)
+            strat = stratified_partition_estimate(
+                "avg", sampled=[(sample.population_size, sample)],
+                confidence=confidence)
+        assert len(std_errs) == 2
+        assert std_errs[0].hex() == std_errs[1].hex()
+        if merged.value == strat.value:
+            assert _bits(merged) == _bits(strat)

@@ -9,11 +9,10 @@ fixed seeds and assert it lands in a generous band around nominal
 
 from __future__ import annotations
 
-from repro.analytics.estimators import (estimate_avg, estimate_count,
-                                        estimate_sum)
+from repro.analytics.estimators import (StratifiedSample, estimate_avg,
+                                        estimate_count, estimate_sum)
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
-from repro.core.stratified import StratifiedSample
 from repro.rng import SplittableRng
 
 TRIALS = 120

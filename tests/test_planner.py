@@ -286,6 +286,20 @@ class TestEngineIntegration:
         assert d["value"] == est.value
         assert d["confidence"] == est.confidence
 
+    def test_merge_all_and_planned_sum_fold_alike(self):
+        """Merge-all totals its exhaustive sample left to right, like
+        the exact synopsis the planner reads, so both paths give the
+        same bytes on every Python version (builtin ``sum`` compensates
+        on 3.12+ and would return 1.0 here)."""
+        wh = SampleWarehouse(bound_values=64, rng=SplittableRng(3))
+        wh.ingest_batch("fold", [1e16, 1.0, -1e16])
+        engine = ApproximateQueryEngine(wh)
+        merged = engine.sum("fold")
+        planned = engine.sum("fold", target_half_width=1.0)
+        assert merged.exact and planned.exact
+        assert merged.value == 0.0
+        assert planned.value == 0.0
+
 
 class TestAcceptanceAtScale:
     """The planner's acceptance bar as work counts, not wall-clock: at

@@ -1,11 +1,15 @@
-"""Tests for repro.core.stratified and warehouse stratified access."""
+"""Tests for StratifiedSample and stratified access through the engine."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analytics.aqp import ApproximateQueryEngine
+from repro.analytics.estimators import (StratifiedSample,
+                                        stratified_partition_estimate)
 from repro.core.hybrid_reservoir import AlgorithmHR
-from repro.core.stratified import StratifiedSample
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
 from repro.warehouse.warehouse import SampleWarehouse
@@ -85,11 +89,43 @@ class TestEstimators:
             s.estimate_avg()
 
 
+class TestSinglePath:
+    """StratifiedSample is a container over the planner's estimator."""
+
+    @given(st.lists(st.tuples(st.integers(1, 400),     # values
+                              st.integers(4, 64),      # bound
+                              st.integers(0, 10**6)),  # seed
+                    min_size=1, max_size=4),
+           st.sampled_from([0.8, 0.95]))
+    @settings(max_examples=40, deadline=None)
+    def test_estimates_equal_stratified_partition_estimate(self, specs,
+                                                          confidence):
+        strata = [stratum([(i * 7_919 + seed) % 1_000 / 8.0
+                           for i in range(n)], bound, SplittableRng(seed))
+                  for n, bound, seed in specs]
+        s = StratifiedSample(strata)
+        sampled = [(h.population_size, h) for h in strata]
+
+        def where(v):
+            return v < 60.0
+
+        for agg, got in (("sum", s.estimate_sum(confidence=confidence)),
+                         ("avg", s.estimate_avg(confidence=confidence))):
+            want = stratified_partition_estimate(
+                agg, sampled=sampled, confidence=confidence)
+            assert got.to_dict() == want.to_dict()
+        want = stratified_partition_estimate(
+            "sum", sampled=sampled, confidence=confidence,
+            value_fn=lambda v: 1.0 if where(v) else 0.0)
+        got = s.estimate_count(where=where, confidence=confidence)
+        assert got.to_dict() == want.to_dict()
+
+
 class TestWarehouseIntegration:
-    def test_stratified_sample_of(self):
+    def test_stratified_sample(self):
         wh = SampleWarehouse(bound_values=64, rng=SplittableRng(12))
         wh.ingest_batch("d", list(range(20_000)), partitions=5)
-        s = wh.stratified_sample_of("d")
+        s = ApproximateQueryEngine(wh).stratified_sample("d")
         assert s.num_strata == 5
         assert s.population_size == 20_000
 
@@ -97,12 +133,13 @@ class TestWarehouseIntegration:
         wh = SampleWarehouse(bound_values=64, rng=SplittableRng(12))
         wh.ingest_batch("d", list(range(9_000)), partitions=3,
                         labels=["a", "b", "a"])
-        s = wh.stratified_sample_of("d", labels=["a"])
+        s = ApproximateQueryEngine(wh).stratified_sample("d", labels=["a"])
         assert s.num_strata == 2
         assert s.population_size == 6_000
 
     def test_empty_selection(self):
         wh = SampleWarehouse(bound_values=64, rng=SplittableRng(12))
-        wh.ingest_batch("d", list(range(100)))
+        wh.ingest_batch("d", list(range(100)), labels=["a"])
         with pytest.raises(ConfigurationError):
-            wh.stratified_sample_of("d", keys=[])
+            ApproximateQueryEngine(wh).stratified_sample("d",
+                                                         labels=["zzz"])
