@@ -491,12 +491,25 @@ class Project:
         return self._by_path.get(finding.path)
 
 
+def _package_root(file: Path) -> Path:
+    """The directory above the outermost package holding ``file``.
+
+    Walks up through parents that carry an ``__init__.py``, so a file
+    linted on its own gets the package-relative path it would get when
+    its tree is linted, and package-scoped rules still apply to it.
+    """
+    root = file.parent
+    while (root / "__init__.py").is_file() and root.parent != root:
+        root = root.parent
+    return root
+
+
 def _iter_sources(paths: Sequence[str]) -> Iterator[Tuple[Path, Path]]:
     """Yield ``(file, root)`` pairs for every ``.py`` under ``paths``."""
     for raw in paths:
         path = Path(raw)
         if path.is_file():
-            yield path, path.parent
+            yield path, _package_root(path)
         elif path.is_dir():
             for file in sorted(path.rglob("*.py")):
                 yield file, path

@@ -291,6 +291,10 @@ def stratified_partition_estimate(
 
     total = 0.0
     variance = 0.0
+    # Exact only when every stratum is known whole: an exhaustive
+    # sample or an exact synopsis.  A zero variance is not enough — a
+    # reservoir whose values happen to be equal has one too.
+    exact = True
     for population, sample in sampled:
         if sample.size == 0:
             if population > 0:
@@ -301,6 +305,7 @@ def stratified_partition_estimate(
         m = _moments(sample, value_fn)
         total += population * m.mean
         if sample.kind is not SampleKind.EXHAUSTIVE:
+            exact = False
             variance += _stratum_variance(population, m.variance, m.n)
     for synopsis in synopses:
         if synopsis.count == 0:
@@ -311,6 +316,7 @@ def stratified_partition_estimate(
                 "aggregate; the planner should have fallen back")
         total += synopsis.total
         if not synopsis.exact:
+            exact = False
             if synopsis.basis <= 0:
                 raise ConfigurationError(
                     "an estimated synopsis with no observed basis "
@@ -326,7 +332,7 @@ def stratified_partition_estimate(
         total /= big_n
         variance /= float(big_n) ** 2
     return _interval(total, math.sqrt(variance), confidence,
-                     exact=variance == 0.0, sample_size=observed,
+                     exact=exact, sample_size=observed,
                      population_size=big_n)
 
 

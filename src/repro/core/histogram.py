@@ -118,30 +118,36 @@ class CompactHistogram:
         return cls.from_tally((counts, size, list(counts.values()).count(1)))
 
     @classmethod
-    def joined(cls, first: Tally, second: Tally) -> "CompactHistogram":
-        """Histogram of the multiset union of two tallies (the join).
+    def joined(cls, *tallies: Tally) -> "CompactHistogram":
+        """Histogram of the multiset union of tallies (the join).
 
-        Copies the map with more distinct values (``first`` on a tie),
-        updates it with the other, then sums the counts of the values
-        the two share, the only per-key Python work.  Pairs come out in
-        the bigger map's order followed by the other's new values, and
-        a shared value keeps the bigger map's key object — what adding
-        the smaller map's counts one key at a time would leave.
+        Copies the map with the most distinct values (the earliest on a
+        tie), updates it with each other map in turn, then sums the
+        counts of the values already present, the only per-key Python
+        work.  Pairs come out in the biggest map's order followed by
+        each other map's new values, and a shared value keeps the key
+        object seen first — what adding the other maps' counts one key
+        at a time would leave.  No tallies join to an empty histogram.
         """
-        if len(second[0]) > len(first[0]):
-            first, second = second, first
-        big, big_size, big_singletons = first
-        small, small_size, small_singletons = second
+        if not tallies:
+            return cls()
+        base = max(range(len(tallies)), key=lambda i: len(tallies[i][0]))
+        big, size, singletons = tallies[base]
         counts = dict(big)
-        counts.update(small)
-        # Only values present in both operands can change singleton
-        # status (their joined count is >= 2).
-        singletons = big_singletons + small_singletons
-        for v in big.keys() & small.keys():
-            mine, theirs = big[v], small[v]
-            counts[v] = mine + theirs
-            singletons -= (mine == 1) + (theirs == 1)
-        return cls.from_tally((counts, big_size + small_size, singletons))
+        for i, (small, small_size, small_singletons) in enumerate(tallies):
+            if i == base:
+                continue
+            shared = [(v, counts[v]) for v in counts.keys() & small.keys()]
+            counts.update(small)
+            size += small_size
+            # Only values present in both operands can change singleton
+            # status (their joined count is >= 2).
+            singletons += small_singletons
+            for v, mine in shared:
+                theirs = small[v]
+                counts[v] = mine + theirs
+                singletons -= (mine == 1) + (theirs == 1)
+        return cls.from_tally((counts, size, singletons))
 
     def copy(self) -> "CompactHistogram":
         """An independent copy."""

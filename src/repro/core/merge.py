@@ -16,10 +16,12 @@ a warehouse needs around them:
 * :func:`merge_samples` — scheme-aware dispatch used by the warehouse.
 * :func:`sb_union` — Algorithm SB's plain union (with rate equalization
   when partitions were sampled at different rates).
-* :func:`merge_tree` — fold many per-partition samples into one over a
-  balanced binary plan whose nodes draw from independent RNG substreams
-  (``rng.spawn("merge", level, index)``), so the merged sample is a pure
-  function of the inputs and the seed.
+* :func:`merge_tree` — fold many per-partition samples into one.  Proper
+  HR reservoirs merge at once (Theorem 1 over m partitions: one
+  allocation draw, one purge per input, one join); other inputs fold
+  over a balanced binary plan whose nodes draw from independent RNG
+  substreams (``rng.spawn("merge", level, index)``).  Either way the
+  merged sample is a pure function of the inputs and the seed.
 
 All merges require the parent partitions to be **disjoint**; the library
 cannot verify disjointness from the samples alone, so the warehouse layer
@@ -43,7 +45,7 @@ from repro.core.purge import (purge_bernoulli, purge_reservoir_concat,
                               purge_reservoir_tally)
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import draw_hypergeometric
+from repro.kernels import draw_allocation, draw_hypergeometric
 from repro.obs.clock import monotonic
 from repro.obs.runtime import OBS
 from repro.obs.tracing import traced
@@ -199,7 +201,6 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         here and wants the result to stay labelled ``"hb"``).
     """
     _check_compatible(s1, s2)
-    total = s1.population_size + s2.population_size
     if OBS.enabled:
         OBS.registry.counter("merge.hr").inc()
 
@@ -219,46 +220,74 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     if not 0 <= k <= cap:
         raise ConfigurationError(
             f"target_size must be in 0..{cap}, got {k}")
-    if k == 0:
-        # One input sampled nothing (possible for a tiny Bernoulli
-        # sample); the theorem's min-size rule makes the merged sample
-        # empty — trivially uniform.  Callers can detect it via size.
-        return WarehouseSample(
-            histogram=CompactHistogram(),
-            kind=SampleKind.RESERVOIR,
-            population_size=total,
-            bound_values=s1.bound_values,
-            scheme=scheme,
-            exceedance_p=min(s1.exceedance_p, s2.exceedance_p),
-            model=s1.model,
-        )
+    # k == 0: one input sampled nothing (possible for a tiny Bernoulli
+    # sample); the theorem's min-size rule makes the merged sample
+    # empty — trivially uniform, and no draw is taken.
+    shares = (0, 0)
+    if k:
+        take_first = draw_hypergeometric(n1, n2, k, rng, cache=cache,
+                                         method=method)
+        if OBS.enabled:
+            reg = OBS.registry
+            reg.histogram("merge.hr.draw_l").observe(take_first)
+            # Steps the eq. (3) recursion walks to fill the pmf: the
+            # width of the hypergeometric support for this (n1, n2, k).
+            reg.histogram("merge.hr.recursion_depth").observe(
+                min(k, n1) - max(0, k - n2))
+        shares = (take_first, k - take_first)
+    return _join_shares((s1, s2), shares, rng, scheme)
 
-    take_first = draw_hypergeometric(n1, n2, k, rng, cache=cache,
-                                     method=method)
-    if OBS.enabled:
-        reg = OBS.registry
-        reg.histogram("merge.hr.draw_l").observe(take_first)
-        # Steps the eq. (3) recursion walks to fill the pmf: the width
-        # of the hypergeometric support for this (n1, n2, k).
-        reg.histogram("merge.hr.recursion_depth").observe(
-            min(k, n1) - max(0, k - n2))
-    # The purges need take_first <= |S1| and k - take_first <= |S2|.
-    # The hypergeometric support gives take_first <= min(k, n1) and
-    # k - take_first <= min(k, n2); merge_cap makes k <= |S_i| unless
-    # S_i holds its whole partition, where n_i = |S_i| bounds the share.
-    # Both purges hand their survivors straight to one join: no
-    # intermediate histogram is built.
-    first = purge_reservoir_tally(s1.histogram, take_first, rng)
-    second = purge_reservoir_tally(s2.histogram, k - take_first, rng)
+
+def _join_shares(samples: Sequence[WarehouseSample], shares: Sequence[int],
+                 rng: SplittableRng, scheme: str) -> WarehouseSample:
+    """Theorem 1's tail: purge each input to its share, join the rest.
+
+    Input ``i`` keeps a simple random subsample of ``shares[i]`` values
+    (Figure 4); the survivors go straight to one join, so no
+    intermediate histogram is built.  The purges need ``shares[i] <=
+    |S_i|``: the hypergeometric support gives ``shares[i] <= min(k,
+    N_i)``, and the merged size ``k`` is at most ``|S_i|`` unless
+    ``S_i`` holds its whole partition, where ``N_i = |S_i|`` bounds the
+    share (:func:`merge_cap`).  An input with no share takes no purge.
+    """
+    first = samples[0]
     return WarehouseSample(
-        histogram=CompactHistogram.joined(first, second),
+        histogram=CompactHistogram.joined(*[
+            purge_reservoir_tally(s.histogram, share, rng)
+            for s, share in zip(samples, shares) if share]),
         kind=SampleKind.RESERVOIR,
-        population_size=total,
-        bound_values=s1.bound_values,
+        population_size=sum(s.population_size for s in samples),
+        bound_values=first.bound_values,
         scheme=scheme,
-        exceedance_p=min(s1.exceedance_p, s2.exceedance_p),
-        model=s1.model,
+        exceedance_p=min(s.exceedance_p for s in samples),
+        model=first.model,
     )
+
+
+def _one_draw(sample: WarehouseSample) -> bool:
+    """True for a proper sample of the HR family (a bounded reservoir)."""
+    return (sample.scheme == "hr" and not sample.kind.is_bernoulli
+            and not sample.kind.is_exhaustive)
+
+
+def _hr_merge_many(samples: Sequence[WarehouseSample],
+                   rng: SplittableRng) -> WarehouseSample:
+    """Theorem 1 over m partitions, with one allocation draw.
+
+    Every input is a proper simple random sample (:func:`_one_draw`), so
+    the merged size is ``K = min |S_i|``, the size a pairwise fold ends
+    at.  ``(L_1, ..., L_m)`` comes from the multivariate hypergeometric
+    law over the populations ``N_i`` (:func:`draw_allocation`); input
+    ``i`` is purged to ``L_i`` and the survivors are joined once.  The
+    result is a simple random sample of ``K`` from the union, as the
+    pairwise fold's is, for about one purge per input instead of two
+    per tree node.
+    """
+    for sample in samples[1:]:
+        _check_compatible(samples[0], sample)
+    k = min(s.size for s in samples)
+    shares = draw_allocation([s.population_size for s in samples], k, rng)
+    return _join_shares(samples, shares, rng, "hr")
 
 
 @traced("merge.sb_union", timer="merge.sb_union.seconds")
@@ -336,25 +365,37 @@ def merge_tree(samples: Sequence[WarehouseSample], *,
                merger: Optional[MergeFn] = None) -> WarehouseSample:
     """Fold many per-partition samples into one sample of their union.
 
-    The fold follows a **balanced binary plan**: level by level,
-    adjacent pairs merge, and each node draws from its own RNG
-    substream ``rng.spawn("merge", level, index)``.  Because node seeds
-    are positional — not threaded through a shared generator — the
-    merged sample is a pure function of the inputs, their order, and
-    the seed (docs/determinism.md).  Balanced levels keep partition
-    sizes symmetric, so alias tables are reused across each level
-    (Section 4.2).
+    **One draw for HR reservoirs.**  When no ``merger`` is given and
+    every input is a proper HR-family sample (``scheme == "hr"``,
+    neither Bernoulli nor exhaustive), the m inputs merge at once:
+    one multivariate hypergeometric draw splits the ``min |S_i|``
+    merged slots over the populations, each input is purged to its
+    share and the survivors are joined once (Theorem 1 for m
+    partitions).  The draw and the purges use the one substream
+    ``rng.spawn("merge", "one-draw")``.
 
-    On odd-sized levels the **last** sample is carried into the next
-    level, where it joins the front pairing — so a carried sample waits
-    exactly one level instead of riding the tail to the root (which
-    would degenerate the tree on non-power-of-two partition counts).
+    **A balanced tree otherwise.**  HB, SB, mixed and exhaustive inputs
+    fold over a balanced binary plan: level by level, adjacent pairs
+    merge, and each node draws from its own RNG substream
+    ``rng.spawn("merge", level, index)``.  Balanced levels keep
+    partition sizes symmetric, so alias tables are reused across each
+    level (Section 4.2).  On odd-sized levels the **last** sample is
+    carried into the next level, where it joins the front pairing — so
+    a carried sample waits exactly one level instead of riding the tail
+    to the root (which would degenerate the tree on non-power-of-two
+    partition counts).  ``merger`` overrides the per-node evaluation
+    with a caller-supplied pairwise merge, applied over the same plan.
 
-    ``merger`` overrides the per-node evaluation with a caller-supplied
-    pairwise merge, applied over the same balanced plan.
+    Either way seeds are positional — not threaded through a shared
+    generator — so the merged sample is a pure function of the inputs,
+    their order, and the seed (docs/determinism.md).
     """
     if not samples:
         raise ConfigurationError("merge_tree needs at least one sample")
+    if len(samples) > 1 and merger is None and all(map(_one_draw, samples)):
+        if OBS.enabled:
+            OBS.registry.counter("merge.tree.one_draw").inc()
+        return _hr_merge_many(samples, rng.spawn("merge", "one-draw"))
 
     level: List[WarehouseSample] = list(samples)
     level_index = 0

@@ -1,7 +1,8 @@
 """Vectorized sampling/merge kernels with a pure-Python fallback.
 
 The inner loops of the merge procedures — the eq. (3) hypergeometric
-pmf, the ``L`` draw of Figure 8, the Binomial purge of Figure 3, and the
+pmf, the ``L`` draw of Figure 8 (and its m-input form,
+:func:`draw_allocation`), the Binomial purge of Figure 3, and the
 simple-random-subsample purge of Figure 4 — are the hot path of every
 merge tree.  On ingest and in the merges' exhaustive case, HB/HR's
 block steps (:mod:`repro.core.blocks`) merge a running sample with a
@@ -67,6 +68,7 @@ __all__ = [
     "hypergeometric_pmf",
     "draw_hypergeometric",
     "draw_hypergeometric_batch",
+    "draw_allocation",
     "binomial_counts",
     "srs_counts",
     "reservoir_block",
@@ -193,6 +195,25 @@ def draw_hypergeometric_batch(n1: int, n2: int, k: int, rng,
     """``count`` i.i.d. eq. (2) draws — one vectorized call on numpy."""
     return _backend().draw_hypergeometric_batch(
         n1, n2, k, rng, count, cache=cache, method=method)
+
+
+def draw_allocation(populations: Sequence[int], k: int,
+                    rng) -> List[int]:
+    """Theorem 1's split of ``k`` merged slots over m partitions.
+
+    Returns ``(L_1, ..., L_m)`` drawn from the multivariate
+    hypergeometric law over the partition sizes ``populations``: the
+    number of elements each partition contributes to a simple random
+    sample of ``k`` from their union.  With two partitions ``L_1`` has
+    the law of eq. (2).  Requires at least one partition and ``0 <= k
+    <= sum(populations)``; ``k == 0`` draws nothing.  Neither backend
+    caches a table or allocates scratch proportional to the
+    populations: the python backend draws ``L_i`` from eq. (2) over
+    ``N_i`` and the partitions after it, one partition at a time; the
+    numpy backend makes one ``multivariate_hypergeometric(...,
+    method="marginals")`` call.
+    """
+    return _backend().draw_allocation(populations, k, rng)
 
 
 def binomial_counts(counts: Collection[int], q: float,

@@ -9,6 +9,9 @@ determinism is a per-backend contract (docs/determinism.md):
   ``searchsorted`` (the cdf cache is this backend's analogue of the
   Section 4.2 alias-table cache and reports through the same
   ``merge.hyper_cache.hit`` / ``merge.hyper_cache.miss`` counters);
+* the m-input split of Theorem 1 is one
+  ``Generator.multivariate_hypergeometric(..., method="marginals")``
+  call, which walks the partitions without O(sum of sizes) scratch;
 * Figure 3's per-run Binomials are a single ``Generator.binomial`` call
   over the run-length vector;
 * Figure 4's simple random subsample over runs is a single
@@ -50,8 +53,9 @@ from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
 __all__ = ["hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "reservoir_block", "bernoulli_block", "fold_moments"]
+           "draw_hypergeometric_batch", "draw_allocation",
+           "binomial_counts", "srs_counts", "reservoir_block",
+           "bernoulli_block", "fold_moments"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
 _GEN_ATTR = "_repro_numpy_generator"
@@ -235,6 +239,39 @@ def reservoir_block(seen: int, block: int, capacity: int,
         return [], []
     return (gen.choice(capacity, entering, replace=False).tolist(),
             gen.choice(block, entering, replace=False).tolist())
+
+
+def draw_allocation(populations: Sequence[int], k: int,
+                    rng: SplittableRng) -> List[int]:
+    """One ``multivariate_hypergeometric`` call (``"marginals"``: a
+    hypergeometric per partition, no scratch proportional to the sizes;
+    ``"count"`` would allocate one entry per element).
+
+    Past ``Generator``'s population limit the same sequential split runs
+    on uncached eq. (3) cdfs, inverted against one uniform vector.  The
+    method is a pure function of the sizes, so draws stay deterministic
+    for a given rng state.
+    """
+    total = _reference._check_allocation(populations, k)
+    if k == 0:
+        return [0] * len(populations)
+    gen = _generator(rng)
+    if total < _HYPERGEOMETRIC_LIMIT:
+        return gen.multivariate_hypergeometric(
+            _run_array(populations), k, method="marginals").tolist()
+    uniforms = gen.random(len(populations) - 1)
+    allocation = []
+    rest, remaining = total, k
+    for size, u in zip(populations[:-1], uniforms):
+        rest -= size
+        take = 0
+        if remaining:
+            cdf = np.cumsum(_pmf_array(size, rest, remaining))
+            take = int(min(np.searchsorted(cdf, u, side="left"), remaining))
+        allocation.append(take)
+        remaining -= take
+    allocation.append(remaining)
+    return allocation
 
 
 def bernoulli_block(block: int, q: float,

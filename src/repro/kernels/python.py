@@ -29,8 +29,8 @@ from repro.sampling.distributions import \
 from repro.sampling.skip import SkipGenerator
 
 __all__ = ["FenwickTree", "hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "binomial_counts", "srs_counts",
-           "reservoir_block", "bernoulli_block", "fold_moments"]
+           "draw_hypergeometric_batch", "draw_allocation", "binomial_counts",
+           "srs_counts", "reservoir_block", "bernoulli_block", "fold_moments"]
 
 
 class FenwickTree:
@@ -131,6 +131,37 @@ def draw_hypergeometric_batch(n1: int, n2: int, k: int,
         raise ConfigurationError(f"count must be >= 0, got {count}")
     return [draw_hypergeometric(n1, n2, k, rng, cache=cache, method=method)
             for _ in range(count)]
+
+
+def _check_allocation(populations: Sequence[int], k: int) -> int:
+    """Validate an allocation request; returns the total population."""
+    if not populations:
+        raise ConfigurationError("an allocation needs at least one partition")
+    if min(populations) < 0:
+        raise ConfigurationError("population sizes must be >= 0")
+    total = sum(populations)
+    if not 0 <= k <= total:
+        raise ConfigurationError(f"k must be in [0, {total}], got {k}")
+    return total
+
+
+def draw_allocation(populations: Sequence[int], k: int,
+                    rng: SplittableRng) -> List[int]:
+    """Sequential eq. (2) draws: ``L_i`` splits what is left of ``k``
+    between partition ``i`` and the partitions after it; the last takes
+    the rest.  Each draw inverts a fresh pmf of at most ``k + 1`` terms.
+    """
+    rest = _check_allocation(populations, k)
+    allocation = []
+    remaining = k
+    for size in populations[:-1]:
+        rest -= size
+        take = (sample_hypergeometric(size, rest, remaining, rng)
+                if remaining else 0)
+        allocation.append(take)
+        remaining -= take
+    allocation.append(remaining)
+    return allocation
 
 
 def _survivors(kept: List[int]) -> Tuple[List[int], List[int]]:

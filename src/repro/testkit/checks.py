@@ -56,8 +56,12 @@ check                            claim
                                  Binomial(N, q) given no exceedance
 ``merge.hr.subset``              (deep) Theorem 1: HRMerge output is a
                                  uniform sample of the union
-``merge.tree.homogeneity``       (deep) left-deep and balanced folds
-                                 draw from the same inclusion law
+``merge.many.subset``            merge_tree's one-draw merge of HR
+                                 reservoirs over unequal partitions
+                                 draws uniform subsets of the union
+``merge.tree.homogeneity``       (deep) a left-deep pairwise fold and
+                                 merge_tree draw from the same
+                                 inclusion law
 ===============================  =====================================
 
 The negative controls carry ``expect_reject=True``: a battery that
@@ -621,8 +625,31 @@ def default_battery() -> Battery:
         return subset_frequency_test(run, list(range(8)), size=2,
                                      trials=150 * scale, rng=rng)
 
+    @battery.check("merge.many.subset",
+                   description="merge_tree's one-draw HR merge of "
+                               "unequal partitions is a uniform sample "
+                               "of the union")
+    def merge_many_subset(rng: SplittableRng, scale: int) -> float:
+        sizes = (3, 5, 3, 4)
+
+        def run(values, child):
+            samples, start = [], 0
+            for i, size in enumerate(sizes):
+                part = values[start:start + size]
+                start += size
+                sampler = make_sampler("hr", population_size=size,
+                                       bound_values=2, exceedance_p=0.01,
+                                       sb_rate=None,
+                                       rng=child.spawn("part", i))
+                sampler.feed_many(part)
+                samples.append(sampler.finalize())
+            return merge_tree(samples,
+                              rng=child.spawn("merge")).histogram.expand()
+        return subset_frequency_test(run, list(range(sum(sizes))), size=2,
+                                     trials=840 * scale, rng=rng)
+
     @battery.check("merge.tree.homogeneity", tier="deep",
-                   description="left-deep and balanced merge folds "
+                   description="a left-deep pairwise fold and merge_tree "
                                "draw from one inclusion law")
     def tree_homogeneity(rng: SplittableRng, scale: int) -> float:
         population = list(range(24))

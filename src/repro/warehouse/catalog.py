@@ -11,8 +11,9 @@ sampling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.phases import SampleKind
 from repro.errors import (ConfigurationError, DatasetNotFoundError,
@@ -31,7 +32,9 @@ class PartitionMeta:
     range, heavy hitters — see :mod:`repro.warehouse.synopsis`) when
     the ingest path could compute or estimate them; records persisted
     before synopses existed load with ``synopsis=None`` and simply
-    opt the partition out of planner shortcuts.
+    opt the partition out of planner shortcuts.  Flip ``active`` of a
+    registered record through :meth:`Catalog.roll_out` /
+    :meth:`Catalog.roll_in` only: they keep the catalog's active index.
     """
 
     key: PartitionKey
@@ -75,10 +78,36 @@ class PartitionMeta:
         )
 
 
+def _key_order(meta: PartitionMeta) -> Tuple[int, int]:
+    """Key order within one dataset (every key shares its ``dataset``)."""
+    return meta.key.stream, meta.key.seq
+
+
 @dataclass
 class _DatasetEntry:
     partitions: Dict[PartitionKey, PartitionMeta] = field(
         default_factory=dict)
+    #: The active records in key order.  Every writer replaces the
+    #: tuple whole, so a reader sees a finished one, and a lookup costs
+    #: O(active) however many retired records the history holds.
+    active: Tuple[PartitionMeta, ...] = ()
+
+    def _slot(self, key: PartitionKey) -> Tuple[int, int]:
+        """Where ``key`` sits in the active tuple: ``(start, end)``,
+        ``end = start + 1`` when its record is there."""
+        active = self.active
+        i = bisect_left(active, (key.stream, key.seq), key=_key_order)
+        return i, i + (i < len(active) and active[i].key == key)
+
+    def deactivate(self, key: PartitionKey) -> None:
+        """Drop ``key``'s record from the active tuple (if it is there)."""
+        i, end = self._slot(key)
+        self.active = self.active[:i] + self.active[end:]
+
+    def activate(self, meta: PartitionMeta) -> None:
+        """Put ``meta`` in the active tuple, replacing its key's record."""
+        i, end = self._slot(meta.key)
+        self.active = self.active[:i] + (meta,) + self.active[end:]
 
 
 class Catalog:
@@ -102,11 +131,20 @@ class Catalog:
     def register(self, meta: PartitionMeta, *,
                  replace: bool = False) -> None:
         """Add a partition record; re-registering raises unless ``replace``."""
+        entry = self._record(meta, replace)
+        if meta.active:
+            entry.activate(meta)
+        else:
+            entry.deactivate(meta.key)
+
+    def _record(self, meta: PartitionMeta, replace: bool) -> _DatasetEntry:
+        """File ``meta`` under its key; the caller updates the active tuple."""
         entry = self._datasets.setdefault(meta.key.dataset, _DatasetEntry())
         if meta.key in entry.partitions and not replace:
             raise ConfigurationError(
                 f"partition {meta.key} already registered")
         entry.partitions[meta.key] = meta
+        return entry
 
     def get(self, key: PartitionKey) -> PartitionMeta:
         """The record for ``key`` (raises if unknown)."""
@@ -120,8 +158,10 @@ class Catalog:
 
     def forget(self, key: PartitionKey) -> None:
         """Drop a partition record entirely."""
-        meta = self.get(key)
-        del self._datasets[meta.key.dataset].partitions[key]
+        self.get(key)
+        entry = self._datasets[key.dataset]
+        del entry.partitions[key]
+        entry.deactivate(key)
 
     def datasets(self) -> List[str]:
         """Names of all known datasets, sorted."""
@@ -135,16 +175,17 @@ class Catalog:
 
         ``only_active`` filters out rolled-out partitions; ``where`` is an
         arbitrary extra predicate (e.g. on labels for temporal selection).
+        Active lookups read the key-ordered tuple the writers keep, so
+        they never touch a rolled-out record.
         """
         entry = self._datasets.get(dataset)
         if entry is None:
             raise DatasetNotFoundError(dataset)
-        metas = sorted(entry.partitions.values(), key=lambda m: m.key)
-        if only_active:
-            metas = [m for m in metas if m.active]
+        metas = (entry.active if only_active
+                 else sorted(entry.partitions.values(), key=_key_order))
         if where is not None:
-            metas = [m for m in metas if where(m)]
-        return metas
+            return [m for m in metas if where(m)]
+        return list(metas)
 
     def next_seq(self, dataset: str, stream: int = 0) -> int:
         """The next unused temporal sequence number for a stream."""
@@ -160,10 +201,13 @@ class Catalog:
     def roll_out(self, key: PartitionKey) -> None:
         """Mark a partition inactive (its sample leaves the working set)."""
         self.get(key).active = False
+        self._datasets[key.dataset].deactivate(key)
 
     def roll_in(self, key: PartitionKey) -> None:
         """Mark a partition active again."""
-        self.get(key).active = True
+        meta = self.get(key)
+        meta.active = True
+        self._datasets[key.dataset].activate(meta)
 
     # ------------------------------------------------------------------
     # Aggregates and persistence
@@ -181,7 +225,7 @@ class Catalog:
             "datasets": {
                 name: [m.to_dict()
                        for m in sorted(entry.partitions.values(),
-                                       key=lambda m: m.key)]
+                                       key=_key_order)]
                 for name, entry in self._datasets.items()
             }
         }
@@ -192,7 +236,12 @@ class Catalog:
         catalog = cls()
         for metas in data.get("datasets", {}).values():
             for meta in metas:
-                catalog.register(PartitionMeta.from_dict(meta))
+                catalog._record(PartitionMeta.from_dict(meta), False)
+        # One sort per dataset, not one tuple copy per record.
+        for entry in catalog._datasets.values():
+            entry.active = tuple(sorted(
+                (m for m in entry.partitions.values() if m.active),
+                key=_key_order))
         return catalog
 
     def merge_labels(self, dataset: str,

@@ -118,13 +118,17 @@ def assert_same_state(got, want):
     assert (got_size, got_singletons) == (want_size, want_singletons)
 
 
-def counter_join(first, second):
+def counter_join(*histograms):
     """The join as the ``Counter.update`` code computed it, in
-    :func:`histogram_state` form; size and singletons are recounted."""
-    bigger, smaller = ((first, second) if first.distinct >= second.distinct
-                       else (second, first))
-    merged = Counter(dict(bigger.pairs()))
-    merged.update(dict(smaller.pairs()))
+    :func:`histogram_state` form; size and singletons are recounted.
+    The histogram with the most distinct values (the earliest on a tie)
+    is the base, updated with the others in order."""
+    base = max(range(len(histograms)),
+               key=lambda i: histograms[i].distinct)
+    merged = Counter(dict(histograms[base].pairs()))
+    for i, other in enumerate(histograms):
+        if i != base:
+            merged.update(dict(other.pairs()))
     counts = list(merged.values())
     return list(merged.items()), sum(counts), counts.count(1)
 

@@ -699,6 +699,16 @@ class TestLayering:
         }, select=["RPR121"])
         assert codes(found) == ["RPR121", "RPR121"]
 
+    def test_lone_file_keeps_its_package_scope(self, tmp_path):
+        files = {"repro/__init__.py": "", "repro/core/__init__.py": "",
+                 "repro/core/x.py":
+                     "from repro.analytics.estimators import Estimate\n"}
+        tree = lint_tree(tmp_path, files, select=["RPR121"])
+        lone, _ = run_lint([str(tmp_path / "pkg/repro/core/x.py")],
+                           contract_doc=None, select=["RPR121"])
+        assert codes(tree) == codes(lone) == ["RPR121"]
+        assert lone[0].line == tree[0].line == 1
+
     def test_downward_and_same_layer_imports_clean(self, tmp_path):
         found = lint_tree(tmp_path, {
             "kernels/python.py": "from repro.sampling.skip import x\n",

@@ -134,6 +134,65 @@ class TestRollInOut:
         assert c.total_population("d", only_active=False) == 350
 
 
+class WatchedMeta(PartitionMeta):
+    """A record that counts the attribute reads made after roll-out."""
+
+    retired_reads = [0]
+
+    def __getattribute__(self, name):
+        if not object.__getattribute__(self, "active"):
+            WatchedMeta.retired_reads[0] += 1
+        return object.__getattribute__(self, name)
+
+
+class TestLookupCost:
+    """Active lookups cost O(active): retired records are never read."""
+
+    @pytest.mark.parametrize("history", [16, 400])
+    def test_lookups_skip_retired_records(self, history):
+        c = Catalog()
+        window = 8
+        for seq in range(history + window):
+            c.register(WatchedMeta(
+                key=PartitionKey("d", 0, seq), population_size=10,
+                sample_size=5, kind=SampleKind.RESERVOIR, scheme="hr",
+                label=f"day{seq}"))
+            if seq >= window:
+                c.roll_out(PartitionKey("d", 0, seq - window))
+        WatchedMeta.retired_reads[0] = 0
+        live = list(range(history, history + window))
+        assert [m.key.seq for m in c.partitions("d")] == live
+        wanted = [f"day{seq}" for seq in (0, history, history + 3)]
+        assert [m.key.seq for m in c.merge_labels("d", wanted)] == [
+            history, history + 3]
+        assert c.total_population("d") == 10 * window
+        assert WatchedMeta.retired_reads[0] == 0
+
+    def test_writers_keep_key_order(self):
+        c = Catalog()
+        for seq in (5, 1, 3):
+            c.register(meta(seq=seq))
+        c.register(meta(stream=1, seq=0))
+        c.roll_out(PartitionKey("d", 0, 3))
+        assert [(m.key.stream, m.key.seq) for m in c.partitions("d")] == [
+            (0, 1), (0, 5), (1, 0)]
+        c.roll_in(PartitionKey("d", 0, 3))
+        c.forget(PartitionKey("d", 0, 1))
+        replacement = meta(seq=5, size=7)
+        c.register(replacement, replace=True)
+        got = c.partitions("d")
+        assert [(m.key.stream, m.key.seq) for m in got] == [
+            (0, 3), (0, 5), (1, 0)]
+        assert got[1] is replacement
+        retired = meta(seq=3)
+        retired.active = False
+        c.register(retired, replace=True)
+        assert [m.key.seq for m in c.partitions("d")] == [5, 0]
+        restored = Catalog.from_dict(c.to_dict())
+        assert [m.key for m in restored.partitions("d")] == [
+            m.key for m in c.partitions("d")]
+
+
 class TestPersistence:
     def test_round_trip(self):
         c = Catalog()

@@ -183,6 +183,19 @@ class TestJoinOracle:
         assert list(joined.values())[2] is NAN
         assert (joined.size, joined.singletons) == (6, 2)
 
+    @given(st.lists(st.lists(MIXED_KEYS, max_size=30), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_many_way_join_matches_counter_join(self, bags):
+        hists = [CompactHistogram.from_values(bag) for bag in bags]
+        before = [histogram_state(h) for h in hists]
+        joined = CompactHistogram.joined(*(h.tally() for h in hists))
+        if hists:
+            assert_same_state(histogram_state(joined),
+                              counter_join(*hists))
+        else:
+            assert joined.size == 0 and joined.distinct == 0
+        assert [histogram_state(h) for h in hists] == before
+
     def test_joined_wraps_tallies(self):
         a = CompactHistogram.from_values([1, 1, 2])
         b = CompactHistogram.from_values([2, 3])

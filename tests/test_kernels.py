@@ -25,7 +25,8 @@ from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.errors import ConfigurationError
 from repro.kernels import (KERNEL_BACKEND_ENV, active_backend,
                            available_backends, bernoulli_block,
-                           binomial_counts, draw_hypergeometric,
+                           binomial_counts, draw_allocation,
+                           draw_hypergeometric,
                            draw_hypergeometric_batch, fold_moments,
                            hypergeometric_pmf, numpy_available,
                            reservoir_block, set_backend, srs_counts,
@@ -249,6 +250,88 @@ class TestBlockOps:
             assert bernoulli_block(50, 1.0, rng) == list(range(50))
             with pytest.raises(ConfigurationError):
                 bernoulli_block(5, 1.5, rng)
+
+
+def allocation_pmf(populations, k):
+    """{(L_1, ..., L_m): probability} of the multivariate hypergeometric
+    split of ``k`` over ``populations`` (log-gamma, any sizes)."""
+    def log_comb(n, r):
+        return (math.lgamma(n + 1) - math.lgamma(r + 1)
+                - math.lgamma(n - r + 1))
+
+    total = log_comb(sum(populations), k)
+    cells = {}
+
+    def walk(prefix, remaining):
+        i = len(prefix)
+        if i == len(populations) - 1:
+            if remaining <= populations[i]:
+                split = prefix + (remaining,)
+                cells[split] = math.exp(sum(
+                    log_comb(n, l) for n, l in zip(populations, split))
+                    - total)
+            return
+        for take in range(min(remaining, populations[i]) + 1):
+            walk(prefix + (take,), remaining - take)
+
+    walk((), k)
+    return cells
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestAllocation:
+    """draw_allocation: Theorem 1's split of k slots over m partitions."""
+
+    @given(populations=st.lists(st.integers(0, 10**10), min_size=1,
+                                max_size=6),
+           data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_shapes(self, backend, populations, data, seed):
+        k = data.draw(st.integers(0, min(sum(populations), 300)))
+        with use_backend(backend):
+            split = draw_allocation(populations, k, SplittableRng(seed))
+        assert len(split) == len(populations) and sum(split) == k
+        assert all(0 <= take <= n for take, n in zip(split, populations))
+
+    @pytest.mark.parametrize("populations, k", [
+        ((4, 6, 5), 5),                         # the generator's path
+        ((6 * 10**8, 4 * 10**8, 5 * 10**8), 6),  # past its population limit
+    ])
+    def test_multivariate_hypergeometric_law(self, backend, rng,
+                                             populations, k):
+        pmf = allocation_pmf(populations, k)
+        trials = 3000
+
+        def gof(child):
+            observed = dict.fromkeys(pmf, 0)
+            with use_backend(backend):
+                for t in range(trials):
+                    observed[tuple(draw_allocation(populations, k,
+                                                   child.spawn(t)))] += 1
+            # Cells expecting fewer than 5 draws pool into one.
+            big = [c for c in pmf if pmf[c] * trials >= 5]
+            rest = [c for c in pmf if pmf[c] * trials < 5]
+            obs = [observed[c] for c in big] + [sum(observed[c]
+                                                    for c in rest)]
+            exp = [pmf[c] * trials for c in big] + [sum(pmf[c] * trials
+                                                        for c in rest)]
+            return chi_square_pvalue(obs, exp)
+
+        result = sweep(gof, rng=rng, seeds=3, alpha=ALPHA)
+        assert result.accepted, result.describe()
+
+    def test_zero_slots_draw_nothing(self, backend):
+        ours, theirs = SplittableRng(4), SplittableRng(4)
+        with use_backend(backend):
+            assert draw_allocation([10, 20, 30], 0, ours) == [0, 0, 0]
+        assert ours.random() == theirs.random()
+
+    def test_rejects_bad_requests(self, backend, rng):
+        with use_backend(backend):
+            for populations, k in (([], 0), ([5, -1], 2), ([3, 4], 8),
+                                   ([3, 4], -1)):
+                with pytest.raises(ConfigurationError):
+                    draw_allocation(populations, k, rng)
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -590,6 +590,119 @@ class TestMergeTree:
         assert forward != backward
 
 
+def unequal_hr_samples(m, *, bound=16, seed=11):
+    """m proper HR reservoirs over disjoint partitions of unequal sizes."""
+    rng = SplittableRng(seed)
+    samples, start = [], 0
+    for i in range(m):
+        size = 200 + 150 * i
+        samples.append(hr_sample(list(range(start, start + size)), bound,
+                                 rng.spawn("part", i)))
+        start += size
+    return samples
+
+
+class TestOneDrawMerge:
+    """merge_tree merges m proper HR samples with one allocation draw."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(merge_module, name)
+
+            def counted(*args, __name=name, __original=original, **kwargs):
+                calls[__name] += 1
+                return __original(*args, **kwargs)
+
+            monkeypatch.setattr(merge_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_one_draw_and_at_most_m_purges(self, monkeypatch, backend, m):
+        samples = unequal_hr_samples(m)
+        calls = self._count_calls(monkeypatch, "draw_allocation",
+                                  "draw_hypergeometric",
+                                  "purge_reservoir_tally", "merge_samples")
+        with use_backend(backend):
+            merge_tree(samples, rng=SplittableRng(3))
+        # The pairwise fold ran 2(m - 1) purges and m - 1 draws.
+        assert calls["draw_allocation"] == 1
+        assert calls["draw_hypergeometric"] == 0
+        assert calls["merge_samples"] == 0
+        assert calls["purge_reservoir_tally"] <= m
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_same_seed_same_bytes_per_backend(self, backend):
+        samples = unequal_hr_samples(5)
+        with use_backend(backend):
+            first = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            merge_tree(unequal_hr_samples(4, seed=2), rng=SplittableRng(1))
+            again = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            other = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(43)))
+        assert first == again
+        assert first != other
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_output_keeps_population_bound_and_size(self, backend):
+        samples = unequal_hr_samples(4)
+        ps = (0.02, 0.001, 0.05, 0.01)
+        samples = [WarehouseSample(
+            histogram=s.histogram, kind=s.kind,
+            population_size=s.population_size,
+            bound_values=s.bound_values, scheme=s.scheme,
+            exceedance_p=p, model=s.model) for s, p in zip(samples, ps)]
+        with use_backend(backend):
+            merged = merge_tree(samples, rng=SplittableRng(5))
+        merged.check_invariants()
+        assert merged.kind is SampleKind.RESERVOIR
+        assert merged.scheme == "hr"
+        assert merged.population_size == sum(
+            s.population_size for s in samples)
+        assert merged.exceedance_p == min(ps)
+        assert merged.bound_values == samples[0].bound_values
+        assert merged.size == min(s.size for s in samples)
+        union = set().union(*(s.values() for s in samples))
+        assert set(merged.values()) <= union
+
+    def test_incompatible_bounds_rejected(self, rng):
+        samples = unequal_hr_samples(3)
+        samples.append(hr_sample(list(range(10**5, 10**5 + 500)), 32,
+                                 rng))
+        with pytest.raises(IncompatibleSamplesError):
+            merge_tree(samples, rng=rng)
+
+    @pytest.mark.parametrize("case", ["bernoulli", "exhaustive", "mixed",
+                                      "merger"])
+    def test_other_inputs_take_the_tree(self, monkeypatch, case):
+        rng = SplittableRng(8)
+        merger = None
+        if case == "bernoulli":
+            samples = [hb_sample(list(range(i * 30_000, (i + 1) * 30_000)),
+                                 64, rng.spawn(i)) for i in range(3)]
+            assert all(s.kind.is_bernoulli for s in samples)
+        elif case == "exhaustive":
+            samples = unequal_hr_samples(3)
+            samples[1] = hr_sample([10**6, 10**6 + 1], 16, rng)
+            assert samples[1].kind.is_exhaustive
+        elif case == "mixed":
+            samples = unequal_hr_samples(3)
+            samples[2] = hb_sample(list(range(10**6, 10**6 + 30_000)), 16,
+                                   rng)
+        else:
+            samples = unequal_hr_samples(3)
+
+            def merger(a, b):
+                return hr_merge(a, b, rng=rng)
+        calls = self._count_calls(monkeypatch, "draw_allocation")
+        merge_tree(samples, rng=rng, merger=merger)
+        assert calls["draw_allocation"] == 0
+
+
 class TestMergeProperties:
     @given(st.integers(min_value=2, max_value=6),
            st.integers(min_value=100, max_value=2000),

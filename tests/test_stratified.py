@@ -121,6 +121,50 @@ class TestSinglePath:
         assert got.to_dict() == want.to_dict()
 
 
+class TestExactFlag:
+    """``exact`` follows the strata, not a zero variance."""
+
+    def test_equal_valued_reservoir_is_not_exact(self):
+        import dataclasses
+
+        from repro.analytics.estimators import estimate_sum
+        from repro.analytics.planner import QueryPlanner
+        from repro.core.histogram import CompactHistogram
+        from repro.core.phases import SampleKind
+        from repro.core.sample import WarehouseSample
+        from repro.warehouse.dataset import PartitionKey
+
+        sample = WarehouseSample(
+            histogram=CompactHistogram.from_values([5.0] * 10),
+            kind=SampleKind.RESERVOIR, population_size=1_000,
+            bound_values=10, scheme="hr")
+        single = estimate_sum(sample)
+        stratified = stratified_partition_estimate(
+            "sum", sampled=[(1_000, sample)])
+        container = StratifiedSample([sample]).estimate_sum()
+        wh = SampleWarehouse(bound_values=10, rng=SplittableRng(1))
+        key = PartitionKey("t.v", 0, 0)
+        wh.ingest_sample(key, sample)
+        planner = QueryPlanner(wh)
+        plan = dataclasses.replace(
+            planner.plan("t.v", "sum", target_half_width=1.0),
+            selected=(key,), synopsis_keys=(), fallback=False)
+        planned = planner.execute(plan)
+        for got in (stratified, container, planned):
+            assert got.value == single.value == 5_000.0
+            assert got.exact is single.exact is False
+
+    def test_exhaustive_and_exact_synopsis_strata_are_exact(self):
+        from repro.warehouse.synopsis import PartitionSynopsis
+
+        whole = stratum([1.0, 2.0, 3.0], 64, SplittableRng(2))
+        assert whole.kind.is_exhaustive
+        got = stratified_partition_estimate(
+            "sum", sampled=[(3, whole)],
+            synopses=[PartitionSynopsis.from_values([4.0, 5.0])])
+        assert got.exact and got.value == 15.0
+
+
 class TestWarehouseIntegration:
     def test_stratified_sample(self):
         wh = SampleWarehouse(bound_values=64, rng=SplittableRng(12))
