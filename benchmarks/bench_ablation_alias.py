@@ -1,71 +1,79 @@
-"""Ablation A2: inversion vs alias-table generation in HRMerge.
+"""Ablation A2: inversion vs alias-table generation of HRMerge's ``L``.
 
 Section 4.2: "In some scenarios, the partition sizes and sample sizes
 are unchanging and merges are performed in a symmetric pairwise fashion,
 in which case we need to produce many samples from a fixed probability
 vector P ... the alias method can be used to increase generation
-efficiency."  This bench merges a balanced tree of equal-size reservoir
-samples with (a) fresh inversion per merge and (b) a shared alias-table
-cache, and compares the wall time.
+efficiency."  This bench takes the ``(n1, n2, k)`` sequence a balanced
+pairwise tree over 32 equal partitions visits (``merge_tree``'s plan
+under ``merger=``) and times its ``L`` draws with (a) a fresh inversion
+per draw (:func:`sample_hypergeometric`) and (b) a shared alias-table
+cache (:class:`CachedHypergeometric`).
 """
 
 from __future__ import annotations
 
 from repro.bench import wall_timer
 from repro.bench.report import print_table
-from repro.core.hybrid_reservoir import AlgorithmHR
-from repro.core.merge import hr_merge, merge_tree
-from repro.sampling.distributions import CachedHypergeometric
-from repro.workloads.generators import UniformGenerator
+from repro.core.histogram import CompactHistogram
+from repro.core.merge import merge_tree
+from repro.core.phases import SampleKind
+from repro.core.sample import WarehouseSample
+from repro.sampling.distributions import (CachedHypergeometric,
+                                          sample_hypergeometric)
 
 
-def _build_samples(rng, *, partitions, partition_size, bound):
-    gen = UniformGenerator()
-    samples = []
-    for i in range(partitions):
-        data = gen.generate(partition_size, rng.spawn("data", i))
-        hr = AlgorithmHR(bound, rng=rng.spawn("hr", i))
-        hr.feed_many(data)
-        samples.append(hr.finalize())
-    return samples
+def _tree_draws(partitions, partition_size, bound, rng):
+    """The ``(n1, n2, k)`` of every node of the balanced pairwise plan."""
+    draws = []
 
-
-def _merge_all(samples, rng, cache):
     def merger(a, b):
-        return hr_merge(a, b, rng=rng, cache=cache)
+        draws.append((a.population_size, b.population_size, bound))
+        return WarehouseSample(
+            histogram=CompactHistogram(), kind=SampleKind.RESERVOIR,
+            population_size=a.population_size + b.population_size,
+            bound_values=bound, scheme="hr")
 
-    return merge_tree(samples, rng=rng, merger=merger)
+    leaves = [WarehouseSample(
+        histogram=CompactHistogram(), kind=SampleKind.RESERVOIR,
+        population_size=partition_size, bound_values=bound, scheme="hr")
+        for _ in range(partitions)]
+    merge_tree(leaves, rng=rng, merger=merger)
+    return draws
 
 
 def test_ablation_alias(benchmark, scale, rng):
     partitions = 32
-    samples = _build_samples(
-        rng, partitions=partitions,
-        partition_size=scale.sizes_partition_size,
-        bound=scale.bound_values)
+    draws = _tree_draws(partitions, scale.sizes_partition_size,
+                        scale.bound_values, rng)
 
     def run_both():
+        plain_rng, cached_rng = rng.spawn("plain"), rng.spawn("cached")
         with wall_timer() as plain_t:
-            merged_plain = _merge_all(samples, rng.spawn("plain"), None)
+            plain = [sample_hypergeometric(n1, n2, k, plain_rng)
+                     for n1, n2, k in draws]
         cache = CachedHypergeometric()
         with wall_timer() as cached_t:
-            merged_cached = _merge_all(samples, rng.spawn("cached"), cache)
-        return (plain_t.seconds, cached_t.seconds, merged_plain,
-                merged_cached, len(cache))
+            cached = [cache.sample(n1, n2, k, cached_rng)
+                      for n1, n2, k in draws]
+        return plain_t.seconds, cached_t.seconds, plain, cached, len(cache)
 
-    plain_s, cached_s, merged_plain, merged_cached, cache_entries = \
+    plain_s, cached_s, plain, cached, cache_entries = \
         benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     print_table(
-        ("strategy", "seconds", "merged_size", "alias_tables"),
-        [("inversion per merge", plain_s, merged_plain.size, "-"),
-         ("cached alias tables", cached_s, merged_cached.size,
-          cache_entries)],
+        ("strategy", "seconds", "draws", "alias_tables"),
+        [("inversion per draw", plain_s, len(plain), "-"),
+         ("cached alias tables", cached_s, len(cached), cache_entries)],
         title=f"Ablation A2: HRMerge L-generation over a balanced tree "
               f"of {partitions} partitions")
 
-    # Correctness is identical either way; sizes are pinned at the bound.
-    assert merged_plain.size == merged_cached.size == scale.bound_values
+    # A tree over m partitions has m - 1 nodes, each drawing one L in
+    # its support.
+    assert len(draws) == partitions - 1
+    for (n1, n2, k), a, b in zip(draws, plain, cached):
+        assert max(0, k - n2) <= a <= min(k, n1)
+        assert max(0, k - n2) <= b <= min(k, n1)
     # The balanced tree over equal partitions reuses one distribution per
     # level: the cache should hold ~log2(partitions) tables.
     assert cache_entries <= partitions.bit_length() + 1

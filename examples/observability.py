@@ -22,8 +22,9 @@ def instrumented_ingest(partitions=10, size=20_000, bound=256, seed=2006):
     Examples
     --------
     Every one of the ten samplers overflows phase 1 (2 000 values
-    against a bound of 256) and crosses into the Bernoulli phase; nine
-    pairwise merges fold the ten partition samples into one:
+    against a bound of 256) and crosses into the Bernoulli phase; one
+    merge step unites the ten partition samples, with no pairwise
+    HBMerge:
 
     >>> merged, registry, ring = instrumented_ingest()
     >>> snap = registry.snapshot()
@@ -31,21 +32,23 @@ def instrumented_ingest(partitions=10, size=20_000, bound=256, seed=2006):
     10
     >>> snap["hb.arrivals"]["value"]
     20000
-    >>> snap["merge.hb"]["value"]
-    9
+    >>> snap["merge.tree.seconds"]["count"]
+    1
+    >>> "merge.hb" in snap
+    False
     >>> snap["ingest.batch.partitions"]["value"]
     10
     >>> snap["parallel.task.seconds.serial"]["count"]
     10
 
     The trace nests the per-sampler phase transitions under the batch
-    ingest, and the pairwise merges under the merge-on-demand call:
+    ingest, and the merge under the merge-on-demand call:
 
     >>> names = [s.name for s in ring.spans]
     >>> names.count("hb.phase2")
     10
-    >>> names.count("merge.hb")
-    9
+    >>> names.count("merge.tree")
+    1
     >>> by_name = {s.name: s for s in ring.spans}
     >>> tree = by_name["merge.tree"]
     >>> tree.parent_id == by_name["warehouse.sample_of"].span_id

@@ -268,7 +268,7 @@ def _is_queue_ctor(call: ast.Call) -> bool:
 
 def _lockish_name(name: str) -> bool:
     """Spelling heuristic for lock receivers (``self._lock``,
-    ``_CDF_LOCK``, ``_ids_lock`` ...)."""
+    ``_LOCK``, ``_ids_lock`` ...)."""
     terminal = _last(name).lower()
     return "lock" in terminal or "mutex" in terminal
 

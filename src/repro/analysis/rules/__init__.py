@@ -12,7 +12,7 @@ from __future__ import annotations
 #: Bumped whenever a rule's *behavior* changes without its code or
 #: scope changing (the incremental cache folds this into its key, so
 #: a bump drops every cached finding at once).
-CATALOG_VERSION = "8"
+CATALOG_VERSION = "9"
 
 from repro.analysis import callgraph as _callgraph  # noqa: F401,E402
 from repro.analysis import asyncrules as _asyncrules  # noqa: F401,E402
@@ -24,6 +24,7 @@ from repro.analysis.rules import interprocedural as _interprocedural  # noqa: F4
 from repro.analysis.rules import kernels as _kernels  # noqa: F401,E402
 from repro.analysis.rules import layering as _layering  # noqa: F401,E402
 from repro.analysis.rules import locks as _locks  # noqa: F401,E402
+from repro.analysis.rules import modulestate as _modulestate  # noqa: F401,E402
 from repro.analysis.rules import obs as _obs  # noqa: F401,E402
 from repro.analysis.rules import rng as _rng  # noqa: F401,E402
 from repro.analysis.rules import stats as _stats  # noqa: F401,E402

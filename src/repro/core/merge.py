@@ -16,12 +16,12 @@ a warehouse needs around them:
 * :func:`merge_samples` — scheme-aware dispatch used by the warehouse.
 * :func:`sb_union` — Algorithm SB's plain union (with rate equalization
   when partitions were sampled at different rates).
-* :func:`merge_tree` — fold many per-partition samples into one.  Proper
-  HR reservoirs merge at once (Theorem 1 over m partitions: one
-  allocation draw, one purge per input, one join); other inputs fold
-  over a balanced binary plan whose nodes draw from independent RNG
-  substreams (``rng.spawn("merge", level, index)``).  Either way the
-  merged sample is a pure function of the inputs and the seed.
+* :func:`merge_tree` — merge many per-partition samples in one step:
+  one union of rate-equalized Bernoulli and exhaustive inputs
+  (Section 4.1's unioning remark), one allocation draw over reservoir
+  inputs (Theorem 1 over m partitions), one purge per input, one join.
+  The merged sample is a pure function of the inputs, their order and
+  the seed.
 
 All merges require the parent partitions to be **disjoint**; the library
 cannot verify disjointness from the samples alone, so the warehouse layer
@@ -41,16 +41,14 @@ from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
-from repro.core.purge import (purge_bernoulli, purge_reservoir_concat,
-                              purge_reservoir_tally)
+from repro.core.purge import (purge_bernoulli, purge_reservoir,
+                              purge_reservoir_concat, purge_reservoir_tally)
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, IncompatibleSamplesError
 from repro.kernels import draw_allocation, draw_hypergeometric
-from repro.obs.clock import monotonic
 from repro.obs.runtime import OBS
 from repro.obs.tracing import traced
 from repro.rng import SplittableRng
-from repro.sampling.distributions import CachedHypergeometric
 from repro.sampling.exceedance import rate_for_bound
 
 __all__ = ["hb_merge", "hr_merge", "merge_samples", "sb_union", "merge_tree",
@@ -94,9 +92,7 @@ def _check_compatible(s1: WarehouseSample, s2: WarehouseSample) -> None:
 
 @traced("merge.hb", timer="merge.hb.seconds")
 def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
-             rng: SplittableRng,
-             hyper_cache: Optional[CachedHypergeometric] = None
-             ) -> WarehouseSample:
+             rng: SplittableRng) -> WarehouseSample:
     """Figure 6: merge two Algorithm-HB samples of disjoint partitions.
 
     Parameters
@@ -105,8 +101,6 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         The input samples.  Any combination of kinds is accepted.
     rng:
         Randomness source for the purges and draws.
-    hyper_cache:
-        Optional alias-table cache for the reservoir fallback path.
 
     Returns a sample of the union with ``scheme="hb"``.  The recomputed
     rate targets the smaller of the inputs' exceedance probabilities.
@@ -129,50 +123,29 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     # Lines 5-7: at least one reservoir sample -> hypergeometric merge
     # (the non-reservoir input is viewed as a conditional SRS of its size).
     if s1.kind.is_reservoir or s2.kind.is_reservoir:
-        return hr_merge(s1, s2, rng=rng, cache=hyper_cache,
-                        scheme="hb")
+        return hr_merge(s1, s2, rng=rng, scheme="hb")
 
     # Lines 8-16: both Bernoulli.
     assert s1.rate is not None and s2.rate is not None
     q = rate_for_bound(total, p, bound)
     sub1 = purge_bernoulli(s1.histogram, min(1.0, q / s1.rate), rng)
     sub2 = purge_bernoulli(s2.histogram, min(1.0, q / s2.rate), rng)
-    model = s1.model
-    bound_bytes = model.footprint_for_values(bound)
-    joined_size = sub1.size + sub2.size
-    if (joined_size <= bound
-            and sub1.joined_footprint(sub2, model) <= bound_bytes):
-        return WarehouseSample(
-            histogram=sub1.join(sub2),
-            kind=SampleKind.BERNOULLI,
-            population_size=total,
-            bound_values=bound,
-            rate=q,
-            scheme="hb",
-            exceedance_p=p,
-            model=model,
-        )
+    bound_bytes = s1.model.footprint_for_values(bound)
+    if (sub1.size + sub2.size <= bound
+            and sub1.joined_footprint(sub2, s1.model) <= bound_bytes):
+        return _merged(sub1.join(sub2), SampleKind.BERNOULLI, (s1, s2),
+                       "hb", rate=q)
     # Low-probability overflow: reservoir-subsample the concatenation.
     if OBS.enabled:
         OBS.registry.counter("merge.hb.overflow").inc()
-    histogram = purge_reservoir_concat(sub1, sub2, bound, rng)
-    return WarehouseSample(
-        histogram=histogram,
-        kind=SampleKind.RESERVOIR,
-        population_size=total,
-        bound_values=bound,
-        scheme="hb",
-        exceedance_p=p,
-        model=model,
-    )
+    return _merged(purge_reservoir_concat(sub1, sub2, bound, rng),
+                   SampleKind.RESERVOIR, (s1, s2), "hb")
 
 
 @traced("merge.hr", timer="merge.hr.seconds")
 def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
              rng: SplittableRng,
              target_size: Optional[int] = None,
-             method: str = "inversion",
-             cache: Optional[CachedHypergeometric] = None,
              scheme: str = "hr") -> WarehouseSample:
     """Figure 8: merge two simple random samples of disjoint partitions.
 
@@ -189,13 +162,6 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         proper samples, while an input that holds its whole partition
         does not cap ``k`` (``k <= |S1|`` with an exhaustive right
         input of ``b`` values, ``k <= |S1| + b`` with both exhaustive).
-    method:
-        ``"inversion"`` (default) or ``"alias"`` for the ``L`` draw; a
-        ``cache`` (see :class:`CachedHypergeometric`) overrides both and
-        should be supplied when many merges share the same sizes.  Both
-        knobs steer the pure-Python kernel backend only — the numpy
-        backend draws through its own cached cumulative pmf (see
-        :func:`repro.kernels.draw_hypergeometric`).
     scheme:
         Scheme label for the output (``hb_merge`` routes mixed merges
         here and wants the result to stay labelled ``"hb"``).
@@ -225,8 +191,7 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     # empty — trivially uniform, and no draw is taken.
     shares = (0, 0)
     if k:
-        take_first = draw_hypergeometric(n1, n2, k, rng, cache=cache,
-                                         method=method)
+        take_first = draw_hypergeometric(n1, n2, k, rng)
         if OBS.enabled:
             reg = OBS.registry
             reg.histogram("merge.hr.draw_l").observe(take_first)
@@ -236,6 +201,23 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
                 min(k, n1) - max(0, k - n2))
         shares = (take_first, k - take_first)
     return _join_shares((s1, s2), shares, rng, scheme)
+
+
+def _merged(histogram: CompactHistogram, kind: SampleKind,
+            samples: Sequence[WarehouseSample], scheme: str,
+            rate: Optional[float] = None) -> WarehouseSample:
+    """The sample of the union of ``samples``' partitions."""
+    first = samples[0]
+    return WarehouseSample(
+        histogram=histogram,
+        kind=kind,
+        population_size=sum(s.population_size for s in samples),
+        bound_values=first.bound_values,
+        rate=rate,
+        scheme=scheme,
+        exceedance_p=min(s.exceedance_p for s in samples),
+        model=first.model,
+    )
 
 
 def _join_shares(samples: Sequence[WarehouseSample], shares: Sequence[int],
@@ -250,44 +232,76 @@ def _join_shares(samples: Sequence[WarehouseSample], shares: Sequence[int],
     ``S_i`` holds its whole partition, where ``N_i = |S_i|`` bounds the
     share (:func:`merge_cap`).  An input with no share takes no purge.
     """
-    first = samples[0]
-    return WarehouseSample(
-        histogram=CompactHistogram.joined(*[
-            purge_reservoir_tally(s.histogram, share, rng)
-            for s, share in zip(samples, shares) if share]),
-        kind=SampleKind.RESERVOIR,
-        population_size=sum(s.population_size for s in samples),
-        bound_values=first.bound_values,
-        scheme=scheme,
-        exceedance_p=min(s.exceedance_p for s in samples),
-        model=first.model,
-    )
+    return _merged(CompactHistogram.joined(*[
+        purge_reservoir_tally(s.histogram, share, rng)
+        for s, share in zip(samples, shares) if share]),
+        SampleKind.RESERVOIR, samples, scheme)
 
 
-def _one_draw(sample: WarehouseSample) -> bool:
-    """True for a proper sample of the HR family (a bounded reservoir)."""
-    return (sample.scheme == "hr" and not sample.kind.is_bernoulli
-            and not sample.kind.is_exhaustive)
-
-
-def _hr_merge_many(samples: Sequence[WarehouseSample],
-                   rng: SplittableRng) -> WarehouseSample:
+def _allocation_step(samples: Sequence[WarehouseSample],
+                     rng: SplittableRng, scheme: str) -> WarehouseSample:
     """Theorem 1 over m partitions, with one allocation draw.
 
-    Every input is a proper simple random sample (:func:`_one_draw`), so
-    the merged size is ``K = min |S_i|``, the size a pairwise fold ends
-    at.  ``(L_1, ..., L_m)`` comes from the multivariate hypergeometric
-    law over the populations ``N_i`` (:func:`draw_allocation`); input
-    ``i`` is purged to ``L_i`` and the survivors are joined once.  The
-    result is a simple random sample of ``K`` from the union, as the
-    pairwise fold's is, for about one purge per input instead of two
-    per tree node.
+    Each input is a simple random sample of its size (a Bernoulli or
+    reservoir sample, given its size) or its whole partition.  The
+    merged size is :func:`merge_cap` over m inputs, ``K = min(sum N_i,
+    min |S_i|)`` with the minimum over the inputs that are not
+    exhaustive.  ``(L_1, ..., L_m)`` comes from the multivariate
+    hypergeometric law over the populations ``N_i``
+    (:func:`draw_allocation`); input ``i`` is purged to ``L_i`` and the
+    survivors are joined once.  The result is a simple random sample of
+    ``K`` from the union.
     """
-    for sample in samples[1:]:
-        _check_compatible(samples[0], sample)
-    k = min(s.size for s in samples)
+    k = min([sum(s.population_size for s in samples)]
+            + [s.size for s in samples if not s.kind.is_exhaustive])
     shares = draw_allocation([s.population_size for s in samples], k, rng)
-    return _join_shares(samples, shares, rng, "hr")
+    return _join_shares(samples, shares, rng, scheme)
+
+
+def _union_step(samples: Sequence[WarehouseSample], rng: SplittableRng,
+                scheme: str) -> WarehouseSample:
+    """One union of Bernoulli and exhaustive inputs (Section 4.1).
+
+    An exhaustive input is a Bernoulli sample at rate 1.  When every
+    input is exhaustive and their join stays under the footprint bound
+    ``F``, the join is exhaustive; an HR join that reaches ``F`` is
+    purged to ``n_F`` (Algorithm HR's phase-1 exit).  Otherwise every
+    input is thinned to ``q* = min(min q_i, q(sum N_i, min p_i, n_F))``
+    and the survivors are joined: a ``Bern(q*)`` sample of the union,
+    at the rate a pairwise fold ends at.  One bound check follows; an
+    overflowing union is purged to a simple random sample of ``n_F``
+    (Figure 6, lines 15-16).
+    """
+    first = samples[0]
+    bound, model = first.bound_values, first.model
+    bound_bytes = model.footprint_for_values(bound)
+    if all(s.kind.is_exhaustive for s in samples):
+        union = CompactHistogram.joined(*[s.histogram.tally()
+                                          for s in samples])
+        if union.footprint(model) < bound_bytes:
+            return _merged(union, SampleKind.EXHAUSTIVE, samples, scheme)
+        if scheme == "hr":
+            return _merged(purge_reservoir(union, bound, rng),
+                           SampleKind.RESERVOIR, samples, scheme)
+        # HB's phase-1 exit: the join is thinned once, at rate q*.
+        parts = [(union, 1.0)]
+    else:
+        parts = [(s.histogram, 1.0 if s.kind.is_exhaustive else s.rate)
+                 for s in samples]
+    total = sum(s.population_size for s in samples)
+    p = min(s.exceedance_p for s in samples)
+    rate = min([rate_for_bound(total, p, bound)] + [q for _, q in parts])
+    union = CompactHistogram.joined(*[
+        (histogram if q == rate else
+         purge_bernoulli(histogram, rate / q, rng)).tally()
+        for histogram, q in parts])
+    if union.size <= bound and union.footprint(model) <= bound_bytes:
+        return _merged(union, SampleKind.BERNOULLI, samples, scheme,
+                       rate=rate)
+    if OBS.enabled:
+        OBS.registry.counter("merge.hb.overflow").inc()
+    return _merged(purge_reservoir(union, bound, rng),
+                   SampleKind.RESERVOIR, samples, scheme)
 
 
 @traced("merge.sb_union", timer="merge.sb_union.seconds")
@@ -298,7 +312,8 @@ def sb_union(samples: Sequence[WarehouseSample], *,
     If all samples share one Bernoulli rate the union is immediate; with
     differing rates each sample is first Bernoulli-purged down to the
     minimum rate (Section 4.1's unioning remark).  No footprint bound is
-    enforced — that is the point of the SB baseline.
+    enforced — that is the point of the SB baseline — but the samples
+    must share one footprint model.
     """
     if not samples:
         raise ConfigurationError("sb_union needs at least one sample")
@@ -308,6 +323,10 @@ def sb_union(samples: Sequence[WarehouseSample], *,
         if not s.kind.is_bernoulli or s.rate is None:
             raise IncompatibleSamplesError(
                 "sb_union requires Bernoulli samples")
+        if s.model != samples[0].model:
+            raise IncompatibleSamplesError(
+                f"samples use different footprint models: "
+                f"{samples[0].model} vs {s.model}")
     q = min(s.rate for s in samples)  # type: ignore[type-var]
     merged = None
     total = 0
@@ -332,89 +351,85 @@ def sb_union(samples: Sequence[WarehouseSample], *,
 
 
 def merge_samples(s1: WarehouseSample, s2: WarehouseSample, *,
-                  rng: SplittableRng,
-                  hyper_cache: Optional[CachedHypergeometric] = None
-                  ) -> WarehouseSample:
-    """Scheme-aware pairwise merge (what the warehouse calls).
+                  rng: SplittableRng) -> WarehouseSample:
+    """Scheme-aware pairwise merge.
 
     * two SB samples -> :func:`sb_union`;
     * any sample produced by the HR family (and no Bernoulli input) ->
       :func:`hr_merge`;
     * everything else -> :func:`hb_merge` (which itself routes
       reservoir-involving cases through the hypergeometric merge).
+
+    :func:`merge_tree` follows the same rule for the output scheme.
     """
     if s1.scheme == "sb" and s2.scheme == "sb":
         return sb_union([s1, s2], rng=rng)
     hr_only = (s1.scheme == "hr" and s2.scheme == "hr"
                and not s1.kind.is_bernoulli and not s2.kind.is_bernoulli)
     if hr_only:
-        return hr_merge(s1, s2, rng=rng, cache=hyper_cache)
-    return hb_merge(s1, s2, rng=rng, hyper_cache=hyper_cache)
+        return hr_merge(s1, s2, rng=rng)
+    return hb_merge(s1, s2, rng=rng)
 
 
-# One alias-table cache per process, shared by every merge_tree node.
-# Serve pool threads merge concurrently through ``sample_of``, so the
-# cache locks its own mutations.  Eagerly constructed so merging never
-# writes module state.
-_NODE_CACHE = CachedHypergeometric()
+def _merge_step(samples: Sequence[WarehouseSample],
+                rng: SplittableRng) -> WarehouseSample:
+    """All of ``samples`` in one step (see :func:`merge_tree`)."""
+    if all(s.scheme == "sb" for s in samples):
+        return sb_union(samples, rng=rng)
+    for sample in samples[1:]:
+        _check_compatible(samples[0], sample)
+    if all(s.scheme == "hr" and not s.kind.is_bernoulli for s in samples):
+        if all(s.kind.is_exhaustive for s in samples):
+            return _union_step(samples, rng, "hr")
+        return _allocation_step(samples, rng, "hr")
+    reservoirs = [s for s in samples if s.kind.is_reservoir]
+    pooled = [s for s in samples if not s.kind.is_reservoir]
+    if pooled:
+        union = _union_step(pooled, rng, "hb")
+        if not reservoirs:
+            return union
+        reservoirs.insert(0, union)
+    return _allocation_step(reservoirs, rng, "hb")
 
 
 @traced("merge.tree", timer="merge.tree.seconds")
 def merge_tree(samples: Sequence[WarehouseSample], *,
                rng: SplittableRng,
                merger: Optional[MergeFn] = None) -> WarehouseSample:
-    """Fold many per-partition samples into one sample of their union.
+    """Merge many per-partition samples into one sample of their union.
 
-    **One draw for HR reservoirs.**  When no ``merger`` is given and
-    every input is a proper HR-family sample (``scheme == "hr"``,
-    neither Bernoulli nor exhaustive), the m inputs merge at once:
-    one multivariate hypergeometric draw splits the ``min |S_i|``
-    merged slots over the populations, each input is purged to its
-    share and the survivors are joined once (Theorem 1 for m
-    partitions).  The draw and the purges use the one substream
-    ``rng.spawn("merge", "one-draw")``.
+    **One step.**  Without a ``merger`` the m inputs merge at once on
+    the substream ``rng.spawn("merge", "one-draw")``, with the output
+    scheme of :func:`merge_samples` (``sb`` when every input is SB,
+    ``hr`` when every input is HR and none is Bernoulli, ``hb``
+    otherwise).  SB inputs take one :func:`sb_union`.  Bernoulli and
+    exhaustive inputs (an exhaustive input is a Bernoulli sample at
+    rate 1) are thinned to one rate and joined once, with one bound
+    check (:func:`_union_step`).  Reservoir inputs, and that union
+    beside them, take one allocation draw and one purge each
+    (:func:`_allocation_step`, Theorem 1 for m partitions).  No table
+    is kept between calls; docs/algorithms.md argues each law.
 
-    **A balanced tree otherwise.**  HB, SB, mixed and exhaustive inputs
-    fold over a balanced binary plan: level by level, adjacent pairs
-    merge, and each node draws from its own RNG substream
-    ``rng.spawn("merge", level, index)``.  Balanced levels keep
-    partition sizes symmetric, so alias tables are reused across each
-    level (Section 4.2).  On odd-sized levels the **last** sample is
-    carried into the next level, where it joins the front pairing — so
-    a carried sample waits exactly one level instead of riding the tail
-    to the root (which would degenerate the tree on non-power-of-two
-    partition counts).  ``merger`` overrides the per-node evaluation
-    with a caller-supplied pairwise merge, applied over the same plan.
+    **A caller's fold.**  ``merger`` replaces the step with a
+    caller-supplied pairwise merge over a balanced binary plan: level
+    by level, adjacent pairs merge, and on odd-sized levels the
+    **last** sample is carried into the next level, where it joins the
+    front pairing.
 
-    Either way seeds are positional — not threaded through a shared
-    generator — so the merged sample is a pure function of the inputs,
-    their order, and the seed (docs/determinism.md).
+    Seeds are positional — not threaded through a shared generator —
+    so the merged sample is a pure function of the inputs, their
+    order, and the seed (docs/determinism.md).
     """
     if not samples:
         raise ConfigurationError("merge_tree needs at least one sample")
-    if len(samples) > 1 and merger is None and all(map(_one_draw, samples)):
-        if OBS.enabled:
-            OBS.registry.counter("merge.tree.one_draw").inc()
-        return _hr_merge_many(samples, rng.spawn("merge", "one-draw"))
-
+    if len(samples) == 1:
+        return samples[0]
+    if merger is None:
+        return _merge_step(samples, rng.spawn("merge", "one-draw"))
     level: List[WarehouseSample] = list(samples)
-    level_index = 0
     while len(level) > 1:
-        started = monotonic() if OBS.enabled else 0.0
         carry = level.pop() if len(level) % 2 else None
-        if merger is not None:
-            merged = [merger(level[i], level[i + 1])
-                      for i in range(0, len(level), 2)]
-        else:
-            merged = [
-                merge_samples(level[i], level[i + 1],
-                              rng=rng.spawn("merge", level_index, i // 2),
-                              hyper_cache=_NODE_CACHE)
-                for i in range(0, len(level), 2)
-            ]
+        merged = [merger(level[i], level[i + 1])
+                  for i in range(0, len(level), 2)]
         level = ([carry] if carry is not None else []) + merged
-        if OBS.enabled:
-            OBS.registry.histogram("merge.tree.level.seconds").observe(
-                monotonic() - started)
-        level_index += 1
     return level[0]

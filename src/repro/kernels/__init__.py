@@ -173,28 +173,20 @@ def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
     return _backend().hypergeometric_pmf(n1, n2, k)
 
 
-def draw_hypergeometric(n1: int, n2: int, k: int, rng, *,
-                        cache=None, method: str = "inversion") -> int:
+def draw_hypergeometric(n1: int, n2: int, k: int, rng) -> int:
     """Draw ``L`` with the law of eq. (2) — Figure 8's ``genProb``.
 
-    ``cache`` (a :class:`~repro.sampling.distributions.\
-CachedHypergeometric`) and ``method`` (``"inversion"`` | ``"alias"``)
-    steer the python backend exactly as the historical merge code did.
-    The numpy backend inverts a cached cumulative pmf with one
-    ``searchsorted`` and ignores both knobs — its per-``(n1, n2, k)``
-    cdf cache plays the alias-table role, and cache state never affects
-    draw values on either backend.
+    The python backend inverts the eq. (3) pmf; the numpy backend
+    inverts its cumulative sum with one ``searchsorted``.  Neither
+    keeps a table between calls.
     """
-    return _backend().draw_hypergeometric(n1, n2, k, rng,
-                                          cache=cache, method=method)
+    return _backend().draw_hypergeometric(n1, n2, k, rng)
 
 
 def draw_hypergeometric_batch(n1: int, n2: int, k: int, rng,
-                              count: int, *, cache=None,
-                              method: str = "inversion") -> List[int]:
+                              count: int) -> List[int]:
     """``count`` i.i.d. eq. (2) draws — one vectorized call on numpy."""
-    return _backend().draw_hypergeometric_batch(
-        n1, n2, k, rng, count, cache=cache, method=method)
+    return _backend().draw_hypergeometric_batch(n1, n2, k, rng, count)
 
 
 def draw_allocation(populations: Sequence[int], k: int,

@@ -5,10 +5,7 @@ support); only the *stream consumption* differs, which is why
 determinism is a per-backend contract (docs/determinism.md):
 
 * the eq. (3) recursion runs as one ``cumprod`` per directed walk from
-  the mode, and draws invert a cached cumulative pmf with
-  ``searchsorted`` (the cdf cache is this backend's analogue of the
-  Section 4.2 alias-table cache and reports through the same
-  ``merge.hyper_cache.hit`` / ``merge.hyper_cache.miss`` counters);
+  the mode, and draws invert its cumulative sum with ``searchsorted``;
 * the m-input split of Theorem 1 is one
   ``Generator.multivariate_hypergeometric(..., method="marginals")``
   call, which walks the partitions without O(sum of sizes) scratch;
@@ -41,14 +38,12 @@ reference's order, only at C speed.
 from __future__ import annotations
 
 import math
-import threading
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.kernels import python as _reference
-from repro.obs.runtime import OBS
 from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
@@ -113,56 +108,30 @@ def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
     return _pmf_array(n1, n2, k).tolist()
 
 
-# Cumulative-pmf cache keyed by (n1, n2, k) — the same role (and the
-# same hit/miss counters) as CachedHypergeometric's alias tables on the
-# python backend.  Shared across threads: reads are lock-free, inserts
-# go through setdefault under the lock, and a racing rebuild produces
-# an identical array.  Cache state never affects draw values.
-_CDF_CACHE: Dict[Tuple[int, int, int], "np.ndarray"] = {}
-_CDF_LOCK = threading.Lock()
-
-
 def _cdf(n1: int, n2: int, k: int) -> "np.ndarray":
-    key = (n1, n2, k)
-    cdf = _CDF_CACHE.get(key)
-    if cdf is None:
-        if OBS.enabled:
-            OBS.registry.counter("merge.hyper_cache.miss").inc()
-        built = np.cumsum(_pmf_array(n1, n2, k))
-        with _CDF_LOCK:
-            cdf = _CDF_CACHE.setdefault(key, built)
-    elif OBS.enabled:
-        OBS.registry.counter("merge.hyper_cache.hit").inc()
-    return cdf
+    """The eq. (2) cumulative pmf, built per call (no table is kept)."""
+    return np.cumsum(_pmf_array(n1, n2, k))
 
 
-def draw_hypergeometric(n1: int, n2: int, k: int, rng: SplittableRng, *,
-                        cache=None, method: str = "inversion") -> int:
-    """One eq. (2) draw by cdf inversion (one ``searchsorted``).
+def _invert(cdf: "np.ndarray", us, k: int):
+    """Inverse-cdf draws for the uniforms ``us`` (clipped to ``k``)."""
+    return np.minimum(np.searchsorted(cdf, us, side="left"), k)
 
-    ``cache`` and ``method`` are python-backend knobs; this backend's
-    module-level cdf cache subsumes both, so they are accepted and
-    ignored.
-    """
-    del cache, method
-    cdf = _cdf(n1, n2, k)
-    u = _generator(rng).random()
-    return int(min(np.searchsorted(cdf, u, side="left"), k))
+
+def draw_hypergeometric(n1: int, n2: int, k: int,
+                        rng: SplittableRng) -> int:
+    """One eq. (2) draw by cdf inversion (one ``searchsorted``)."""
+    return int(_invert(_cdf(n1, n2, k), _generator(rng).random(), k))
 
 
 def draw_hypergeometric_batch(n1: int, n2: int, k: int,
-                              rng: SplittableRng, count: int, *,
-                              cache=None,
-                              method: str = "inversion") -> List[int]:
+                              rng: SplittableRng, count: int) -> List[int]:
     """``count`` eq. (2) draws from one uniform vector."""
-    del cache, method
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
     if count == 0:
         return []
-    cdf = _cdf(n1, n2, k)
-    us = _generator(rng).random(count)
-    draws = np.minimum(np.searchsorted(cdf, us, side="left"), k)
+    draws = _invert(_cdf(n1, n2, k), _generator(rng).random(count), k)
     return [int(x) for x in draws]
 
 
@@ -222,7 +191,7 @@ _HYPERGEOMETRIC_LIMIT = 10**9
 def reservoir_block(seen: int, block: int, capacity: int,
                     rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """``L`` from ``Generator.hypergeometric`` (the cumulative pmf past
-    its population limit, uncached), then two ``choice`` draws.
+    its population limit), then two ``choice`` draws.
 
     The method is a pure function of the sizes, so draws stay
     deterministic for a given rng state.
@@ -231,9 +200,8 @@ def reservoir_block(seen: int, block: int, capacity: int,
     if seen < _HYPERGEOMETRIC_LIMIT and block < _HYPERGEOMETRIC_LIMIT:
         kept = int(gen.hypergeometric(seen, block, capacity))
     else:
-        cdf = np.cumsum(_pmf_array(seen, block, capacity))
-        kept = int(min(np.searchsorted(cdf, gen.random(), side="left"),
-                       capacity))
+        kept = int(_invert(_cdf(seen, block, capacity), gen.random(),
+                           capacity))
     entering = capacity - kept
     if entering == 0:
         return [], []
@@ -248,7 +216,7 @@ def draw_allocation(populations: Sequence[int], k: int,
     ``"count"`` would allocate one entry per element).
 
     Past ``Generator``'s population limit the same sequential split runs
-    on uncached eq. (3) cdfs, inverted against one uniform vector.  The
+    on eq. (3) cdfs, inverted against one uniform vector.  The
     method is a pure function of the sizes, so draws stay deterministic
     for a given rng state.
     """
@@ -266,8 +234,7 @@ def draw_allocation(populations: Sequence[int], k: int,
         rest -= size
         take = 0
         if remaining:
-            cdf = np.cumsum(_pmf_array(size, rest, remaining))
-            take = int(min(np.searchsorted(cdf, u, side="left"), remaining))
+            take = int(_invert(_cdf(size, rest, remaining), u, remaining))
         allocation.append(take)
         remaining -= take
     allocation.append(remaining)

@@ -22,8 +22,7 @@ from typing import Collection, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
-from repro.sampling.distributions import (CachedHypergeometric,
-                                          sample_hypergeometric)
+from repro.sampling.distributions import sample_hypergeometric
 from repro.sampling.distributions import \
     hypergeometric_pmf as _reference_pmf
 from repro.sampling.skip import SkipGenerator
@@ -113,24 +112,18 @@ def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
     return _reference_pmf(n1, n2, k)
 
 
-def draw_hypergeometric(n1: int, n2: int, k: int, rng: SplittableRng, *,
-                        cache: Optional[CachedHypergeometric] = None,
-                        method: str = "inversion") -> int:
-    """One eq. (2) draw, honoring the historical cache/method knobs."""
-    if cache is not None:
-        return cache.sample(n1, n2, k, rng)
-    return sample_hypergeometric(n1, n2, k, rng, method=method)
+def draw_hypergeometric(n1: int, n2: int, k: int,
+                        rng: SplittableRng) -> int:
+    """One eq. (2) draw by inversion."""
+    return sample_hypergeometric(n1, n2, k, rng)
 
 
 def draw_hypergeometric_batch(n1: int, n2: int, k: int,
-                              rng: SplittableRng, count: int, *,
-                              cache: Optional[CachedHypergeometric] = None,
-                              method: str = "inversion") -> List[int]:
+                              rng: SplittableRng, count: int) -> List[int]:
     """``count`` sequential eq. (2) draws."""
     if count < 0:
         raise ConfigurationError(f"count must be >= 0, got {count}")
-    return [draw_hypergeometric(n1, n2, k, rng, cache=cache, method=method)
-            for _ in range(count)]
+    return [sample_hypergeometric(n1, n2, k, rng) for _ in range(count)]
 
 
 def _check_allocation(populations: Sequence[int], k: int) -> int:

@@ -190,11 +190,12 @@ class CachedHypergeometric:
     ``HRMerge`` calls O(1) in distribution setup after the first merge at
     each level (the paper's Section 4.2 optimization).
 
-    The cache is safe to share across threads (``merge_tree`` keeps one
-    per process, ``repro.core.merge._NODE_CACHE``, which serve pool
-    threads hit concurrently): the table dict is mutated only under an
-    internal lock, and a stored :class:`AliasTable` is immutable after
-    construction.  Cache state never influences draw *values*: an alias table is a pure
+    The merge path keeps no such cache (``merge_tree`` merges in one
+    allocation draw); a caller that folds pairwise through its own
+    ``merger`` may hold one.  The cache is safe to share across
+    threads: the table dict is mutated only under an internal lock, and
+    a stored :class:`AliasTable` is immutable after construction.  Cache
+    state never influences draw *values*: an alias table is a pure
     function of ``(n1, n2, k)``, so a hit and a rebuilt miss consume the
     rng identically.  Hits and misses are counted through ``repro.obs``
     (``merge.hyper_cache.hit`` / ``merge.hyper_cache.miss``) so the

@@ -59,6 +59,14 @@ check                            claim
 ``merge.many.subset``            merge_tree's one-draw merge of HR
                                  reservoirs over unequal partitions
                                  draws uniform subsets of the union
+``merge.many.<mix>.subset``      same for the one-step merge of SB,
+                                 Bernoulli HB, HB + exhaustive, HB +
+                                 reservoir and HR + exhaustive inputs,
+                                 given the output size
+``merge.many.bernoulli.size``    the one-step merge of Bernoulli HB
+                                 inputs has size Binomial(sum N, q*)
+                                 under the bound and is a reservoir of
+                                 n_F over it
 ``merge.tree.homogeneity``       (deep) a left-deep pairwise fold and
                                  merge_tree draw from the same
                                  inclusion law
@@ -83,7 +91,9 @@ from repro.core.counting import CountingSampler
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.merge import hr_merge, merge_tree
+from repro.core.phases import SampleKind
 from repro.core.purge import purge_bernoulli, purge_reservoir
+from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
 from repro.kernels import (binomial_counts, draw_hypergeometric_batch,
                            numpy_available, srs_counts, use_backend)
@@ -461,6 +471,91 @@ def aqp_coverage_pvalue(rng: SplittableRng, trials: int, *,
 
 
 # ----------------------------------------------------------------------
+# One-step merges of mixed inputs
+# ----------------------------------------------------------------------
+#: Bound and exceedance target of the hand-built merge inputs.
+_MIX_BOUND, _MIX_P = 4, 0.05
+
+#: Input mixes for the one-step merge checks: per partition of 3, 2
+#: and 3 values, ``("bern", q, scheme)`` (an exact ``Bern(q)`` sample),
+#: ``("whole", scheme)`` (the whole partition) or ``("srs", k,
+#: scheme)`` (a simple random sample of ``k``).
+_MIXES = {
+    "sb": (("bern", 0.4, "sb"), ("bern", 0.25, "sb"), ("bern", 0.3, "sb")),
+    "bernoulli": (("bern", 0.9, "hb"), ("bern", 0.35, "hb"),
+                  ("bern", 0.6, "hb")),
+    "exhaustive": (("bern", 0.6, "hb"), ("whole", "hb"), ("bern", 0.7, "hb")),
+    "reservoir": (("bern", 0.6, "hb"), ("whole", "hb"), ("srs", 2, "hr")),
+    "hr_exhaustive": (("srs", 2, "hr"), ("whole", "hr"), ("srs", 2, "hr")),
+}
+_MIX_SIZES = (3, 2, 3)
+
+
+def _mix_input(part: Sequence[int], spec: Tuple, rng: SplittableRng
+               ) -> WarehouseSample:
+    """One hand-built partition sample of an input mix."""
+    hist = CompactHistogram.from_values(part)
+    kind, rate = SampleKind.EXHAUSTIVE, None
+    if spec[0] == "bern":
+        hist = purge_bernoulli(hist, spec[1], rng)
+        kind, rate = SampleKind.BERNOULLI, spec[1]
+    elif spec[0] == "srs":
+        hist = purge_reservoir(hist, spec[1], rng)
+        kind = SampleKind.RESERVOIR
+    return WarehouseSample(histogram=hist, kind=kind,
+                           population_size=len(part),
+                           bound_values=_MIX_BOUND, rate=rate,
+                           scheme=spec[-1], exceedance_p=_MIX_P)
+
+
+def _mix_merge(mix: str, values: Sequence[int], rng: SplittableRng
+               ) -> WarehouseSample:
+    """``merge_tree`` over one draw of the inputs of ``mix``."""
+    samples, start = [], 0
+    for i, (size, spec) in enumerate(zip(_MIX_SIZES, _MIXES[mix])):
+        samples.append(_mix_input(values[start:start + size], spec,
+                                  rng.spawn("part", i)))
+        start += size
+    return merge_tree(samples, rng=rng.spawn("merge"))
+
+
+def merge_mix_subset_pvalue(mix: str, rng: SplittableRng,
+                            trials: int) -> float:
+    """Subset uniformity of the one-step merge of ``mix``, given the
+    output size: every 2-subset of the union equally likely."""
+    return subset_frequency_test(
+        lambda values, child: _mix_merge(mix, values, child).values(),
+        list(range(sum(_MIX_SIZES))), size=2, trials=trials, rng=rng)
+
+
+def merge_bernoulli_size_pvalue(rng: SplittableRng, trials: int) -> float:
+    """Size law of the one-step merge of Bernoulli HB inputs.
+
+    Under the bound the union is a ``Bern(q*)`` sample, so its size is
+    ``Binomial(sum N, q*)``; over it the merge is a reservoir of
+    exactly ``n_F``.  Cells: sizes ``0..n_F`` of Bernoulli outputs,
+    then the reservoir outputs.  Any other output fails the check.
+    """
+    total = sum(_MIX_SIZES)
+    rate = min(min(spec[1] for spec in _MIXES["bernoulli"]),
+               rate_for_bound(total, _MIX_P, _MIX_BOUND))
+    observed = [0] * (_MIX_BOUND + 2)
+    for t in range(trials):
+        merged = _mix_merge("bernoulli", list(range(total)),
+                            rng.spawn("trial", t))
+        if merged.kind.is_bernoulli and merged.rate == rate:
+            observed[merged.size] += 1
+        elif merged.kind.is_reservoir and merged.size == _MIX_BOUND:
+            observed[-1] += 1
+        else:
+            return 0.0
+    pmf = binomial_pmf(total, rate)
+    expected = [trials * q for q in pmf[:_MIX_BOUND + 1]]
+    expected.append(trials - sum(expected))
+    return chi_square_pvalue(*collapse_cells(observed, expected))
+
+
+# ----------------------------------------------------------------------
 # The default battery
 # ----------------------------------------------------------------------
 def default_battery() -> Battery:
@@ -647,6 +742,21 @@ def default_battery() -> Battery:
                               rng=child.spawn("merge")).histogram.expand()
         return subset_frequency_test(run, list(range(sum(sizes))), size=2,
                                      trials=840 * scale, rng=rng)
+
+    for mix in _MIXES:
+        battery.check(
+            f"merge.many.{mix}.subset",
+            description=f"merge_tree's one-step merge of {mix} inputs is "
+                        "a uniform sample of the union, given its size")(
+            lambda rng, scale, mix=mix: merge_mix_subset_pvalue(
+                mix, rng, 800 * scale))
+
+    @battery.check("merge.many.bernoulli.size",
+                   description="the one-step merge of Bernoulli HB "
+                               "inputs is Binomial(sum N, q*) in size "
+                               "under the bound, n_F over it")
+    def merge_bernoulli_size(rng: SplittableRng, scale: int) -> float:
+        return merge_bernoulli_size_pvalue(rng, 400 * scale)
 
     @battery.check("merge.tree.homogeneity", tier="deep",
                    description="a left-deep pairwise fold and merge_tree "

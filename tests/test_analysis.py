@@ -727,6 +727,180 @@ class TestLayering:
         assert found == []
 
 
+#: Trimmed from the merge path's per-process alias-table cache, which
+#: the one-step merge retired: the write happens two modules down,
+#: behind the kernel API's run-time dispatch.
+_NODE_CACHE_TREE = {
+    "sampling/distributions.py": """\
+        import threading
+
+        class CachedHypergeometric:
+            def __init__(self):
+                self._tables = {}
+                self._lock = threading.Lock()
+
+            def sample(self, n1, n2, k, rng):
+                key = (n1, n2, k)
+                table = self._tables.get(key)
+                if table is None:
+                    built = (n1, n2, k)
+                    with self._lock:
+                        table = self._tables.setdefault(key, built)
+                return table
+        """,
+    "kernels/python.py": """\
+        from repro.sampling.distributions import sample_hypergeometric
+
+        def draw_hypergeometric(n1, n2, k, rng, *, cache=None,
+                                method="inversion"):
+            if cache is not None:
+                return cache.sample(n1, n2, k, rng)
+            return sample_hypergeometric(n1, n2, k, rng, method=method)
+        """,
+    "kernels/__init__.py": """\
+        import importlib
+        import os
+        import threading
+
+        _BACKEND_MODULES = {"python": "repro.kernels.python"}
+        _LOCK = threading.Lock()
+        _ACTIVE_NAME = ""
+        _ACTIVE_MODULE = None
+
+        def set_backend(name):
+            global _ACTIVE_NAME, _ACTIVE_MODULE
+            module = importlib.import_module(_BACKEND_MODULES[name])
+            with _LOCK:
+                _ACTIVE_NAME = name
+                _ACTIVE_MODULE = module
+                os.environ["REPRO_KERNEL_BACKEND"] = name
+            return name
+
+        def _backend():
+            return _ACTIVE_MODULE
+
+        def draw_hypergeometric(n1, n2, k, rng, *, cache=None,
+                                method="inversion"):
+            return _backend().draw_hypergeometric(n1, n2, k, rng,
+                                                  cache=cache,
+                                                  method=method)
+        """,
+    "core/merge.py": """\
+        from repro.kernels import draw_hypergeometric
+        from repro.sampling.distributions import CachedHypergeometric
+
+        def hr_merge(s1, s2, *, rng, cache=None):
+            return draw_hypergeometric(s1, s2, 1, rng, cache=cache)
+
+        def merge_samples(s1, s2, *, rng, hyper_cache=None):
+            return hr_merge(s1, s2, rng=rng, cache=hyper_cache)
+
+        _NODE_CACHE = CachedHypergeometric()
+
+        def merge_tree(samples, *, rng):
+            return merge_samples(samples[0], samples[1], rng=rng,
+                                 hyper_cache=_NODE_CACHE)
+        """,
+}
+
+#: Trimmed from the numpy backend's per-process cdf cache.
+_CDF_CACHE_MODULE = """\
+    import threading
+    from typing import Dict, Tuple
+
+    _CDF_CACHE: Dict[Tuple[int, int, int], object] = {}
+    _CDF_LOCK = threading.Lock()
+
+    def _cdf(n1, n2, k):
+        key = (n1, n2, k)
+        cdf = _CDF_CACHE.get(key)
+        if cdf is None:
+            built = (n1, n2, k)
+            with _CDF_LOCK:
+                cdf = _CDF_CACHE.setdefault(key, built)
+        return cdf
+
+    def draw_hypergeometric(n1, n2, k, rng):
+        return _cdf(n1, n2, k)
+    """
+
+
+class TestModuleStateWrite:
+    def test_node_cache_flagged_through_the_kernel_dispatch(self, tmp_path):
+        found = lint_tree(tmp_path, _NODE_CACHE_TREE, select=["RPR122"])
+        assert codes(found) == ["RPR122"]
+        assert found[0].path.endswith("core/merge.py")
+        assert found[0].line == 10
+        message = found[0].message
+        assert "`_NODE_CACHE`" in message
+        assert ("core.merge.merge_tree(_NODE_CACHE) -> "
+                "core.merge.merge_samples(hyper_cache) -> "
+                "core.merge.hr_merge(cache) -> "
+                "kernels.draw_hypergeometric(cache) -> a call dispatched "
+                "at run time") in message
+
+    def test_cdf_cache_flagged_and_its_lock_exempt(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "kernels/numpy_backend.py": _CDF_CACHE_MODULE},
+            select=["RPR122"])
+        assert codes(found) == ["RPR122"]
+        assert found[0].line == 4
+        assert "`_CDF_CACHE`" in found[0].message
+        assert "_cdf(_CDF_CACHE) -> .setdefault() (line 13)" \
+            in found[0].message
+
+    def test_backend_switch_and_per_call_tables_clean(self, tmp_path):
+        files = dict(_NODE_CACHE_TREE)
+        files["core/merge.py"] = """\
+            from repro.kernels import draw_hypergeometric
+
+            def merge_tree(samples, *, rng):
+                return draw_hypergeometric(samples[0], samples[1], 1, rng)
+            """
+        files["kernels/numpy_backend.py"] = """\
+            def _cdf(n1, n2, k):
+                return (n1, n2, k)
+
+            def draw_hypergeometric(n1, n2, k, rng):
+                return _cdf(n1, n2, k)
+            """
+        assert lint_tree(tmp_path, files, select=["RPR122"]) == []
+
+    def test_method_call_on_a_module_object_flagged(self, tmp_path):
+        files = {k: v for k, v in _NODE_CACHE_TREE.items()
+                 if k.startswith("sampling/")}
+        files["core/memo.py"] = """\
+            from repro.sampling.distributions import CachedHypergeometric
+
+            _TABLES = CachedHypergeometric()
+
+            def draw(n1, n2, k, rng):
+                return _TABLES.sample(n1, n2, k, rng)
+            """
+        found = lint_tree(tmp_path, files, select=["RPR122"])
+        assert codes(found) == ["RPR122"]
+        assert ("core.memo.draw(_TABLES) -> sampling.distributions."
+                "CachedHypergeometric.sample(self) -> .setdefault()") \
+            in found[0].message
+
+    def test_read_only_state_and_other_layers_clean(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "core/names.py": """\
+                _KINDS = {"hb": 1, "hr": 2}
+
+                def kind(name):
+                    return _KINDS.get(name), sorted(_KINDS)
+                """,
+            "warehouse/memo.py": """\
+                _MEMO = {}
+
+                def remember(key, value):
+                    _MEMO[key] = value
+                """,
+        }, select=["RPR122"])
+        assert found == []
+
+
 class TestSuppressions:
     def test_noqa_with_code_suppresses(self, tmp_path):
         found = lint_tree(tmp_path, {

@@ -22,7 +22,7 @@ from repro.core.stratified_bernoulli import AlgorithmSB
 from repro.errors import ConfigurationError, IncompatibleSamplesError
 from repro.kernels import available_backends, draw_hypergeometric, use_backend
 from repro.rng import SplittableRng
-from repro.sampling.distributions import CachedHypergeometric
+from repro.sampling.exceedance import rate_for_bound
 from repro.stats.uniformity import (inclusion_frequency_test,
                                     subset_frequency_test)
 from repro.testkit import sweep
@@ -330,16 +330,6 @@ class TestHrMergeTheorem1:
         with pytest.raises(IncompatibleSamplesError):
             hr_merge(s1, s2, rng=rng)
 
-    def test_alias_cache_used(self, rng):
-        # The alias-table cache backs the pure-Python kernel; the
-        # numpy backend keeps its own cdf cache instead.
-        cache = CachedHypergeometric()
-        s1 = hr_sample(list(range(5_000)), 64, rng.spawn(1))
-        s2 = hr_sample(list(range(5_000, 10_000)), 64, rng.spawn(2))
-        with use_backend("python"):
-            hr_merge(s1, s2, rng=rng, cache=cache)
-        assert len(cache) == 1
-
 
 def reservoir_of(values, extra=0):
     """A reservoir-kind sample holding ``values``, of a population
@@ -446,6 +436,16 @@ class TestSbUnion:
         with pytest.raises(IncompatibleSamplesError):
             sb_union([s1], rng=rng)
 
+    def test_footprint_models_must_match(self, rng):
+        a = sb_sample(list(range(1_000)), 0.1, rng.spawn(1))
+        sb = AlgorithmSB(0.1, rng=rng.spawn(2), model=FootprintModel(16, 8))
+        sb.feed_many(range(1_000, 2_000))
+        b = sb.finalize()
+        with pytest.raises(IncompatibleSamplesError):
+            sb_union([a, b], rng=rng)
+        with pytest.raises(IncompatibleSamplesError):
+            merge_tree([b, a], rng=rng)
+
 
 class TestMergeSamplesDispatch:
     def test_sb_pair_unions(self, rng):
@@ -526,8 +526,7 @@ class TestMergeTree:
     def test_same_seed_same_bytes_per_backend(self, backend, scheme):
         # Byte-identity is a per-backend contract: within one kernel
         # backend, the same inputs and seed always give the same bytes,
-        # whatever merges ran in between (alias tables cached in the
-        # shared node cache consume the rng like fresh ones).
+        # whatever merges ran in between.
         samples = partition_samples(scheme, 5)
         with use_backend(backend):
             first = serialize_exact(merge_tree(samples,
@@ -544,9 +543,8 @@ class TestMergeTree:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_concurrent_trees_match_inline(self, backend):
-        # Serve pool threads merge concurrently through sample_of and
-        # share the per-process hypergeometric caches; their locks must
-        # keep every thread's bytes equal to an inline run's.
+        # Serve pool threads merge concurrently through sample_of;
+        # every thread's bytes must equal an inline run's.
         import sys
 
         from repro.warehouse.parallel import ThreadExecutor
@@ -602,29 +600,39 @@ def unequal_hr_samples(m, *, bound=16, seed=11):
     return samples
 
 
+#: The purges a merge may call, by the name merge.py binds them to.
+PURGES = ("purge_bernoulli", "purge_reservoir", "purge_reservoir_tally",
+          "purge_reservoir_concat")
+
+
+def count_work(monkeypatch):
+    """Wrap merge.py's draws, pairwise merges and purges; returns the
+    per-name call counts and the histograms each purge was given."""
+    calls = dict.fromkeys(("draw_allocation", "draw_hypergeometric",
+                           "merge_samples", "hb_merge", "hr_merge",
+                           "sb_union", *PURGES), 0)
+    purged = []
+    for name in calls:
+        original = getattr(merge_module, name)
+
+        def counted(*args, __name=name, __original=original, **kwargs):
+            calls[__name] += 1
+            if __name in PURGES:
+                purged.append(args[0])
+            return __original(*args, **kwargs)
+
+        monkeypatch.setattr(merge_module, name, counted)
+    return calls, purged
+
+
 class TestOneDrawMerge:
     """merge_tree merges m proper HR samples with one allocation draw."""
-
-    @staticmethod
-    def _count_calls(monkeypatch, *names):
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            original = getattr(merge_module, name)
-
-            def counted(*args, __name=name, __original=original, **kwargs):
-                calls[__name] += 1
-                return __original(*args, **kwargs)
-
-            monkeypatch.setattr(merge_module, name, counted)
-        return calls
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_one_draw_and_at_most_m_purges(self, monkeypatch, backend, m):
         samples = unequal_hr_samples(m)
-        calls = self._count_calls(monkeypatch, "draw_allocation",
-                                  "draw_hypergeometric",
-                                  "purge_reservoir_tally", "merge_samples")
+        calls, _ = count_work(monkeypatch)
         with use_backend(backend):
             merge_tree(samples, rng=SplittableRng(3))
         # The pairwise fold ran 2(m - 1) purges and m - 1 draws.
@@ -679,6 +687,8 @@ class TestOneDrawMerge:
     @pytest.mark.parametrize("case", ["bernoulli", "exhaustive", "mixed",
                                       "merger"])
     def test_other_inputs_take_the_tree(self, monkeypatch, case):
+        """Only a caller's ``merger`` takes the balanced tree; Bernoulli,
+        exhaustive and mixed inputs merge in one step."""
         rng = SplittableRng(8)
         merger = None
         if case == "bernoulli":
@@ -695,12 +705,231 @@ class TestOneDrawMerge:
                                    rng)
         else:
             samples = unequal_hr_samples(3)
+            pairs = []
 
             def merger(a, b):
+                pairs.append((a, b))
                 return hr_merge(a, b, rng=rng)
-        calls = self._count_calls(monkeypatch, "draw_allocation")
+        calls, _ = count_work(monkeypatch)
         merge_tree(samples, rng=rng, merger=merger)
-        assert calls["draw_allocation"] == 0
+        assert calls["merge_samples"] == 0
+        if merger is None:
+            assert calls["draw_allocation"] <= 1
+        else:
+            assert calls["draw_allocation"] == 0
+            assert len(pairs) == len(samples) - 1
+
+
+class _OneStep:
+    """The one-step merge contract, per input mix.
+
+    Subclasses give ``inputs(seed)``.  Every mix takes at most one
+    allocation draw and purges each input at most once; the union of
+    the Bernoulli and exhaustive inputs takes at most one more purge
+    (the fixtures keep it from overflowing, where it could take one
+    purge to ``n_F`` and one to its share).  No pairwise merge runs.
+    """
+
+    scheme = ""
+
+    @staticmethod
+    def inputs(seed):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_work_count(self, monkeypatch, backend):
+        samples = self.inputs(1)
+        calls, purged = count_work(monkeypatch)
+        with use_backend(backend):
+            merged = merge_tree(samples, rng=SplittableRng(3))
+        assert merged.scheme == self.scheme
+        assert calls["draw_allocation"] <= 1
+        for name in ("draw_hypergeometric", "merge_samples", "hb_merge",
+                     "hr_merge"):
+            assert calls[name] == 0, name
+        for sample in samples:
+            assert sum(h is sample.histogram for h in purged) <= 1
+        inputs = {id(s.histogram) for s in samples}
+        assert sum(id(h) not in inputs for h in purged) <= 1
+        assert len(purged) <= len(samples) + 1
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_same_seed_same_bytes_per_backend(self, backend):
+        samples = self.inputs(1)
+        with use_backend(backend):
+            first = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            merge_tree(self.inputs(2), rng=SplittableRng(1))
+            again = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(42)))
+            other = serialize_exact(merge_tree(samples,
+                                               rng=SplittableRng(43)))
+        assert first == again
+        assert first != other
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_output_is_a_sample_of_the_union(self, backend):
+        samples = self.inputs(1)
+        with use_backend(backend):
+            merged = merge_tree(samples, rng=SplittableRng(5))
+        merged.check_invariants()
+        assert merged.population_size == sum(
+            s.population_size for s in samples)
+        union = set().union(*(s.values() for s in samples))
+        assert set(merged.values()) <= union
+
+
+def disjoint_values(seed, count, *, width=30_000):
+    """``count`` disjoint ranges of unique values."""
+    return [list(range((seed * count + i) * width,
+                       (seed * count + i + 1) * width))
+            for i in range(count)]
+
+
+class TestOneStepSb(_OneStep):
+    scheme = "sb"
+
+    @staticmethod
+    def inputs(seed):
+        rng = SplittableRng(seed)
+        return [sb_sample(values[:2_000], rate, rng.spawn(i))
+                for i, (values, rate) in enumerate(zip(
+                    disjoint_values(seed, 4), (0.3, 0.2, 0.25, 0.2)))]
+
+    def test_one_union_at_the_least_rate(self, monkeypatch):
+        samples = self.inputs(1)
+        calls, _ = count_work(monkeypatch)
+        merged = merge_tree(samples, rng=SplittableRng(3))
+        assert calls["sb_union"] == 1
+        assert merged.rate == 0.2
+        assert merged.kind is SampleKind.BERNOULLI
+
+
+class TestOneStepBernoulli(_OneStep):
+    scheme = "hb"
+
+    @staticmethod
+    def inputs(seed):
+        rng = SplittableRng(seed)
+        samples = [hb_sample(values, 64, rng.spawn(i))
+                   for i, values in enumerate(disjoint_values(seed, 4))]
+        assert all(s.kind.is_bernoulli for s in samples)
+        return samples
+
+    def test_rate_is_the_pairwise_root_rate(self):
+        """``q*`` is the rate a pairwise fold ends at when its root stays
+        Bernoulli: the eq. (1) rate for the whole union."""
+        samples = self.inputs(1)
+        merged = merge_tree(samples, rng=SplittableRng(3))
+        want = rate_for_bound(sum(s.population_size for s in samples),
+                              0.001, 64)
+        assert merged.kind is SampleKind.BERNOULLI
+        assert merged.rate == want
+        folded = left_deep_fold(samples, rng=SplittableRng(3))
+        assert folded.kind is SampleKind.BERNOULLI
+        assert folded.rate == want
+
+    def test_overflow_purges_the_union_to_the_bound(self, monkeypatch):
+        samples = self.inputs(1)
+        # No rate bounds the union's size: every merge overflows.
+        monkeypatch.setattr(merge_module, "rate_for_bound",
+                            lambda *args: 1.0)
+        merged = merge_tree(samples, rng=SplittableRng(3))
+        assert merged.kind is SampleKind.RESERVOIR
+        assert merged.size == 64
+        assert merged.scheme == "hb"
+
+
+class TestOneStepExhaustive(_OneStep):
+    scheme = "hb"
+
+    @staticmethod
+    def inputs(seed):
+        rng = SplittableRng(seed)
+        values = disjoint_values(seed, 3)
+        samples = [hb_sample(v, 64, rng.spawn(i))
+                   for i, v in enumerate(values)]
+        samples.append(hb_sample([seed] * 30_000, 64, rng.spawn("runs")))
+        samples.append(hb_sample(list(range(-20 * seed - 20, -20 * seed)),
+                                 64, rng.spawn("few")))
+        assert [s.kind.is_exhaustive for s in samples] == [
+            False, False, False, True, True]
+        return samples
+
+    @pytest.mark.parametrize("scheme", ["hb", "hr"])
+    def test_exhaustive_join_under_the_bound_stays_exhaustive(self,
+                                                              scheme):
+        parts = [list(range(i * 10, i * 10 + 10)) for i in range(4)]
+        rng = SplittableRng(2)
+        make = hb_sample if scheme == "hb" else hr_sample
+        samples = [make(p, 64, rng.spawn(i)) for i, p in enumerate(parts)]
+        merged = merge_tree(samples, rng=rng)
+        assert merged.kind is SampleKind.EXHAUSTIVE
+        assert merged.scheme == scheme
+        assert sorted(merged.values()) == list(range(40))
+
+    @pytest.mark.parametrize("scheme", ["hb", "hr"])
+    def test_exhaustive_join_over_the_bound(self, scheme):
+        parts = [list(range(i * 30, i * 30 + 30)) for i in range(4)]
+        rng = SplittableRng(2)
+        make = hb_sample if scheme == "hb" else hr_sample
+        samples = [make(p, 64, rng.spawn(i)) for i, p in enumerate(parts)]
+        assert all(s.kind.is_exhaustive for s in samples)
+        merged = merge_tree(samples, rng=rng)
+        merged.check_invariants()
+        if scheme == "hr":
+            assert merged.kind is SampleKind.RESERVOIR
+            assert merged.size == 64
+        else:
+            assert merged.kind in (SampleKind.BERNOULLI,
+                                   SampleKind.RESERVOIR)
+            assert merged.size <= 64
+
+
+class TestOneStepReservoir(_OneStep):
+    scheme = "hb"
+
+    @staticmethod
+    def inputs(seed):
+        rng = SplittableRng(seed)
+        values = disjoint_values(seed, 5)
+        samples = [hb_sample(values[0], 64, rng.spawn(0)),
+                   hr_sample(values[1][:5_000], 64, rng.spawn(1)),
+                   hb_sample(values[2], 64, rng.spawn(2)),
+                   hb_sample([-seed] * 30_000, 64, rng.spawn(3)),
+                   hr_sample(values[4][:9_000], 64, rng.spawn(4))]
+        assert [s.kind for s in samples] == [
+            SampleKind.BERNOULLI, SampleKind.RESERVOIR,
+            SampleKind.BERNOULLI, SampleKind.EXHAUSTIVE,
+            SampleKind.RESERVOIR]
+        return samples
+
+    def test_merged_size_is_the_least_proper_size(self):
+        samples = self.inputs(1)
+        merged = merge_tree(samples, rng=SplittableRng(3))
+        assert merged.kind is SampleKind.RESERVOIR
+        # The pooled union of two Bernoulli samples and an exhaustive
+        # one, thinned to q*, holds fewer than the reservoirs' 64.
+        assert merged.size < 64
+
+
+class TestOneStepHrExhaustive(_OneStep):
+    scheme = "hr"
+
+    @staticmethod
+    def inputs(seed):
+        samples = unequal_hr_samples(3, seed=seed)
+        rng = SplittableRng(seed)
+        samples.append(hr_sample([10**6 + seed] * 5_000, 16, rng))
+        samples.insert(1, hr_sample([-1, -2, -3], 16, rng))
+        assert sum(s.kind.is_exhaustive for s in samples) == 2
+        return samples
+
+    def test_exhaustive_inputs_do_not_cap_the_size(self):
+        samples = self.inputs(1)
+        merged = merge_tree(samples, rng=SplittableRng(3))
+        assert merged.kind is SampleKind.RESERVOIR
+        assert merged.size == 16
 
 
 class TestMergeProperties:

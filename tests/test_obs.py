@@ -331,8 +331,11 @@ class TestHarnessIntegration:
                               collect_metrics=True)
         assert result.metrics is not None
         assert result.metrics["hb.finalize"]["value"] == 4
-        assert result.metrics["merge.hb"]["value"] == 3
-        assert result.metrics["merge.hb.seconds"]["count"] == 3
+        # The four partition samples merge in one step: one merge_tree
+        # call and no pairwise HBMerge.
+        assert result.metrics["merge.tree.seconds"]["count"] == 1
+        assert "merge.hb" not in result.metrics
+        assert "merge.hb.seconds" not in result.metrics
         names = {s["name"] for s in result.trace}
         assert "bench.partition" in names
         assert "merge.tree" in names
@@ -354,7 +357,7 @@ class TestCliObs:
         out = capsys.readouterr().out
         assert "hb.phase2.enter" in out
         assert "parallel.task.seconds.serial" in out
-        assert "merge.hb" in out
+        assert "merge.tree.seconds" in out
         assert "trace (nested spans):" in out
         assert "  hb.phase2" in out  # nested under ingest.batch
         loaded = list(read_spans(trace_path))
