@@ -35,7 +35,7 @@ law; docs/performance.md has the per-block overhead curve
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
+from collections import _count_elements, deque
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -143,33 +143,43 @@ class BlockGrid:
 
         Lists, tuples and ranges go onto the grid a piece at a time, one
         merge per block; general iterables fall back to per-element
-        ``feed``.  ``counts``, the slice's first-seen count if the
-        caller already has it, can stand in for counting the slice in
-        phase 1.  Any split into ``feed`` / ``feed_many`` calls gives
-        the same sample.
+        ``feed``.  ``counts`` is a first-seen count map the caller keeps
+        (the ingest paths keep the synopsis's): the batch is counted
+        into it as well, and when it and the phase-1 histogram both
+        start empty, phase 1 counts there alone, so each arrival is
+        hashed once.  Any split into ``feed`` / ``feed_many`` calls
+        gives the same sample, with or without ``counts``.
         """
         self._check_open()
-        if not isinstance(values, (list, tuple, range)):
+        if isinstance(values, (list, tuple, range)):
+            self._grid_feed_many(values, counts)
+        elif counts is not None:
+            # One pass for the map and the grid: a numpy array yields
+            # fresh scalars per pass, which a NaN key would not match.
+            self._grid_feed_many(list(values), counts)
+        else:
             for v in values:
                 self.feed(v)
-        else:
-            self._grid_feed_many(values, counts)
 
     def _grid_feed_many(self, values: Sequence,
                         counts: Optional[Dict[object, int]]) -> None:
         """A slice on the grid, one block piece at a time.
 
-        In phase 1 each piece is counted into the histogram, since each
-        block end inside the slice needs the footprint so far.  When the
-        slice started on an empty histogram and phase 1 lasts to its
-        last piece, ``counts`` — the slice's first-seen count — is that
-        histogram, and a copy of it stands in for counting the last
-        piece.  (Folding a count into a non-empty map costs more than
-        counting the raw values into it, so only this case uses it.)
+        In phase 1 each piece is counted, since each block end inside
+        the slice needs the footprint so far.  A slice that starts a
+        fresh partition (empty histogram, empty ``counts``) is counted
+        into ``counts`` piece by piece, and after each piece the
+        histogram is taken as a C-speed copy of that map: the caller's
+        map keeps growing after the slice, and after HR parks its
+        histogram for the lazy purge.  Other phase-1 pieces are counted
+        into the histogram.  ``counts`` takes the rest of the slice at
+        the end.
         """
         pos, n = 0, len(values)
-        fresh = counts is not None and not (self._histogram is None
-                                            or self._histogram.size)
+        shared = (counts is not None and not counts
+                  and self._histogram is not None
+                  and not self._histogram.size)
+        counted = 0  # the prefix of the slice already in ``counts``
         while pos < n:
             take = min(n - pos, self._block_left)
             if self._phase is not SampleKind.EXHAUSTIVE:
@@ -180,9 +190,11 @@ class BlockGrid:
                     self._end_block(values, pos - take)
                     continue
                 self._buffer += values[pos:pos + take]
-            elif fresh and pos + take == n:
+            elif shared:
+                counted = pos + take
+                _count_elements(counts, values[pos:counted])
                 self._histogram = CompactHistogram.from_counts(dict(counts),
-                                                               n)
+                                                               counted)
             else:
                 assert self._histogram is not None
                 self._histogram.extend(values[pos:pos + take])
@@ -192,6 +204,8 @@ class BlockGrid:
             pos += take
             if not self._block_left:
                 self._end_block()
+        if counts is not None and counted < n:
+            _count_elements(counts, values[counted:] if counted else values)
 
     def feed_exhaustive(self, histogram: CompactHistogram) -> None:
         """Observe every value of an exhaustive input in one block step.

@@ -21,7 +21,8 @@ Block ingest (:mod:`repro.core.blocks`) grows a histogram the other way
 round: :meth:`CompactHistogram.extend` counts a slice's values into the
 running map at C speed, keeping the map's order and appending the new
 values in first-seen order, as one :meth:`~CompactHistogram.insert` per
-value would.
+value would.  On a fresh partition it copies the ingest path's running
+count instead (:meth:`CompactHistogram.from_counts`).
 """
 
 from __future__ import annotations

@@ -103,7 +103,8 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         Randomness source for the purges and draws.
 
     Returns a sample of the union with ``scheme="hb"``.  The recomputed
-    rate targets the smaller of the inputs' exceedance probabilities.
+    rate targets the smaller of the inputs' exceedance probabilities and
+    is no higher than either input's rate.
     """
     _check_compatible(s1, s2)
     if OBS.enabled:
@@ -125,9 +126,11 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     if s1.kind.is_reservoir or s2.kind.is_reservoir:
         return hr_merge(s1, s2, rng=rng, scheme="hb")
 
-    # Lines 8-16: both Bernoulli.
+    # Lines 8-16: both Bernoulli.  An input sampled below the union's
+    # rate (fewer arrivals than its sampler declared, or a smaller p)
+    # cannot be thinned up to it, so the union takes the lowest rate.
     assert s1.rate is not None and s2.rate is not None
-    q = rate_for_bound(total, p, bound)
+    q = min(rate_for_bound(total, p, bound), s1.rate, s2.rate)
     sub1 = purge_bernoulli(s1.histogram, min(1.0, q / s1.rate), rng)
     sub2 = purge_bernoulli(s2.histogram, min(1.0, q / s2.rate), rng)
     bound_bytes = s1.model.footprint_for_values(bound)

@@ -221,9 +221,9 @@ class StreamIngestor:
         """Observe a sequence of stream arrivals.
 
         Under a :class:`CountPolicy` a list, tuple or range is cut into
-        slices that end exactly at partition cuts; each slice is counted
-        once and goes, with its count, to the synopsis accumulator's
-        and the sampler's ``feed_many`` (:func:`feed_counted`).  The
+        slices that end exactly at partition cuts; each slice goes to
+        the synopsis accumulator and the sampler through
+        :func:`feed_counted`, which shares one count between them.  The
         result is the same as feeding the values one by one.  Other
         policies, which must be asked after every arrival, and other
         iterables take the per-arrival path.

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import (Callable, List, Optional, Sequence, Tuple, TypeVar,
                     Union)
 
-from repro.core.histogram import count_values
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.multi_purge import MultiPurgeBernoulli
@@ -92,18 +91,17 @@ def feed_counted(sampler, synopsis: SynopsisAccumulator,
                  values: Sequence) -> None:
     """Feed one slice to a sampler and its synopsis, counted once.
 
-    The slice's first-seen count goes to both: the synopsis keeps its
-    heavy hitters from it (a partition's first slice hands the map
-    over), and HB/HR on numpy take a copy in place of counting the
-    slice into an empty phase-1 histogram (:mod:`repro.core.blocks`).
     The synopsis goes first, so a value it rejects (an int too large
-    for a float) leaves both unchanged.
+    for a float) leaves both unchanged.  HB and HR then count the slice
+    into the synopsis's first-seen count map on their block grid: on a
+    fresh partition their phase-1 histogram is a copy of that map
+    (:mod:`repro.core.blocks`), so each arrival is hashed once.
     """
-    counts = count_values(values)
-    synopsis.feed_many(values, counts=counts)
     if isinstance(sampler, (AlgorithmHB, AlgorithmHR)):
-        sampler.feed_many(values, counts=counts)
+        synopsis.feed_many(values, count=False)
+        sampler.feed_many(values, counts=synopsis.counts)
     else:
+        synopsis.feed_many(values)
         sampler.feed_many(values)
 
 

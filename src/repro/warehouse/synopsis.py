@@ -69,20 +69,25 @@ def _fold(xs: Iterable[float]) -> float:
     return reduce(operator.add, xs, 0)
 
 
-def _top_pairs(counter: Dict[object, float],
-               top: int) -> Tuple[Tuple[object, float], ...]:
+def _top_pairs(counter: Dict[object, float], top: int,
+               count: Optional[int] = None
+               ) -> Tuple[Tuple[object, float], ...]:
     """The ``top`` largest (value, count) pairs, count-desc, ties in
     first-seen order: ``sorted(counter.items(), key=count,
     reverse=True)[:top]``, a stable sort.
 
-    Only the ``top`` largest counts are searched for.  They say how many
-    pairs lie above the cut, so both gathering passes run at C speed and
-    stop as soon as they have their share: an all-distinct partition
-    reads just its first ``top`` pairs.
+    ``count``, the sum of the counts when the caller knows it, marks an
+    all-distinct map (one key per arrival, every count 1), whose first
+    ``top`` pairs are the answer.  Otherwise only the ``top`` largest
+    counts are searched for.  They say how many pairs lie above the
+    cut, so both gathering passes run at C speed and stop as soon as
+    they have their share.
     """
     if top <= 0:
         return ()
     items, counts = counter.items(), counter.values()
+    if len(counter) == count:
+        return tuple((v, float(c)) for v, c in islice(items, top))
     if top < len(counter):
         largest = heapq.nlargest(top, counts)
         cut = largest[-1]
@@ -290,8 +295,9 @@ class SynopsisAccumulator:
     Both ingest paths feed their arrivals through one of these in
     parallel with the sampler, so partitions get exact synopses without
     a second pass.  :meth:`feed_many` takes a whole slice per call (one
-    first-seen count, which the caller may hand over already made, one
-    numeric-type check, and C-level folds for the moments and range);
+    first-seen count, which the caller may make in the accumulator's map
+    itself, one numeric-type check, and C-level folds for the moments
+    and range);
     :meth:`feed` takes one arrival.  Any split of a value list into
     ``feed`` / ``feed_many`` calls yields the same synopsis, bit for
     bit.  Memory is bounded by the partition's distinct-value count
@@ -318,6 +324,13 @@ class SynopsisAccumulator:
         """Arrivals observed so far."""
         return self._count
 
+    @property
+    def counts(self) -> Dict[object, int]:
+        """The running first-seen count map (value -> count), shared:
+        what ``feed_many(..., count=False)`` leaves for the caller to
+        count into."""
+        return self._counter
+
     def feed(self, value: object) -> None:
         """Observe one arrival.
 
@@ -341,8 +354,7 @@ class SynopsisAccumulator:
         else:
             self._numeric = False
 
-    def feed_many(self, values: Sequence, *,
-                  counts: Optional[Dict[object, int]] = None) -> None:
+    def feed_many(self, values: Sequence, *, count: bool = True) -> None:
         """Observe a slice of arrivals, in order.
 
         Equivalent to :meth:`feed` on each value, bit for bit on either
@@ -355,13 +367,11 @@ class SynopsisAccumulator:
         :class:`ConfigurationError` before any state changes when a
         number is too large to become a float.
 
-        ``counts`` is the slice's first-seen count
-        (:func:`repro.core.histogram.count_values`) when the caller has
-        made it already, as the ingest paths do to share one count with
-        the sampler.  The first slice's count becomes the accumulator's
-        map, so the caller hands it over and must not change it; later
-        slices are counted into the map from their values, which costs
-        less than folding in another map.
+        With ``count=False`` the slice is left out of the first-seen
+        count map (:attr:`counts`), and the caller counts it into that
+        map straight after the call: the ingest paths let the sampler
+        count there, so each arrival is hashed once for both
+        (:func:`repro.warehouse.parallel.feed_counted`).
         """
         if len(values) == 0:
             return
@@ -375,9 +385,7 @@ class SynopsisAccumulator:
             else:
                 self._numeric = False
         self._count += len(values)
-        if counts is not None and not self._counter:
-            self._counter = counts
-        else:
+        if count:
             _count_elements(self._counter, values)
 
     def finalize(self) -> PartitionSynopsis:
@@ -389,7 +397,7 @@ class SynopsisAccumulator:
             total_sq=self._total_sq if numeric else None,
             minimum=self._min if numeric else None,
             maximum=self._max if numeric else None,
-            top_k=_top_pairs(self._counter, self._top),
+            top_k=_top_pairs(self._counter, self._top, self._count),
             exact=True,
             basis=self._count,
         )

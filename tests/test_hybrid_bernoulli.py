@@ -280,20 +280,24 @@ class TestFeedManyExact:
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("shape", ["lowcard", "distinct", "mixed"])
     def test_slice_counts_stand_in_for_counting(self, backend, shape):
-        # A caller's first-seen count of each slice (the ingest paths'
-        # shared count) gives the same bytes as counting the slice.
+        # A caller's running count (the ingest paths' synopsis map),
+        # which phase 1 shares while the partition is fresh, gives the
+        # same bytes as counting the slices, and ends up holding the
+        # first-seen count of the whole stream.
         values = feed_shape(shape, 3_000, 1)
         with use_backend(backend):
             expected, exit_at = feed_per_arrival(
                 AlgorithmHB(len(values), bound_values=64, rng=SplittableRng(5)), values)
             for cuts in split_plans(exit_at, len(values), SplittableRng(9)):
                 sampler = AlgorithmHB(len(values), bound_values=64, rng=SplittableRng(5))
+                counts = {}
                 prev = 0
                 for cut in cuts + [len(values)]:
-                    piece = values[prev:cut]
-                    sampler.feed_many(piece, counts=count_values(piece))
+                    sampler.feed_many(values[prev:cut], counts=counts)
                     prev = cut
                 assert sample_fingerprint(sampler.finalize()) == expected
+                assert list(counts.items()) == list(
+                    count_values(values).items())
 
 
 @pytest.mark.usefixtures("small_grid")

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from collections import _count_elements
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.histogram as histogram_module
+import repro.warehouse.synopsis as synopsis_module
+from conftest import sample_fingerprint
 from repro.core import blocks
 from repro.core.phases import SampleKind
 from repro.errors import ConfigurationError, ProtocolError
-from repro.kernels import numpy_available, use_backend
+from repro.kernels import available_backends, numpy_available, use_backend
 from repro.rng import SplittableRng
+from repro.warehouse import SampleWarehouse
 from repro.warehouse.dataset import PartitionKey
 from repro.warehouse.ingest import (CountPolicy, FractionPolicy,
                                     StreamIngestor, split_batch)
@@ -282,3 +288,127 @@ class TestFeedManySlicing:
         ing.close()
         with pytest.raises(ProtocolError):
             ing.feed_many(values)
+
+
+def _catalog(wh):
+    """Keys, samples in stored order, and synopses of dataset ``d``."""
+    return [(meta.key, sample_fingerprint(wh.sample_for(meta.key)),
+             repr(meta.synopsis)) for meta in wh.catalog.partitions("d")]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("scheme", ["hr", "hb"])
+@pytest.mark.parametrize("kind", ["zipf", "distinct", "intbool"])
+class TestSlicesAcrossBlockEnds:
+    """Partitions of ``2 * BLOCK + 300`` arrivals span two block ends:
+    ``feed_many`` slices and ``ingest_batch``, which share one count
+    between sampler and synopsis, equal per-arrival ``feed``."""
+
+    PARTITIONS = 3
+
+    def build(self, scheme, values, how, chunks=()):
+        cut = len(values) // self.PARTITIONS
+        wh = SampleWarehouse(bound_values=32, rng=SplittableRng(3))
+        if how == "batch":
+            wh.ingest_batch("d", values, partitions=self.PARTITIONS,
+                            scheme=scheme)
+            return _catalog(wh)
+        stream = wh.open_stream("d", scheme=scheme, policy=CountPolicy(cut))
+        if how == "feed":
+            for v in values:
+                stream.feed(v)
+        else:
+            pos = 0
+            for size in chunks:
+                stream.feed_many(values[pos:pos + size])
+                pos += size
+            stream.feed_many(values[pos:])
+        stream.close()
+        return _catalog(wh)
+
+    def test_matches_per_element_feed(self, backend, scheme, kind):
+        cut = 2 * blocks.BLOCK + 300
+        values = _stream_values(kind, self.PARTITIONS * cut)
+        with use_backend(backend):
+            expected = self.build(scheme, values, "feed")
+            assert len(expected) == self.PARTITIONS
+            assert self.build(scheme, values, "batch") == expected
+            for chunks in [(),                          # cut-aligned
+                           (cut + 1, 2 * cut - 2),      # straddling cuts
+                           (blocks.BLOCK - 1, 2, cut)]:  # straddling blocks
+                assert self.build(scheme, values, "slices",
+                                  chunks) == expected, chunks
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_array_input_matches_per_element_feed(self, backend, scheme,
+                                                  kind):
+        # An array is listed once, so the sampler and the synopsis's
+        # count see the same scalar objects.
+        import numpy as np
+        cut = 2 * blocks.BLOCK + 300
+        array = np.array(_stream_values(kind, self.PARTITIONS * cut),
+                         dtype=object if kind == "intbool" else None)
+        with use_backend(backend):
+            expected = self.build(scheme, list(array), "feed")
+            assert self.build(scheme, array, "batch") == expected
+
+
+@pytest.mark.usefixtures("small_grid")
+class TestSlicesAcrossBlockEndsSmallGrid(TestSlicesAcrossBlockEnds):
+    """The same on grids of 7 and 64 arrivals."""
+
+
+class TestCountOnce:
+    """A slice that starts a fresh partition is hashed into a count map
+    once per arrival, shared by the sampler's phase 1 and the synopsis."""
+
+    SIZE = 4_096
+
+    @staticmethod
+    def hashed(monkeypatch):
+        """Count the values hashed into count maps on the write path."""
+        tally = [0]
+
+        def counting(counts, values):
+            tally[0] += len(values)
+            _count_elements(counts, values)
+
+        for module in (histogram_module, synopsis_module, blocks):
+            monkeypatch.setattr(module, "_count_elements", counting,
+                                raising=False)
+        return tally
+
+    @pytest.mark.parametrize("scheme", ["hr", "hb"])
+    @pytest.mark.parametrize("path", ["batch", "stream"])
+    def test_fresh_partition_hashes_each_arrival_once(self, monkeypatch,
+                                                      scheme, path):
+        # 300 distinct values stay in phase 1 at n_F = 1024, so no
+        # reservoir is compacted at finalize.
+        values = [i % 300 for i in range(self.SIZE)]
+        wh = SampleWarehouse(bound_values=1024, rng=SplittableRng(1))
+        tally = self.hashed(monkeypatch)
+        if path == "batch":
+            wh.ingest_batch("d", values, partitions=1, scheme=scheme)
+        else:
+            stream = wh.open_stream("d", scheme=scheme,
+                                    policy=CountPolicy(self.SIZE))
+            stream.feed_many(values)
+            assert stream.emitted  # cut-aligned: the slice is one partition
+        assert tally[0] == self.SIZE
+        (meta,) = wh.catalog.partitions("d")
+        assert wh.sample_for(meta.key).kind is SampleKind.EXHAUSTIVE
+        assert meta.synopsis.top_k[0] == (0, 14.0)
+
+    @pytest.mark.parametrize("scheme", ["hr", "hb"])
+    def test_reservoir_is_counted_once_more(self, monkeypatch, scheme):
+        # All distinct: phase 1 ends at the first block end, and
+        # finalize compacts the sampler's bag, one more count of
+        # |sample| values.
+        wh = SampleWarehouse(bound_values=1024, rng=SplittableRng(1))
+        tally = self.hashed(monkeypatch)
+        wh.ingest_batch("d", list(range(self.SIZE)), partitions=1,
+                        scheme=scheme)
+        (meta,) = wh.catalog.partitions("d")
+        sample = wh.sample_for(meta.key)
+        assert not sample.kind.is_exhaustive
+        assert tally[0] == self.SIZE + sample.size

@@ -109,6 +109,27 @@ class TestHbMergeKinds:
             # Rate was recomputed for the union: strictly smaller.
             assert m.rate < min(s1.rate, s2.rate) + 1e-12
 
+    def test_union_rate_is_at_most_each_input_rate(self):
+        # A partition fed fewer arrivals than its sampler declared keeps
+        # a rate below the union's eq. (1) rate; it cannot be thinned up
+        # to that rate, so the union is labelled with the lower one, as
+        # merge_tree labels it.
+        rng = SplittableRng(4)
+        short = AlgorithmHB(10**6, bound_values=1024, rng=rng.spawn(1),
+                            model=MODEL)
+        short.feed_many(range(20_000))
+        s1 = short.finalize()
+        s2 = hb_sample(list(range(20_000, 40_000)), 1024, rng.spawn(2))
+        assert s1.kind is s2.kind is SampleKind.BERNOULLI
+        assert s1.rate < rate_for_bound(40_000, 0.001, 1024) < s2.rate
+        m = hb_merge(s1, s2, rng=SplittableRng(5))
+        assert m.kind is SampleKind.BERNOULLI
+        assert m.rate == s1.rate
+        assert m.rate == merge_tree([s1, s2], rng=SplittableRng(5)).rate
+        # s1 is kept whole, so its Horvitz-Thompson count is unchanged.
+        first = sum(n for v, n in m.histogram.pairs() if v < 20_000)
+        assert first == s1.size
+
     def test_reservoir_involved_routes_to_hypergeometric(self, rng):
         s1 = srs_sample(list(range(64)), 64, 1000, rng, scheme="hb",
                         bound=64)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -345,6 +347,47 @@ class TestTopPairs:
         ranked = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)
         expected = tuple((v, float(c)) for v, c in ranked[:8])
         assert PartitionSynopsis.from_values(values).top_k == expected
+
+    @staticmethod
+    def oracle(values, top):
+        """A stable count-descending sort of the first-seen count."""
+        counts = {}
+        for v in values:
+            counts[v] = counts.get(v, 0) + 1
+        ranked = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)
+        return tuple((v, float(c)) for v, c in ranked[:top])
+
+    @staticmethod
+    def spy_nlargest(monkeypatch):
+        calls = []
+        nlargest = heapq.nlargest
+        monkeypatch.setattr(heapq, "nlargest", lambda *args: (
+            calls.append(args[0]), nlargest(*args))[1])
+        return calls
+
+    @pytest.mark.parametrize("top", [1, 8, 299, 300, 301, 500])
+    def test_all_distinct_reads_the_first_pairs(self, monkeypatch, top):
+        values = list(range(300))
+        SplittableRng(6).shuffle(values)
+        calls = self.spy_nlargest(monkeypatch)
+        acc = SynopsisAccumulator(top=top)
+        acc.feed_many(values[:120])
+        acc.feed_many(values[120:])
+        assert acc.finalize().top_k == self.oracle(values, top)
+        assert calls == []
+
+    @pytest.mark.parametrize("top", [1, 2, 8])
+    def test_equal_keys_are_not_all_distinct(self, monkeypatch, top):
+        # 1 and True share a key: three arrivals, two keys, and the
+        # value seen second leads.
+        values = [2, 1, True]
+        calls = self.spy_nlargest(monkeypatch)
+        acc = SynopsisAccumulator(top=top)
+        acc.feed_many(values)
+        top_k = acc.finalize().top_k
+        assert top_k == self.oracle(values, top)
+        assert top_k[0] == (1, 2.0)
+        assert len(calls) == (top < 2)
 
     def test_batch_and_stream_ingest_agree(self):
         values = list(range(5_000, 9_096))
