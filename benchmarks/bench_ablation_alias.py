@@ -5,47 +5,40 @@ are unchanging and merges are performed in a symmetric pairwise fashion,
 in which case we need to produce many samples from a fixed probability
 vector P ... the alias method can be used to increase generation
 efficiency."  This bench takes the ``(n1, n2, k)`` sequence a balanced
-pairwise tree over 32 equal partitions visits (``merge_tree``'s plan
-under ``merger=``) and times its ``L`` draws with (a) a fresh inversion
-per draw (:func:`sample_hypergeometric`) and (b) a shared alias-table
-cache (:class:`CachedHypergeometric`).
+pairwise tree over 32 equal partitions visits and times its ``L`` draws
+with (a) a fresh inversion per draw (:func:`sample_hypergeometric`) and
+(b) a shared alias-table cache (:class:`CachedHypergeometric`).
 """
 
 from __future__ import annotations
 
 from repro.bench import wall_timer
 from repro.bench.report import print_table
-from repro.core.histogram import CompactHistogram
-from repro.core.merge import merge_tree
-from repro.core.phases import SampleKind
-from repro.core.sample import WarehouseSample
 from repro.sampling.distributions import (CachedHypergeometric,
                                           sample_hypergeometric)
 
 
-def _tree_draws(partitions, partition_size, bound, rng):
-    """The ``(n1, n2, k)`` of every node of the balanced pairwise plan."""
+def _tree_draws(partitions, partition_size, bound):
+    """The ``(n1, n2, k)`` of every node of the balanced pairwise plan.
+
+    Level by level, adjacent partitions merge; on an odd-sized level
+    the last one is carried into the next level, where it joins the
+    front pairing.
+    """
     draws = []
-
-    def merger(a, b):
-        draws.append((a.population_size, b.population_size, bound))
-        return WarehouseSample(
-            histogram=CompactHistogram(), kind=SampleKind.RESERVOIR,
-            population_size=a.population_size + b.population_size,
-            bound_values=bound, scheme="hr")
-
-    leaves = [WarehouseSample(
-        histogram=CompactHistogram(), kind=SampleKind.RESERVOIR,
-        population_size=partition_size, bound_values=bound, scheme="hr")
-        for _ in range(partitions)]
-    merge_tree(leaves, rng=rng, merger=merger)
+    level = [partition_size] * partitions
+    while len(level) > 1:
+        carry = [level.pop()] if len(level) % 2 else []
+        pairs = list(zip(level[::2], level[1::2]))
+        draws.extend((n1, n2, bound) for n1, n2 in pairs)
+        level = carry + [n1 + n2 for n1, n2 in pairs]
     return draws
 
 
 def test_ablation_alias(benchmark, scale, rng):
     partitions = 32
     draws = _tree_draws(partitions, scale.sizes_partition_size,
-                        scale.bound_values, rng)
+                        scale.bound_values)
 
     def run_both():
         plain_rng, cached_rng = rng.spawn("plain"), rng.spawn("cached")

@@ -1,9 +1,9 @@
-"""Kernel-backend quickstart: pick a backend and batch-draw.
+"""Kernel-backend quickstart: pick a backend and draw allocations.
 
 Run:  python examples/kernels.py
 
-The randomness-consuming inner loops (eq. (3) pmf, hypergeometric
-draws, the Fig. 3/4 purges) run on a **kernel backend** — vectorized
+The randomness-consuming inner loops (Theorem 1's allocation draw,
+the Fig. 3/4 purges) run on a **kernel backend** — vectorized
 numpy when installed (``pip install repro[perf]``), a byte-stable
 pure-Python reference otherwise.  See ``docs/performance.md`` for the
 selection rules and ``docs/determinism.md`` for what is (and is not)
@@ -18,8 +18,7 @@ they pass on any interpreter, with or without numpy, under any
 
 from repro import SplittableRng
 from repro.kernels import (active_backend, available_backends,
-                           draw_hypergeometric_batch, hypergeometric_pmf,
-                           use_backend)
+                           draw_allocation, use_backend)
 
 
 def backend_tour():
@@ -36,23 +35,27 @@ def backend_tour():
     >>> active_backend() in available_backends()
     True
 
-    The eq. (3) pmf is the same *law* on every backend — a merge of
-    two 2-element SRSs splits its draw 1/6 : 4/6 : 1/6:
+    The allocation draw is the same *law* on every backend: it splits
+    ``k`` merged slots over the partitions, so the shares always add up
+    to ``k``:
 
-    >>> [round(p, 4) for p in hypergeometric_pmf(2, 2, 2)]
-    [0.1667, 0.6667, 0.1667]
+    >>> sum(draw_allocation([40, 60, 20], 12, SplittableRng(7)))
+    12
 
     Exact draw *bytes* are a per-backend contract.  Pinning a backend
-    with ``use_backend`` makes them reproducible anywhere:
+    with ``use_backend`` makes them reproducible anywhere; with two
+    partitions the first share is Figure 8's ``L``, drawn from eq. (2):
 
+    >>> def draws(seed):
+    ...     rng = SplittableRng(seed)
+    ...     return [draw_allocation([40, 60], 12, rng)[0]
+    ...             for _ in range(8)]
     >>> with use_backend("python"):
-    ...     draws = draw_hypergeometric_batch(40, 60, 12,
-    ...                                       SplittableRng(7), 8)
-    >>> draws
+    ...     first = draws(7)
+    >>> first
     [4, 3, 5, 3, 5, 4, 2, 5]
     >>> with use_backend("python"):
-    ...     draws == draw_hypergeometric_batch(40, 60, 12,
-    ...                                        SplittableRng(7), 8)
+    ...     first == draws(7)
     True
     """
     return active_backend()

@@ -312,22 +312,6 @@ class CompactHistogram:
         """
         return CompactHistogram.joined(self.tally(), other.tally())
 
-    def joined_footprint(self, other: "CompactHistogram",
-                         model: FootprintModel) -> int:
-        """Footprint ``join(self, other)`` would have, without building it.
-
-        HBMerge (Figure 6, line 12) needs this test before deciding whether
-        the joined Bernoulli sample fits in ``F`` bytes.  Only the values
-        the operands share are visited.
-        """
-        mine, theirs = self._counts, other._counts
-        shared = mine.keys() & theirs.keys()
-        singletons = self._singletons + other._singletons
-        for v in shared:
-            singletons -= (mine[v] == 1) + (theirs[v] == 1)
-        return model.histogram_footprint(
-            len(mine) + len(theirs) - len(shared), singletons)
-
     # ------------------------------------------------------------------
     # Dunder conveniences
     # ------------------------------------------------------------------

@@ -5,14 +5,15 @@ a warehouse needs around them:
 
 * :func:`hb_merge` — Figure 6 (``HBMerge``).  Merges two Algorithm-HB
   samples of disjoint partitions.  The common fast path (both inputs
-  Bernoulli) equalizes rates by Bernoulli purging and joins the compact
-  histograms; overflow falls back to a reservoir subsample of the
-  concatenation; an exhaustive input is one block step of an Algorithm
-  HB resumed from the other input.
+  Bernoulli) is the one-step union of :func:`merge_tree` over two
+  inputs: rates equalized by Bernoulli purging, the compact histograms
+  joined, an overflowing join purged to ``n_F``; an exhaustive input is
+  one block step of an Algorithm HB resumed from the other input.
 * :func:`hr_merge` — Figure 8 (``HRMerge``).  Merges two simple random
   samples by drawing the take-from-the-first count ``L`` from the
-  hypergeometric law of eq. (2) (Theorem 1: the result is a simple random
-  sample of size ``k = min(|S1|, |S2|)`` from the union).
+  hypergeometric law of eq. (2) — the two-partition case of
+  :func:`~repro.kernels.draw_allocation` (Theorem 1: the result is a
+  simple random sample of size ``k = min(|S1|, |S2|)`` from the union).
 * :func:`merge_samples` — scheme-aware dispatch used by the warehouse.
 * :func:`sb_union` — Algorithm SB's plain union (with rate equalization
   when partitions were sampled at different rates).
@@ -27,7 +28,7 @@ All merges require the parent partitions to be **disjoint**; the library
 cannot verify disjointness from the samples alone, so the warehouse layer
 is responsible for only merging samples of distinct partitions.
 
-The randomized inner loops (the eq. (2) draw here, the purges it calls)
+The randomized inner loops (the allocation draw, the purges it calls)
 dispatch through :mod:`repro.kernels`, so a merge runs vectorized on
 the numpy backend and byte-identically to the historical code on the
 pure-Python fallback; see docs/performance.md.
@@ -35,48 +36,33 @@ pure-Python fallback; see docs/performance.md.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.core.purge import (purge_bernoulli, purge_reservoir,
-                              purge_reservoir_concat, purge_reservoir_tally)
+                              purge_reservoir_tally)
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import draw_allocation, draw_hypergeometric
+from repro.kernels import draw_allocation
 from repro.obs.runtime import OBS
 from repro.obs.tracing import traced
 from repro.rng import SplittableRng
 from repro.sampling.exceedance import rate_for_bound
 
-__all__ = ["hb_merge", "hr_merge", "merge_samples", "sb_union", "merge_tree",
-           "merge_cap"]
-
-MergeFn = Callable[[WarehouseSample, WarehouseSample], WarehouseSample]
+__all__ = ["hb_merge", "hr_merge", "merge_samples", "sb_union", "merge_tree"]
 
 
-def merge_cap(size1: int, population1: int, size2: int,
-              population2: int) -> int:
-    """The largest HRMerge target ``k`` Theorem 1 supports.
+def draw_hypergeometric(n1: int, n2: int, k: int, rng: SplittableRng) -> int:
+    """Figure 8's ``genProb``: ``L`` with the law of eq. (2).
 
-    ``L`` ranges over ``max(0, k - N2) .. min(k, N1)``, and each input
-    must hold the values drawn from it.  A proper sample (``|S| < N``)
-    therefore caps ``k`` at its size, which gives the paper's
-    ``min(|S1|, |S2|)`` for two of them.  An input that holds its whole
-    partition (``|S| = N``) always holds its share, so it lifts its own
-    cap: with an exhaustive right input of ``b`` values ``k <= |S1|``,
-    and ``k <= |S1| + b`` when the left input is exhaustive too.  The
-    samplers' block steps are the exhaustive-right case
-    (:mod:`repro.core.blocks`).
+    The two-partition allocation: the first partition's share of a
+    simple random sample of ``k`` from the union of ``n1`` and ``n2``
+    elements.
     """
-    cap = population1 + population2
-    if size1 < population1:
-        cap = min(cap, size1)
-    if size2 < population2:
-        cap = min(cap, size2)
-    return cap
+    return draw_allocation([n1, n2], k, rng)[0]
 
 
 def _check_compatible(s1: WarehouseSample, s2: WarehouseSample) -> None:
@@ -109,15 +95,13 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     _check_compatible(s1, s2)
     if OBS.enabled:
         OBS.registry.counter("merge.hb").inc()
-    p = min(s1.exceedance_p, s2.exceedance_p)
-    total = s1.population_size + s2.population_size
-    bound = s1.bound_values
 
     # Lines 1-4: at least one exhaustive sample -> stream it through a
     # resumed Algorithm HB initialized with the other sample.
     if s1.kind.is_exhaustive or s2.kind.is_exhaustive:
         exhaustive, other = (s1, s2) if s1.kind.is_exhaustive else (s2, s1)
-        sampler = AlgorithmHB.resume(other, total, rng=rng)
+        sampler = AlgorithmHB.resume(
+            other, s1.population_size + s2.population_size, rng=rng)
         sampler.feed_exhaustive(exhaustive.histogram)
         return sampler.finalize().with_scheme("hb")
 
@@ -126,45 +110,28 @@ def hb_merge(s1: WarehouseSample, s2: WarehouseSample, *,
     if s1.kind.is_reservoir or s2.kind.is_reservoir:
         return hr_merge(s1, s2, rng=rng, scheme="hb")
 
-    # Lines 8-16: both Bernoulli.  An input sampled below the union's
-    # rate (fewer arrivals than its sampler declared, or a smaller p)
-    # cannot be thinned up to it, so the union takes the lowest rate.
-    assert s1.rate is not None and s2.rate is not None
-    q = min(rate_for_bound(total, p, bound), s1.rate, s2.rate)
-    sub1 = purge_bernoulli(s1.histogram, min(1.0, q / s1.rate), rng)
-    sub2 = purge_bernoulli(s2.histogram, min(1.0, q / s2.rate), rng)
-    bound_bytes = s1.model.footprint_for_values(bound)
-    if (sub1.size + sub2.size <= bound
-            and sub1.joined_footprint(sub2, s1.model) <= bound_bytes):
-        return _merged(sub1.join(sub2), SampleKind.BERNOULLI, (s1, s2),
-                       "hb", rate=q)
-    # Low-probability overflow: reservoir-subsample the concatenation.
-    if OBS.enabled:
-        OBS.registry.counter("merge.hb.overflow").inc()
-    return _merged(purge_reservoir_concat(sub1, sub2, bound, rng),
-                   SampleKind.RESERVOIR, (s1, s2), "hb")
+    # Lines 8-16: both Bernoulli -> the one-step union of two inputs.
+    # An input sampled below the union's rate (fewer arrivals than its
+    # sampler declared, or a smaller p) cannot be thinned up to it, so
+    # the union takes the lowest rate.
+    return _union_step((s1, s2), rng, "hb")
 
 
 @traced("merge.hr", timer="merge.hr.seconds")
 def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
              rng: SplittableRng,
-             target_size: Optional[int] = None,
              scheme: str = "hr") -> WarehouseSample:
     """Figure 8: merge two simple random samples of disjoint partitions.
 
-    Draws ``L`` from the hypergeometric distribution of eq. (2), takes a
-    simple random subsample of ``L`` values from ``s1`` and ``k - L`` from
-    ``s2`` (Figure 4), and joins them.  By Theorem 1 the result is a
-    simple random sample of size ``k`` from the union.
+    Draws ``L`` from the hypergeometric distribution of eq. (2) (the
+    two-partition allocation, :func:`draw_hypergeometric`), takes a
+    simple random subsample of ``L`` values from ``s1`` and ``k - L``
+    from ``s2`` (Figure 4), and joins them.  By Theorem 1 the result is
+    a simple random sample of size ``k = min(|S1|, |S2|)`` from the
+    union.
 
     Parameters
     ----------
-    target_size:
-        The merged size ``k``; defaults to ``min(|S1|, |S2|)``.  May be
-        any value up to :func:`merge_cap`: ``min(|S1|, |S2|)`` for two
-        proper samples, while an input that holds its whole partition
-        does not cap ``k`` (``k <= |S1|`` with an exhaustive right
-        input of ``b`` values, ``k <= |S1| + b`` with both exhaustive).
     scheme:
         Scheme label for the output (``hb_merge`` routes mixed merges
         here and wants the result to stay labelled ``"hb"``).
@@ -184,11 +151,7 @@ def hr_merge(s1: WarehouseSample, s2: WarehouseSample, *,
         return sampler.finalize().with_scheme(scheme)
 
     n1, n2 = s1.population_size, s2.population_size
-    k = min(s1.size, s2.size) if target_size is None else target_size
-    cap = merge_cap(s1.size, n1, s2.size, n2)
-    if not 0 <= k <= cap:
-        raise ConfigurationError(
-            f"target_size must be in 0..{cap}, got {k}")
+    k = min(s1.size, s2.size)
     # k == 0: one input sampled nothing (possible for a tiny Bernoulli
     # sample); the theorem's min-size rule makes the merged sample
     # empty — trivially uniform, and no draw is taken.
@@ -233,7 +196,7 @@ def _join_shares(samples: Sequence[WarehouseSample], shares: Sequence[int],
     |S_i|``: the hypergeometric support gives ``shares[i] <= min(k,
     N_i)``, and the merged size ``k`` is at most ``|S_i|`` unless
     ``S_i`` holds its whole partition, where ``N_i = |S_i|`` bounds the
-    share (:func:`merge_cap`).  An input with no share takes no purge.
+    share.  An input with no share takes no purge.
     """
     return _merged(CompactHistogram.joined(*[
         purge_reservoir_tally(s.histogram, share, rng)
@@ -247,9 +210,10 @@ def _allocation_step(samples: Sequence[WarehouseSample],
 
     Each input is a simple random sample of its size (a Bernoulli or
     reservoir sample, given its size) or its whole partition.  The
-    merged size is :func:`merge_cap` over m inputs, ``K = min(sum N_i,
-    min |S_i|)`` with the minimum over the inputs that are not
-    exhaustive.  ``(L_1, ..., L_m)`` comes from the multivariate
+    merged size is ``K = min(sum N_i, min |S_i|)`` with the minimum
+    over the inputs that are not exhaustive: ``L_i`` ranges up to
+    ``min(K, N_i)``, so a proper input caps ``K`` at its size and an
+    exhaustive one, holding its whole partition, caps nothing.  ``(L_1, ..., L_m)`` comes from the multivariate
     hypergeometric law over the populations ``N_i``
     (:func:`draw_allocation`); input ``i`` is purged to ``L_i`` and the
     survivors are joined once.  The result is a simple random sample of
@@ -397,27 +361,20 @@ def _merge_step(samples: Sequence[WarehouseSample],
 
 @traced("merge.tree", timer="merge.tree.seconds")
 def merge_tree(samples: Sequence[WarehouseSample], *,
-               rng: SplittableRng,
-               merger: Optional[MergeFn] = None) -> WarehouseSample:
+               rng: SplittableRng) -> WarehouseSample:
     """Merge many per-partition samples into one sample of their union.
 
-    **One step.**  Without a ``merger`` the m inputs merge at once on
-    the substream ``rng.spawn("merge", "one-draw")``, with the output
-    scheme of :func:`merge_samples` (``sb`` when every input is SB,
-    ``hr`` when every input is HR and none is Bernoulli, ``hb``
-    otherwise).  SB inputs take one :func:`sb_union`.  Bernoulli and
-    exhaustive inputs (an exhaustive input is a Bernoulli sample at
-    rate 1) are thinned to one rate and joined once, with one bound
-    check (:func:`_union_step`).  Reservoir inputs, and that union
-    beside them, take one allocation draw and one purge each
-    (:func:`_allocation_step`, Theorem 1 for m partitions).  No table
-    is kept between calls; docs/algorithms.md argues each law.
-
-    **A caller's fold.**  ``merger`` replaces the step with a
-    caller-supplied pairwise merge over a balanced binary plan: level
-    by level, adjacent pairs merge, and on odd-sized levels the
-    **last** sample is carried into the next level, where it joins the
-    front pairing.
+    The m inputs merge in one step on the substream ``rng.spawn("merge",
+    "one-draw")``, with the output scheme of :func:`merge_samples`
+    (``sb`` when every input is SB, ``hr`` when every input is HR and
+    none is Bernoulli, ``hb`` otherwise).  SB inputs take one
+    :func:`sb_union`.  Bernoulli and exhaustive inputs (an exhaustive
+    input is a Bernoulli sample at rate 1) are thinned to one rate and
+    joined once, with one bound check (:func:`_union_step`).  Reservoir
+    inputs, and that union beside them, take one allocation draw and
+    one purge each (:func:`_allocation_step`, Theorem 1 for m
+    partitions).  No table is kept between calls; docs/algorithms.md
+    argues each law.
 
     Seeds are positional — not threaded through a shared generator —
     so the merged sample is a pure function of the inputs, their
@@ -427,12 +384,4 @@ def merge_tree(samples: Sequence[WarehouseSample], *,
         raise ConfigurationError("merge_tree needs at least one sample")
     if len(samples) == 1:
         return samples[0]
-    if merger is None:
-        return _merge_step(samples, rng.spawn("merge", "one-draw"))
-    level: List[WarehouseSample] = list(samples)
-    while len(level) > 1:
-        carry = level.pop() if len(level) % 2 else None
-        merged = [merger(level[i], level[i + 1])
-                  for i in range(0, len(level), 2)]
-        level = ([carry] if carry is not None else []) + merged
-    return level[0]
+    return _merge_step(samples, rng.spawn("merge", "one-draw"))

@@ -38,7 +38,7 @@ from repro.kernels.python import FenwickTree  # re-exported for back-compat
 from repro.rng import SplittableRng
 
 __all__ = ["purge_bernoulli", "purge_reservoir", "purge_reservoir_tally",
-           "purge_reservoir_concat", "FenwickTree"]
+           "FenwickTree"]
 
 
 def _survivors(histogram: CompactHistogram, indices: List[int],
@@ -104,29 +104,3 @@ def purge_reservoir(histogram: CompactHistogram, size: int,
     return CompactHistogram.from_tally(
         purge_reservoir_tally(histogram, size, rng))
 
-
-def purge_reservoir_concat(first: CompactHistogram,
-                           second: CompactHistogram, size: int,
-                           rng: SplittableRng) -> CompactHistogram:
-    """Figure 6, lines 15-16: reservoir-subsample a concatenation.
-
-    Statistically equivalent to ``purge_reservoir`` applied to the bag
-    ``expand(first) ++ expand(second)``, but — like the paper's streaming
-    formulation — never expands either operand and coalesces duplicate
-    values across the two inputs in the compact result.
-    """
-    if size < 0:
-        raise ConfigurationError(f"size must be >= 0, got {size}")
-    if size == 0:
-        return CompactHistogram()
-    if size >= first.size + second.size:
-        return first.join(second)
-    values = first.value_list() + second.value_list()
-    indices, kept = srs_counts(
-        [*first.run_lengths(), *second.run_lengths()], size, rng)
-    # The same value may survive in both operands; re-inserting in
-    # entry order coalesces it.
-    result = CompactHistogram()
-    for i, n in zip(indices, kept):
-        result.insert_count(values[i], n)
-    return result

@@ -1,8 +1,8 @@
 """Vectorized sampling/merge kernels with a pure-Python fallback.
 
-The inner loops of the merge procedures — the eq. (3) hypergeometric
-pmf, the ``L`` draw of Figure 8 (and its m-input form,
-:func:`draw_allocation`), the Binomial purge of Figure 3, and the
+The inner loops of the merge procedures — Theorem 1's allocation draw
+(:func:`draw_allocation`, whose two-partition case is Figure 8's ``L``
+draw of eq. (2)), the Binomial purge of Figure 3, and the
 simple-random-subsample purge of Figure 4 — are the hot path of every
 merge tree.  On ingest and in the merges' exhaustive case, HB/HR's
 block steps (:mod:`repro.core.blocks`) merge a running sample with a
@@ -40,10 +40,11 @@ Examples
 >>> from repro.kernels import active_backend, available_backends
 >>> active_backend() in available_backends()
 True
->>> from repro.kernels import use_backend, hypergeometric_pmf
+>>> from repro import SplittableRng
+>>> from repro.kernels import use_backend, draw_allocation
 >>> with use_backend("python"):
-...     [round(p, 4) for p in hypergeometric_pmf(2, 2, 2)]
-[0.1667, 0.6667, 0.1667]
+...     sum(draw_allocation([40, 60, 20], 12, SplittableRng(3)))
+12
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ __all__ = [
     "active_backend",
     "set_backend",
     "use_backend",
-    "hypergeometric_pmf",
-    "draw_hypergeometric",
-    "draw_hypergeometric_batch",
     "draw_allocation",
     "binomial_counts",
     "srs_counts",
@@ -162,33 +160,6 @@ def _backend() -> ModuleType:
 # ----------------------------------------------------------------------
 # The kernel API (dispatches to the active backend)
 # ----------------------------------------------------------------------
-def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
-    """The eq. (2) probability vector ``P(0..k)`` via eq. (3).
-
-    Both backends seed the multiplicative recursion at the distribution
-    mode (an lgamma evaluation) and walk outward; the numpy backend
-    evaluates each directed walk as one ``cumprod``.  Backends agree to
-    floating-point tolerance, not bit-for-bit.
-    """
-    return _backend().hypergeometric_pmf(n1, n2, k)
-
-
-def draw_hypergeometric(n1: int, n2: int, k: int, rng) -> int:
-    """Draw ``L`` with the law of eq. (2) — Figure 8's ``genProb``.
-
-    The python backend inverts the eq. (3) pmf; the numpy backend
-    inverts its cumulative sum with one ``searchsorted``.  Neither
-    keeps a table between calls.
-    """
-    return _backend().draw_hypergeometric(n1, n2, k, rng)
-
-
-def draw_hypergeometric_batch(n1: int, n2: int, k: int, rng,
-                              count: int) -> List[int]:
-    """``count`` i.i.d. eq. (2) draws — one vectorized call on numpy."""
-    return _backend().draw_hypergeometric_batch(n1, n2, k, rng, count)
-
-
 def draw_allocation(populations: Sequence[int], k: int,
                     rng) -> List[int]:
     """Theorem 1's split of ``k`` merged slots over m partitions.

@@ -4,9 +4,8 @@ Draw semantics match the python backend's laws exactly (same pmfs, same
 support); only the *stream consumption* differs, which is why
 determinism is a per-backend contract (docs/determinism.md):
 
-* the eq. (3) recursion runs as one ``cumprod`` per directed walk from
-  the mode, and draws invert its cumulative sum with ``searchsorted``;
-* the m-input split of Theorem 1 is one
+* the m-input split of Theorem 1 (and so Figure 8's eq. (2) draw, its
+  two-partition case) is one
   ``Generator.multivariate_hypergeometric(..., method="marginals")``
   call, which walks the partitions without O(sum of sizes) scratch;
 * Figure 3's per-run Binomials are a single ``Generator.binomial`` call
@@ -16,7 +15,10 @@ determinism is a per-backend contract (docs/determinism.md):
   surviving counts per run under an SRS is exactly that law;
 * a block step of HB/HR draws its ``L`` with one
   ``Generator.hypergeometric`` call and its victims and picks with one
-  ``Generator.choice`` each, so it costs O(inclusions), not O(block).
+  ``Generator.choice`` each, so it costs O(inclusions), not O(block);
+* past ``Generator``'s population limit, those ``L`` draws invert the
+  eq. (3) recursion (:func:`pmf_array`, one ``cumprod`` per directed
+  walk from the mode) with ``searchsorted``.
 
 Run lengths are read with one ``np.fromiter`` (a histogram's
 ``dict.values()`` view needs no intermediate list) and both purge ops
@@ -47,10 +49,9 @@ from repro.kernels import python as _reference
 from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
-__all__ = ["hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "draw_allocation",
-           "binomial_counts", "srs_counts", "reservoir_block",
-           "bernoulli_block", "fold_moments"]
+__all__ = ["draw_allocation", "binomial_counts", "srs_counts",
+           "reservoir_block", "bernoulli_block", "fold_moments",
+           "pmf_array"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
 _GEN_ATTR = "_repro_numpy_generator"
@@ -79,8 +80,14 @@ def _validate(n1: int, n2: int, k: int) -> None:
             f"draw size k={k} must be in [0, {n1 + n2}]")
 
 
-def _pmf_array(n1: int, n2: int, k: int) -> "np.ndarray":
-    """Eq. (3) as two cumulative products walking outward from the mode."""
+def pmf_array(n1: int, n2: int, k: int) -> "np.ndarray":
+    """Eq. (3) as two cumulative products walking outward from the mode.
+
+    Not a kernel op: the past-limit draws of :func:`reservoir_block`
+    and :func:`draw_allocation` invert its cumulative sum, and
+    ``repro verify`` (``kernels.pmf.crosscheck``) holds it to the
+    closed-form pmf.
+    """
     _validate(n1, n2, k)
     lo = max(0, k - n2)
     hi = min(k, n1)
@@ -103,36 +110,14 @@ def _pmf_array(n1: int, n2: int, k: int) -> "np.ndarray":
     return pmf
 
 
-def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
-    """The probability vector ``P(0..k)`` of eq. (2)."""
-    return _pmf_array(n1, n2, k).tolist()
-
-
 def _cdf(n1: int, n2: int, k: int) -> "np.ndarray":
     """The eq. (2) cumulative pmf, built per call (no table is kept)."""
-    return np.cumsum(_pmf_array(n1, n2, k))
+    return np.cumsum(pmf_array(n1, n2, k))
 
 
 def _invert(cdf: "np.ndarray", us, k: int):
     """Inverse-cdf draws for the uniforms ``us`` (clipped to ``k``)."""
     return np.minimum(np.searchsorted(cdf, us, side="left"), k)
-
-
-def draw_hypergeometric(n1: int, n2: int, k: int,
-                        rng: SplittableRng) -> int:
-    """One eq. (2) draw by cdf inversion (one ``searchsorted``)."""
-    return int(_invert(_cdf(n1, n2, k), _generator(rng).random(), k))
-
-
-def draw_hypergeometric_batch(n1: int, n2: int, k: int,
-                              rng: SplittableRng, count: int) -> List[int]:
-    """``count`` eq. (2) draws from one uniform vector."""
-    if count < 0:
-        raise ConfigurationError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return []
-    draws = _invert(_cdf(n1, n2, k), _generator(rng).random(count), k)
-    return [int(x) for x in draws]
 
 
 def _survivors(kept: "np.ndarray") -> Tuple[List[int], List[int]]:

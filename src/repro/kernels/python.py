@@ -23,13 +23,10 @@ from typing import Collection, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.rng import SplittableRng
 from repro.sampling.distributions import sample_hypergeometric
-from repro.sampling.distributions import \
-    hypergeometric_pmf as _reference_pmf
 from repro.sampling.skip import SkipGenerator
 
-__all__ = ["FenwickTree", "hypergeometric_pmf", "draw_hypergeometric",
-           "draw_hypergeometric_batch", "draw_allocation", "binomial_counts",
-           "srs_counts", "reservoir_block", "bernoulli_block", "fold_moments"]
+__all__ = ["FenwickTree", "draw_allocation", "binomial_counts", "srs_counts",
+           "reservoir_block", "bernoulli_block", "fold_moments"]
 
 
 class FenwickTree:
@@ -105,25 +102,6 @@ class FenwickTree:
             out.append(cur - prev)
             prev = cur
         return out
-
-
-def hypergeometric_pmf(n1: int, n2: int, k: int) -> List[float]:
-    """Eq. (3) recursion, scalar form (delegates to the reference)."""
-    return _reference_pmf(n1, n2, k)
-
-
-def draw_hypergeometric(n1: int, n2: int, k: int,
-                        rng: SplittableRng) -> int:
-    """One eq. (2) draw by inversion."""
-    return sample_hypergeometric(n1, n2, k, rng)
-
-
-def draw_hypergeometric_batch(n1: int, n2: int, k: int,
-                              rng: SplittableRng, count: int) -> List[int]:
-    """``count`` sequential eq. (2) draws."""
-    if count < 0:
-        raise ConfigurationError(f"count must be >= 0, got {count}")
-    return [sample_hypergeometric(n1, n2, k, rng) for _ in range(count)]
 
 
 def _check_allocation(populations: Sequence[int], k: int) -> int:

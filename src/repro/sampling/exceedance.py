@@ -181,22 +181,13 @@ def exact_bernoulli_rate(population: int, p: float, bound: int, *,
     return 0.5 * (lo + hi)
 
 
-def rate_for_bound(population: int, p: float, bound: int, *,
-                   method: str = "auto") -> float:
+def rate_for_bound(population: int, p: float, bound: int) -> float:
     """The sampling rate Algorithm HB uses in phase 2.
 
-    ``method`` is ``"approx"`` (always eq. (1)), ``"exact"`` (always
-    bisection), or ``"auto"`` (exact below a small-population cutoff where
-    the CLT is unreliable, eq. (1) otherwise — the behaviour a production
-    system wants by default).
+    Exact bisection up to a small-population cutoff, where the CLT is
+    unreliable and the bisection cheap; eq. (1) above it.
     """
     _validate(population, p, bound)
-    if method == "approx":
-        return normal_approx_rate(population, p, bound)
-    if method == "exact":
+    if population <= _EXACT_POPULATION_CUTOFF:
         return exact_bernoulli_rate(population, p, bound)
-    if method == "auto":
-        if population <= _EXACT_POPULATION_CUTOFF:
-            return exact_bernoulli_rate(population, p, bound)
-        return normal_approx_rate(population, p, bound)
-    raise ConfigurationError(f"unknown method {method!r}")
+    return normal_approx_rate(population, p, bound)

@@ -22,17 +22,19 @@ check                            claim
 ``negative.counting``            same for counting sampling
 ``differential.executors``       Serial/Thread/Process executors agree
                                  byte-for-byte
-``differential.merge_tree``      left-deep vs balanced folds agree
-                                 on deterministic merges
-``kernels.hypergeom.gof``        the active kernel backend's batched
-                                 eq. (3) draw matches the closed-form
-                                 pmf
+``differential.merge_tree``      a left-deep fold and merge_tree's
+                                 one step agree on deterministic
+                                 merges
+``kernels.hypergeom.gof``        the kernel backend's two-partition
+                                 allocation draw (eq. (2)) matches
+                                 the closed-form pmf
 ``kernels.binomial.law``         ``binomial_counts`` keeps each run
                                  Binomial(n, q) on the active backend
 ``kernels.srs.law``              ``srs_counts`` realizes the exact
                                  multivariate hypergeometric law
-``kernels.pmf.crosscheck``       numpy and python backends compute the
-                                 same eq. (3) pmf (skipped sans numpy)
+``kernels.pmf.crosscheck``       the numpy backend's eq. (3) pmf equals
+                                 the closed-form reference (skipped
+                                 sans numpy)
 ``samplers.minibatch.law``       HB/HR fed in uneven slices, one by
                                  one and as runs keep uniform
                                  inclusion (also over more than two
@@ -95,9 +97,8 @@ from repro.core.phases import SampleKind
 from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
-from repro.kernels import (binomial_counts, draw_hypergeometric_batch,
-                           numpy_available, srs_counts, use_backend)
-from repro.kernels import hypergeometric_pmf as kernel_pmf
+from repro.kernels import (binomial_counts, draw_allocation, numpy_available,
+                           srs_counts, use_backend)
 from repro.rng import SplittableRng
 from repro.sampling.distributions import (hypergeometric_pmf,
                                           sample_hypergeometric)
@@ -310,7 +311,7 @@ def minibatch_law_pvalue(rng: SplittableRng, trials: int) -> float:
             observed, [total * w / n for w in widths]))
 
     n, bound, p = 300, 30, 0.05
-    q = rate_for_bound(n, p, bound, method="auto")
+    q = rate_for_bound(n, p, bound)
     run = sliced("hb", bound, p)
     observed = [0] * (bound + 1)   # sizes 0..bound-1, then phase 3
     for t in range(trials):
@@ -636,7 +637,7 @@ def default_battery() -> Battery:
         # eq. (1) target p up to one pmf cell, and converging to it at
         # production scale (see the AlgorithmHB module docstring).
         n, bound, p = 400, 30, 0.05
-        q = rate_for_bound(n, p, bound, method="auto")
+        q = rate_for_bound(n, p, bound)
         fallback = binomial_sf(n, q, bound - 1)
         trials = 300 * scale
         exceeded = 0
@@ -660,7 +661,7 @@ def default_battery() -> Battery:
         # stream), so the conditional size law is Binomial(N, q)
         # truncated at n_F - 1.
         n, bound, p = 300, 30, 0.05
-        q = rate_for_bound(n, p, bound, method="auto")
+        q = rate_for_bound(n, p, bound)
         trials = 120 * scale
         sizes = [0] * bound
         kept = 0
@@ -825,8 +826,9 @@ def default_battery() -> Battery:
         return executor_differential(tasks)
 
     @battery.check("differential.merge_tree", kind="exact",
-                   description="left-deep vs balanced folds agree "
-                               "exactly on deterministic merges")
+                   description="a left-deep fold and merge_tree's one "
+                               "step agree exactly on deterministic "
+                               "merges")
     def merge_tree_agrees(rng: SplittableRng, scale: int) -> List[str]:
         failures: List[str] = []
         # Same-rate SB samples: the union needs no purging, so both
@@ -866,18 +868,18 @@ def default_battery() -> Battery:
         return "numpy" if numpy_available() else "python"
 
     @battery.check("kernels.hypergeom.gof",
-                   description="the kernel backend's batched eq. (3) "
-                               "draw matches the closed-form pmf")
+                   description="the kernel backend's two-partition "
+                               "allocation draw (eq. (2)) matches the "
+                               "closed-form pmf")
     def kernel_hypergeom(rng: SplittableRng, scale: int) -> float:
         n1, n2, k = 13, 9, 7
         pmf = hypergeometric_pmf(n1, n2, k)
         lo = max(0, k - n2)
         draws = 1200 * scale
-        with use_backend(_primary_backend()):
-            values = draw_hypergeometric_batch(n1, n2, k, rng, draws)
         observed = [0] * len(pmf)
-        for v in values:
-            observed[v - lo] += 1
+        with use_backend(_primary_backend()):
+            for _ in range(draws):
+                observed[draw_allocation([n1, n2], k, rng)[0] - lo] += 1
         expected = [p * draws for p in pmf]
         return chi_square_pvalue(*collapse_cells(observed, expected))
 
@@ -919,19 +921,18 @@ def default_battery() -> Battery:
         return chi_square_pvalue(observed, expected)
 
     @battery.check("kernels.pmf.crosscheck", kind="exact",
-                   description="numpy and python backends compute the "
-                               "same eq. (3) pmf")
+                   description="the numpy backend's eq. (3) pmf equals "
+                               "the closed-form reference")
     def kernel_pmf_crosscheck(rng: SplittableRng, scale: int) -> List[str]:
         del rng, scale  # deterministic numeric comparison
         if not numpy_available():
             return []  # nothing to cross-check: one backend
+        from repro.kernels.numpy_backend import pmf_array
         failures: List[str] = []
         for n1, n2, k in ((13, 9, 7), (200, 150, 64), (5, 5, 10),
                           (1000, 2, 2), (3, 400, 100), (64, 64, 64)):
-            with use_backend("python"):
-                want = kernel_pmf(n1, n2, k)
-            with use_backend("numpy"):
-                got = kernel_pmf(n1, n2, k)
+            want = hypergeometric_pmf(n1, n2, k)
+            got = pmf_array(n1, n2, k).tolist()
             if len(want) != len(got):
                 failures.append(
                     f"pmf({n1},{n2},{k}): support length "

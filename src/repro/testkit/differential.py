@@ -9,9 +9,9 @@ means agreement):
   and Process executors.  Each task carries its own seed, so any
   divergence means an executor leaks state between tasks or into them.
 * :func:`merge_tree_differential` — a left-deep fold
-  (:func:`left_deep_fold`) vs ``merge_tree``'s balanced plan on inputs
+  (:func:`left_deep_fold`) vs ``merge_tree``'s one step on inputs
   whose merges are deterministic (same-rate SB unions; exhaustive unions
-  that stay under the footprint bound).  The two fold shapes must yield
+  that stay under the footprint bound).  The two plans must yield
   the **same sample**; comparison is on a canonical serialization
   (histogram pairs sorted) because ``CompactHistogram.join`` is free to
   reorder its insertion-ordered backing dict.
@@ -82,9 +82,9 @@ def left_deep_fold(samples: Sequence[WarehouseSample], *,
                    rng: SplittableRng) -> WarehouseSample:
     """Fold ``((s0 + s1) + s2) + ...``, node ``i`` on ``rng.spawn("fold", i)``.
 
-    The shape ``merge_tree``'s balanced plan is *not*: every merge takes
-    the running union as its left input, so checks that compare the two
-    compare genuinely different folds.
+    ``merge_tree`` merges all inputs in one step; here every merge
+    takes the running union as its left input, so checks that compare
+    the two compare genuinely different plans.
     """
     acc = samples[0]
     for i, sample in enumerate(samples[1:], start=1):
@@ -95,7 +95,7 @@ def left_deep_fold(samples: Sequence[WarehouseSample], *,
 def merge_tree_differential(samples: Sequence[WarehouseSample], *,
                             rng: SplittableRng,
                             label: str = "inputs") -> List[str]:
-    """Failure messages when left-deep and balanced folds disagree.
+    """Failure messages when a left-deep fold and ``merge_tree`` disagree.
 
     Only meaningful for inputs whose pairwise merges are deterministic
     (the caller guarantees this); both folds then compute the same
@@ -106,6 +106,6 @@ def merge_tree_differential(samples: Sequence[WarehouseSample], *,
     got = serialize_canonical(merge_tree(samples,
                                          rng=rng.spawn("tree")))
     if want != got:
-        return [f"merge_tree({label}) left-deep vs balanced diverged: "
+        return [f"merge_tree({label}) left-deep vs one step diverged: "
                 f"{got} != {want}"]
     return []

@@ -139,23 +139,18 @@ class TestNormalApproxRate:
 
 
 class TestRateForBound:
-    def test_unknown_method(self):
-        with pytest.raises(ConfigurationError):
-            rate_for_bound(1000, 0.001, 10, method="bogus")
-
     def test_auto_uses_exact_for_tiny_population(self):
-        got = rate_for_bound(500, 0.001, 50, method="auto")
+        got = rate_for_bound(500, 0.001, 50)
         exact = exact_bernoulli_rate(500, 0.001, 50)
         assert got == exact
 
     def test_auto_uses_approx_for_large_population(self):
-        got = rate_for_bound(10**6, 0.001, 1000, method="auto")
+        got = rate_for_bound(10**6, 0.001, 1000)
         approx = normal_approx_rate(10**6, 0.001, 1000)
         assert got == approx
 
-    def test_explicit_methods(self):
-        n, p, b = 100_000, 0.001, 500
-        assert rate_for_bound(n, p, b, method="exact") == \
-            exact_bernoulli_rate(n, p, b)
-        assert rate_for_bound(n, p, b, method="approx") == \
-            normal_approx_rate(n, p, b)
+    def test_cutoff_is_inclusive(self):
+        # Exact bisection up to 1 000 arrivals, eq. (1) above.
+        p, b = 0.001, 50
+        assert rate_for_bound(1_000, p, b) == exact_bernoulli_rate(1_000, p, b)
+        assert rate_for_bound(1_001, p, b) == normal_approx_rate(1_001, p, b)

@@ -25,14 +25,11 @@ from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.errors import ConfigurationError
 from repro.kernels import (KERNEL_BACKEND_ENV, active_backend,
                            available_backends, bernoulli_block,
-                           binomial_counts, draw_allocation,
-                           draw_hypergeometric,
-                           draw_hypergeometric_batch, fold_moments,
-                           hypergeometric_pmf, numpy_available,
-                           reservoir_block, set_backend, srs_counts,
-                           use_backend)
-from repro.sampling.distributions import \
-    hypergeometric_pmf as reference_pmf
+                           binomial_counts, draw_allocation, fold_moments,
+                           numpy_available, reservoir_block, set_backend,
+                           srs_counts, use_backend)
+from repro.sampling.distributions import (
+    hypergeometric_pmf as reference_pmf, sample_hypergeometric)
 from repro.stats.uniformity import chi_square_pvalue
 from repro.testkit import sweep
 
@@ -93,20 +90,17 @@ class TestSelection:
 class TestPythonBackendLaws:
     """The reference backend against the closed-form distributions."""
 
-    def test_pmf_matches_reference(self):
+    def test_two_partition_allocation_is_the_scalar_draw(self):
+        # Figure 8's L is the first share of a two-partition allocation;
+        # on the reference backend it is the scalar eq. (2) inversion,
+        # draw for draw, so pairwise HRMerge keeps its bytes.
         with use_backend("python"):
-            assert hypergeometric_pmf(13, 9, 7) == reference_pmf(13, 9, 7)
-
-    def test_batch_is_iterated_scalar_draws(self):
-        # A batch and one-by-one draws off an identical rng consume the
-        # same stream and must produce the same values.
-        with use_backend("python"):
-            batch = draw_hypergeometric_batch(40, 60, 12,
-                                              SplittableRng(3), 6)
             rng = SplittableRng(3)
-            singles = [draw_hypergeometric(40, 60, 12, rng)
-                       for _ in range(6)]
-        assert batch == singles
+            shares = [draw_allocation([40, 60], 12, rng)[0]
+                      for _ in range(6)]
+        rng = SplittableRng(3)
+        assert shares == [sample_hypergeometric(40, 60, 12, rng)
+                          for _ in range(6)]
 
     def test_binomial_counts_validates_rate(self):
         with use_backend("python"):
@@ -131,32 +125,37 @@ class TestPythonBackendLaws:
                            for i, k in zip(indices, kept))
 
 
+def eq2_draws(n1, n2, k, rng, count):
+    """``count`` eq. (2) draws, each a two-partition allocation."""
+    return [draw_allocation([n1, n2], k, rng)[0] for _ in range(count)]
+
+
 @requires_numpy
 class TestNumpyBackendLaws:
     """The vectorized backend against the same laws."""
 
     def test_pmf_close_to_reference(self):
+        from repro.kernels.numpy_backend import pmf_array
+
         for n1, n2, k in ((13, 9, 7), (200, 150, 64), (5, 5, 10),
                           (1000, 2, 2), (3, 400, 100)):
             want = reference_pmf(n1, n2, k)
-            with use_backend("numpy"):
-                got = hypergeometric_pmf(n1, n2, k)
+            got = pmf_array(n1, n2, k).tolist()
             assert len(got) == len(want)
             for w, g in zip(want, got):
                 assert math.isclose(w, g, rel_tol=1e-9, abs_tol=1e-12)
 
     def test_draws_repeatable_same_seed(self):
         with use_backend("numpy"):
-            a = draw_hypergeometric_batch(40, 60, 12, SplittableRng(5), 20)
-            b = draw_hypergeometric_batch(40, 60, 12, SplittableRng(5), 20)
+            a = eq2_draws(40, 60, 12, SplittableRng(5), 20)
+            b = eq2_draws(40, 60, 12, SplittableRng(5), 20)
         assert a == b
 
     def test_draws_in_support(self):
         n1, n2, k = 7, 30, 12
         lo, hi = max(0, k - n2), min(k, n1)
         with use_backend("numpy"):
-            draws = draw_hypergeometric_batch(n1, n2, k,
-                                              SplittableRng(5), 200)
+            draws = eq2_draws(n1, n2, k, SplittableRng(5), 200)
         assert all(lo <= d <= hi for d in draws)
 
     def test_batch_gof_against_pmf(self, rng):
@@ -167,8 +166,7 @@ class TestNumpyBackendLaws:
 
         def gof(child):
             with use_backend("numpy"):
-                values = draw_hypergeometric_batch(n1, n2, k, child,
-                                                   draws)
+                values = eq2_draws(n1, n2, k, child, draws)
             observed = [0] * len(pmf)
             for v in values:
                 observed[v - lo] += 1

