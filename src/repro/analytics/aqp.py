@@ -88,7 +88,8 @@ class ApproximateQueryEngine:
 
         Includes the planner's contribution ranking (largest unread
         variance first) so operators can see which partitions dominate
-        the error budget.
+        the error budget.  Planning does not rank; reading
+        ``plan.ranked`` here does, so only this call pays for it.
         """
         plan = self._planner.plan(
             dataset, agg, target_half_width=target_half_width,

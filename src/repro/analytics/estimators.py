@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
+from repro.kernels import fold_moments
 from repro.warehouse.synopsis import PartitionSynopsis
 
 __all__ = ["Estimate", "estimate_count", "estimate_sum", "estimate_avg",
@@ -118,19 +119,23 @@ class _Moments(NamedTuple):
 
 def _moments(sample: WarehouseSample,
              value_fn: Callable[[object], float] = float) -> _Moments:
-    """One pass over the sample's ``(value, count)`` runs.
+    """One weighted fold over the sample's ``(value, count)`` runs.
 
-    The totals fold strictly left to right, like the synopses' folds,
-    and not through builtin ``sum``, which compensates on Python 3.12+:
-    an answer must not depend on the interpreter version.
+    :func:`~repro.kernels.fold_moments` takes the distinct values and
+    their counts as they are stored and adds ``x * count`` and
+    ``x * x * count`` strictly left to right, not through builtin
+    ``sum``, which compensates on Python 3.12+: an answer must not
+    depend on the interpreter version, nor on the kernel backend.
+    ``value_fn`` runs here, so its own errors surface unchanged; what
+    it returns (an int or a numpy scalar included) enters as
+    ``float(x)``, and ``float`` itself is left to the kernel.
     """
     n = sample.size
-    total = 0.0
-    sum_sq = 0.0
-    for value, cnt in sample.histogram.pairs():
-        x = value_fn(value)
-        total += x * cnt
-        sum_sq += x * x * cnt
+    histogram = sample.histogram
+    keys = histogram.value_list()
+    total, sum_sq, _, _ = fold_moments(
+        keys if value_fn is float else list(map(value_fn, keys)), 0.0,
+        0.0, None, None, counts=histogram.run_lengths())
     mean = total / n if n else 0.0
     variance = 0.0
     if n > 1:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, List, Optional, Tuple
 
 from repro.analytics.estimators import (Estimate, _stratum_variance, _z,
@@ -70,7 +71,9 @@ class QueryPlan:
     ``predicted_half_width`` is the conservative pre-read bound (in the
     aggregate's units); ``certified`` says it met the target.  A
     ``fallback`` plan could not be certified — the engine then runs
-    the merge-all path and ``reason`` says why.
+    the merge-all path and ``reason`` says why.  ``stratum_variances``
+    holds each stratum's ``(key, variance if answered by synopsis)`` in
+    catalog order; :attr:`ranked` sorts them only when read.
     """
 
     dataset: str
@@ -85,8 +88,16 @@ class QueryPlan:
     certified: bool
     fallback: bool
     reason: str
-    ranked: Tuple[Tuple[str, float], ...]
+    stratum_variances: Tuple[Tuple[PartitionKey, float], ...]
     seconds: float
+
+    @property
+    def ranked(self) -> Tuple[Tuple[str, float], ...]:
+        """``(str(key), variance)`` per stratum, the largest variance
+        left to a synopsis first, keys breaking ties.  Built on each
+        read: only diagnostics (``plan_summary``) want it."""
+        return tuple((str(key), variance) for key, variance in sorted(
+            self.stratum_variances, key=lambda kv: (-kv[1], kv[0])))
 
     def to_dict(self) -> dict:
         """JSON-serializable diagnostics (the served ``plan`` block)."""
@@ -106,21 +117,6 @@ class QueryPlan:
             "reason": self.reason,
             "seconds": self.seconds,
         }
-
-
-@dataclass(frozen=True)
-class _Stratum:
-    """Planner-internal view of one partition's error contribution."""
-
-    key: PartitionKey
-    population: int
-    unselected_variance: float   # contribution if answered by synopsis
-    selected_variance: float     # predicted contribution if sampled
-    selectable: bool             # has a live sample worth reading
-
-    @property
-    def gain(self) -> float:
-        return self.unselected_variance - self.selected_variance
 
 
 class QueryPlanner:
@@ -176,7 +172,8 @@ class QueryPlanner:
                    synopsis_keys: Tuple[PartitionKey, ...],
                    predicted: float, target: Optional[float],
                    certified: bool, fallback: bool, reason: str,
-                   ranked: Tuple[Tuple[str, float], ...] = ()
+                   stratum_variances: Tuple[Tuple[PartitionKey, float],
+                                            ...] = ()
                    ) -> QueryPlan:
             seconds = monotonic() - t0
             if OBS.enabled:
@@ -193,8 +190,8 @@ class QueryPlanner:
                 selected=selected, synopsis_keys=synopsis_keys,
                 total_partitions=len(metas),
                 predicted_half_width=predicted, certified=certified,
-                fallback=fallback, reason=reason, ranked=ranked,
-                seconds=seconds)
+                fallback=fallback, reason=reason,
+                stratum_variances=stratum_variances, seconds=seconds)
 
         if not metas:
             return finish((), (), math.inf, None, False, True,
@@ -205,7 +202,13 @@ class QueryPlanner:
             return finish((), tuple(m.key for m in metas), 0.0,
                           target_half_width, True, False, "")
 
-        strata: List[_Stratum] = []
+        # Per stratum, in catalog order: its key, the variance it adds
+        # when its synopsis answers (v_u), and, if reading its live
+        # sample would shed variance, that gain with the key and the
+        # stratum's position.
+        keys: List[PartitionKey] = []
+        unselected: List[float] = []
+        candidates: List[Tuple[float, PartitionKey, int]] = []
         population_total = 0
         point_total = 0.0
         variance = 0.0   # folded left to right, as execution folds
@@ -221,11 +224,8 @@ class QueryPlanner:
                     f"partition {meta.key} synopsis has an empty basis")
             population_total += synopsis.count
             point_total += synopsis.total
-            if synopsis.exact:
-                v_u = 0.0
-                v_s = 0.0
-                selectable = False
-            else:
+            v_u = 0.0
+            if not synopsis.exact:
                 big_n = synopsis.count
                 sigma_sq = synopsis.variance
                 # The one deliberate plan/execute difference: no fpc
@@ -233,14 +233,12 @@ class QueryPlanner:
                 v_u = big_n ** 2 * sigma_sq / synopsis.basis
                 n_live = meta.sample_size
                 if n_live > 0:
-                    v_s = _stratum_variance(big_n, sigma_sq, n_live)
-                    selectable = True
-                else:
-                    v_s = v_u
-                    selectable = False
+                    gain = v_u - _stratum_variance(big_n, sigma_sq, n_live)
+                    if gain > 0.0:
+                        candidates.append((gain, meta.key, len(keys)))
             variance += v_u
-            strata.append(_Stratum(meta.key, synopsis.count, v_u, v_s,
-                                   selectable))
+            keys.append(meta.key)
+            unselected.append(v_u)
 
         # Resolve the target into sum-space (avg scales by 1/N).
         target = target_half_width
@@ -256,19 +254,15 @@ class QueryPlanner:
                               "empty population")
             sum_target = target * population_total
 
-        ranked = tuple(
-            (str(s.key), s.unselected_variance)
-            for s in sorted(strata, key=lambda s: (-s.unselected_variance,
-                                                   s.key)))
         selected: List[PartitionKey] = []
-        candidates = sorted((s for s in strata if s.selectable
-                             and s.gain > 0.0),
-                            key=lambda s: (-s.gain, s.key))
-        for stratum in candidates:
+        unread = [True] * len(keys)
+        for gain, key, position in sorted(candidates,
+                                          key=lambda c: (-c[0], c[1])):
             if z * math.sqrt(variance) <= sum_target:
                 break
-            variance -= stratum.gain
-            selected.append(stratum.key)
+            variance -= gain
+            selected.append(key)
+            unread[position] = False
         predicted_sum_hw = z * math.sqrt(variance)
         certified = predicted_sum_hw <= sum_target
         predicted = predicted_sum_hw if agg == "sum" \
@@ -277,12 +271,11 @@ class QueryPlanner:
             return finish(
                 tuple(selected), (), predicted, target, False, True,
                 f"bound not certifiable: predicted half-width "
-                f"{predicted:.6g} > target {target:.6g}", ranked)
-        chosen = set(selected)
-        synopsis_keys = tuple(s.key for s in strata
-                              if s.key not in chosen)
-        return finish(tuple(selected), synopsis_keys, predicted, target,
-                      True, False, "", ranked)
+                f"{predicted:.6g} > target {target:.6g}",
+                tuple(zip(keys, unselected)))
+        return finish(tuple(selected), tuple(compress(keys, unread)),
+                      predicted, target, True, False, "",
+                      tuple(zip(keys, unselected)))
 
     # ------------------------------------------------------------------
     # Execution

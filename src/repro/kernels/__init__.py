@@ -8,9 +8,11 @@ merge tree.  On ingest and in the merges' exhaustive case, HB/HR's
 block steps (:mod:`repro.core.blocks`) merge a running sample with a
 block of arrivals (or a whole exhaustive input) through
 :func:`reservoir_block` and :func:`bernoulli_block` and the same
-purges, and the exact synopsis folds its moments through
-:func:`fold_moments`.  This package isolates them behind a small
-kernel API with two interchangeable backends:
+purges; the exact synopsis folds its moments through
+:func:`fold_moments`, and the estimators fold a sample's
+``(value, count)`` runs through the same kernel.  This package
+isolates them behind a small kernel API with two interchangeable
+backends:
 
 * ``"python"`` — the reference implementation, byte-identical to the
   historical pure-Python code paths (:mod:`repro.kernels.python`);
@@ -32,8 +34,8 @@ consume the rng differently and therefore produce *different but
 equally lawful* samples; cross-backend agreement is statistical, gated
 by the ``kernels.*`` checks of ``repro verify`` (docs/testing.md).
 :func:`fold_moments` draws nothing and is held to more: its result is
-the same bits on both backends, so synopsis bytes do not depend on the
-backend.
+the same bits on both backends, so synopsis bytes and estimates do not
+depend on the backend's fold.
 
 Examples
 --------
@@ -235,18 +237,25 @@ def bernoulli_block(block: int, q: float, rng) -> List[int]:
 
 def fold_moments(values: Sequence, total: float, total_sq: float,
                  lo: Optional[float], hi: Optional[float], *,
-                 ints: bool = False
+                 ints: bool = False,
+                 counts: Optional[Collection[int]] = None
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """Fold a slice of real numbers into a synopsis' running moments.
 
     Returns ``(total + Σx, total_sq + Σx², min(lo, *xs), max(hi, *xs))``
     with every sum taken left to right from the running value, as
     per-element ``+=`` would (``lo`` / ``hi`` are ``None`` before the
-    first value).  Unlike the draw kernels, the result is *identical*
-    on both backends, bit for bit: the numpy backend runs the same IEEE
-    additions over one ``float64`` array.  Raises
-    :class:`~repro.errors.ConfigurationError` for a number too large to
-    become a float.
+    first value).  Each value enters as ``float(value)``.  Unlike the
+    draw kernels, the result is *identical* on both backends, bit for
+    bit: the numpy backend runs the same IEEE additions over one
+    ``float64`` array.  Raises :class:`~repro.errors.ConfigurationError`
+    for a number too large to become a float.
+
+    ``counts`` weights the sums: run lengths aligned with ``values``
+    (a histogram's :meth:`~repro.core.histogram.CompactHistogram.
+    run_lengths` view), each value entering as ``x * c`` and
+    ``x * x * c`` — the per-run loop of the estimators' moment pass.
+    A weighted fold leaves ``lo`` / ``hi`` as given.
 
     ``ints=True`` promises that every value's type is exactly ``int``
     (the accumulator's type check), which lets the numpy backend convert
@@ -254,7 +263,7 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     conversion would truncate a float.
     """
     return _backend().fold_moments(values, total, total_sq, lo, hi,
-                                   ints=ints)
+                                   ints=ints, counts=counts)
 
 
 # Backend selection happens at import so every later kernel call is a

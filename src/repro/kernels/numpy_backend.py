@@ -32,9 +32,9 @@ executors and worker counts, like every other consumer of the
 seed-splitting discipline.
 
 :func:`fold_moments` is the one kernel whose output is byte-identical
-to the python backend's: the synopsis moments are exact summaries, not
-draws, so it performs the reference's IEEE operations in the
-reference's order, only at C speed.
+to the python backend's: synopsis and estimator moments are exact
+summaries, not draws, so it performs the reference's IEEE operations
+in the reference's order, only at C speed.
 """
 
 from __future__ import annotations
@@ -240,54 +240,91 @@ def bernoulli_block(block: int, q: float,
     return picks.tolist()
 
 
+def _float_array(values: Sequence, ints: bool) -> Optional["np.ndarray"]:
+    """``values`` as one ``float64`` array, each converted as ``float()``
+    converts it (but ``None``, which becomes NaN here); ``None`` when
+    one does not convert.
+
+    ``np.fromiter`` converts element by element, so a tuple or other
+    sequence among the values fails here rather than adding an axis.
+    With ``ints`` (every value exactly an ``int``) the values go through
+    one ``int64`` array, which reads them at C speed; the ``int64`` ->
+    ``float64`` cast rounds to nearest even, as ``float()`` does.  An
+    int outside ``int64`` takes the general path.
+    """
+    if ints:
+        try:
+            return np.fromiter(values, np.int64,
+                               count=len(values)).astype(np.float64)
+        except OverflowError:
+            pass
+    try:
+        return np.fromiter(values, np.float64, count=len(values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def fold_moments(values: Sequence, total: float, total_sq: float,
                  lo: Optional[float], hi: Optional[float], *,
-                 ints: bool = False
+                 ints: bool = False,
+                 counts: Optional[Collection[int]] = None
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """The python backend's fold over one ``float64`` array, bit for bit.
 
     Each total is the last entry of ``np.add.accumulate`` over
-    ``[total, x0, x1, ...]`` (or the squares): a strictly sequential
-    scan, the reference's left-to-right additions, where ``np.sum``
-    would add pairwise.  ``argmin`` / ``argmax`` return the first
-    extreme, the one ``min`` / ``max`` keep among ties such as ``0.0``
-    and ``-0.0``.  A slice holding a NaN (whose ``min`` depends on
-    position) or one that does not convert to ``float64`` goes to the
-    reference fold, which raises the same error the scalar path does.
-
-    With ``ints`` (every value exactly an ``int``) the slice converts
-    through one ``int64`` array: ``np.fromiter`` reads the ints at C
-    speed without ``asarray``'s per-element type inference, and the
-    ``int64`` -> ``float64`` cast rounds to nearest even, as ``float()``
-    does.  An int outside ``int64`` takes the general path.
+    ``[total, x0, x1, ...]`` (or the squares, or with ``counts`` the
+    products ``x * c`` and ``(x * x) * c``): a strictly sequential scan,
+    the reference's left-to-right additions, where ``np.sum`` would add
+    pairwise.  ``argmin`` / ``argmax`` return the first extreme, the one
+    ``min`` / ``max`` keep among ties such as ``0.0`` and ``-0.0``.  A
+    slice whose result holds a NaN (whose ``min`` depends on position,
+    and which ``None`` converts to here where ``float(None)`` raises) or
+    that does not convert goes to the reference fold, which raises the
+    same error the scalar path does.  One difference remains: numpy
+    datetime scalars, which ``float()`` refuses, convert to their ticks.
     """
-    xs = None
-    if ints:
-        try:
-            xs = np.fromiter(values, np.int64,
-                             count=len(values)).astype(np.float64)
-        except OverflowError:
-            pass
-    if xs is None:
-        try:
-            xs = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            return _reference.fold_moments(values, total, total_sq, lo, hi)
+    xs = _float_array(values, ints)
+    weights = None if counts is None else _float_array(counts, True)
+    if xs is None or counts is not None and (
+            weights is None or weights.size != xs.size):
+        return _reference.fold_moments(values, total, total_sq, lo, hi,
+                                       counts=counts)
     if xs.size == 0:
         return total, total_sq, lo, hi
+    if weights is not None:
+        sums = _accumulate(xs, total, total_sq, weights)
+        if sums[0] != sums[0]:
+            return _reference.fold_moments(values, total, total_sq, lo,
+                                           hi, counts=counts)
+        return sums + (lo, hi)
     x_lo = float(xs[xs.argmin()])
     if x_lo != x_lo:  # argmin stops at the first NaN
         return _reference.fold_moments(values, total, total_sq, lo, hi)
     x_hi = float(xs[xs.argmax()])
-    scan = np.empty(xs.size + 1)
-    scan[0], scan[1:] = total, xs
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.add.accumulate(scan, out=scan)[-1])
-        scan[0] = total_sq
-        np.multiply(xs, xs, out=scan[1:])
-        total_sq = float(np.add.accumulate(scan, out=scan)[-1])
+    total, total_sq = _accumulate(xs, total, total_sq, None)
     if lo is None or x_lo < lo:
         lo = x_lo
     if hi is None or x_hi > hi:
         hi = x_hi
     return total, total_sq, lo, hi
+
+
+def _accumulate(xs: "np.ndarray", total: float, total_sq: float,
+                weights: Optional["np.ndarray"]) -> Tuple[float, float]:
+    """``total + Σ x·w`` and ``total_sq + Σ (x·x)·w`` (``w = 1`` when
+    ``weights`` is ``None``), each added strictly left to right."""
+    scan = np.empty(xs.size + 1)
+    terms = scan[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan[0] = total
+        if weights is None:
+            terms[:] = xs
+        else:
+            np.multiply(xs, weights, out=terms)
+        total = float(np.add.accumulate(scan, out=scan)[-1])
+        scan[0] = total_sq
+        np.multiply(xs, xs, out=terms)
+        if weights is not None:
+            np.multiply(terms, weights, out=terms)
+        total_sq = float(np.add.accumulate(scan, out=scan)[-1])
+    return total, total_sq

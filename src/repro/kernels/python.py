@@ -206,7 +206,8 @@ def bernoulli_block(block: int, q: float,
 
 def fold_moments(values: Sequence, total: float, total_sq: float,
                  lo: Optional[float], hi: Optional[float], *,
-                 ints: bool = False
+                 ints: bool = False,
+                 counts: Optional[Collection[int]] = None
                  ) -> Tuple[float, float, Optional[float], Optional[float]]:
     """Fold a slice of real numbers into running moments and extremes.
 
@@ -216,9 +217,24 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     value) fold through ``min`` / ``max`` from the running extremes, so
     NaN ordering matches one-at-a-time folding.  ``ints`` is the
     numpy backend's conversion hint; ``float`` needs none.
+
+    With ``counts`` each value enters the sums as ``x * c`` and
+    ``x * x * c``, the per-run loop's products, and the extremes come
+    back as given.
     """
     del ints
+    if counts is not None and len(values) != len(counts):
+        raise ConfigurationError(
+            f"{len(values)} values but {len(counts)} counts")
     try:
+        if counts is not None:
+            # The per-run loop, not reduce/map: the interpreter's float
+            # ops beat three C-level calls per run.
+            for value, c in zip(values, counts):
+                x = float(value)
+                total += x * c
+                total_sq += x * x * c
+            return total, total_sq, lo, hi
         xs = list(map(float, values))
     except OverflowError as exc:
         raise ConfigurationError(

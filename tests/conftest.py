@@ -133,6 +133,25 @@ def counter_join(*histograms):
     return list(merged.items()), sum(counts), counts.count(1)
 
 
+def loop_moments(sample, value_fn=float):
+    """The estimators' moment pass as its per-run loop computed it
+    before it became one weighted :func:`repro.kernels.fold_moments`:
+    ``x * cnt`` and ``x * x * cnt`` added left to right, run by run."""
+    from repro.analytics.estimators import _Moments
+    n = sample.size
+    total = 0.0
+    sum_sq = 0.0
+    for value, cnt in sample.histogram.pairs():
+        x = value_fn(value)
+        total += x * cnt
+        sum_sq += x * x * cnt
+    mean = total / n if n else 0.0
+    variance = 0.0
+    if n > 1:
+        variance = max(0.0, sum_sq / n - mean * mean) * n / (n - 1)
+    return _Moments(n, total, mean, variance, sum_sq)
+
+
 def dense_binomial_counts(counts, q, rng):
     """Figure 3's kept count per run, zeros included, as the active
     backend drew it before its kernel returned only the survivors."""

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NAN, loop_moments
 from repro.analytics import estimators
 from repro.analytics.estimators import (chao_distinct, estimate_avg,
                                         estimate_count, estimate_quantile,
@@ -22,6 +25,7 @@ from repro.core.hybrid_reservoir import AlgorithmHR
 from repro.core.phases import SampleKind
 from repro.core.sample import WarehouseSample
 from repro.errors import ConfigurationError
+from repro.kernels import available_backends, numpy_available, use_backend
 
 MODEL = FootprintModel(8, 4)
 
@@ -256,3 +260,109 @@ class TestSinglePath:
         assert std_errs[0].hex() == std_errs[1].hex()
         if merged.value == strat.value:
             assert _bits(merged) == _bits(strat)
+
+
+def _scaled(value):
+    return float(value) * 0.5 - 3.0
+
+
+def _residue(value):
+    """Small ints: the products the old loop took in int arithmetic are
+    exact either way."""
+    return int(value) % 7
+
+
+def _numpy_keys():
+    if not numpy_available():
+        return st.nothing()
+    import numpy as np
+    return st.one_of(st.integers(-2**62, 2**62).map(np.int64),
+                     st.floats(width=32).map(np.float32),
+                     st.floats().map(np.float64),
+                     st.booleans().map(np.bool_))
+
+
+NUMERIC_KEYS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, True, False, NAN]),
+    _numpy_keys())
+
+#: Strings ``float()`` reads (underscores, padding, other scripts' digits,
+#: overflow to inf) and whatever short text hypothesis makes up.
+STRING_KEYS = st.one_of(
+    st.sampled_from(["1.5", " 2\n", "1_000", "-0.0", "nan", "-inf",
+                     "١٢", "1e400", "0x10", ""]),
+    st.text(max_size=4))
+
+
+def runs_sample(runs):
+    """An exhaustive sample holding ``(value, count)`` runs (repeats and
+    keys equal under ``==``, such as ``1`` and ``True``, add up)."""
+    histogram = CompactHistogram.from_pairs(runs)
+    return WarehouseSample(histogram=histogram, kind=SampleKind.EXHAUSTIVE,
+                           population_size=histogram.size,
+                           bound_values=max(1, histogram.distinct),
+                           model=MODEL)
+
+
+def _outcome(fn, *args):
+    """``repr`` of the result (NaN, -0.0 and float type show), or the
+    exception type."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestMomentsOracle:
+    """``_moments`` is one weighted ``fold_moments`` call and gives the
+    per-run loop's ``_Moments`` (conftest ``loop_moments``) bit for bit
+    on every backend, errors included."""
+
+    @given(runs=st.lists(st.tuples(NUMERIC_KEYS, st.integers(1, 2**20)),
+                         min_size=1, max_size=40),
+           value_fn=st.sampled_from([float, _scaled, _residue]))
+    @settings(max_examples=300, deadline=None)
+    def test_numeric_keys(self, backend, runs, value_fn):
+        sample = runs_sample(runs)
+        with use_backend(backend):
+            got = _outcome(estimators._moments, sample, value_fn)
+        assert got == _outcome(loop_moments, sample, value_fn)
+
+    @given(runs=st.lists(st.tuples(st.one_of(STRING_KEYS, NUMERIC_KEYS),
+                                   st.integers(1, 50)),
+                         min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_string_keys_read_by_float(self, backend, runs):
+        sample = runs_sample(runs)
+        with use_backend(backend):
+            got = _outcome(estimators._moments, sample)
+        assert got == _outcome(loop_moments, sample)
+
+    @pytest.mark.parametrize("key", [None, (1,), b"x", b"2.5",
+                                     Decimal("0.1"), Fraction(1, 3)])
+    def test_other_keys_fail_or_read_alike(self, backend, key):
+        sample = runs_sample([(1.5, 2), (key, 3)])
+        with use_backend(backend):
+            got = _outcome(estimators._moments, sample)
+        assert got == _outcome(loop_moments, sample)
+
+    def test_int_too_large_for_a_float(self, backend):
+        sample = runs_sample([(1, 2), (10**400, 1)])
+        with pytest.raises(OverflowError):
+            loop_moments(sample)
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError, match="float range"):
+                estimators._moments(sample)
+
+    def test_one_kernel_call_per_sample(self, backend):
+        sample = runs_sample([(v, 1 + v % 3) for v in range(900)])
+        with use_backend(backend):
+            with mock.patch.object(estimators, "fold_moments",
+                                   wraps=estimators.fold_moments) as fold:
+                estimate_sum(sample)
+                stratified_partition_estimate(
+                    "avg", sampled=[(900, sample), (900, sample)])
+        assert fold.call_count == 3

@@ -428,6 +428,17 @@ class TestFoldMoments:
             with pytest.raises(ConfigurationError, match="float range"):
                 fold_moments([1, 10**400], 0.0, 0.0, None, None)
 
+    def test_weighted_fold_leaves_the_extremes(self, backend):
+        with use_backend(backend):
+            got = fold_moments([2.0, -1.0], 1.0, 0.5, 5.0, 6.0,
+                               counts=[3, 2])
+        assert got == (1.0 + 6.0 - 2.0, 0.5 + 12.0 + 2.0, 5.0, 6.0)
+
+    def test_counts_must_align_with_values(self, backend):
+        with use_backend(backend):
+            with pytest.raises(ConfigurationError, match="counts"):
+                fold_moments([1.0, 2.0], 0.0, 0.0, None, None, counts=[1])
+
 
 def test_law_checks_exercise_the_ops_purges_call():
     # kernels.srs.law / kernels.binomial.law must test what the purges

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.analytics.aqp import ApproximateQueryEngine
+from repro.analytics import planner as planner_module
 from repro.analytics.planner import QueryPlanner
 from repro.errors import ConfigurationError, DatasetNotFoundError
 from repro.obs.runtime import capture
@@ -88,6 +89,42 @@ def aqp_warehouse(shape, *, partitions=128, per=1_500, seed=2006):
     return wh, dataset
 
 
+def tied_warehouse(*, partitions=64, per=300, seed=5,
+                   dataset="plan.tied"):
+    """Every fourth partition carries one shared sketch-estimated
+    synopsis, the rest one exact synopsis, all the same live sample: the
+    unselected variances tie within each group, so every order the
+    planner builds rests on its key tie-break (and ``.../0/10`` sorts
+    after ``.../0/9`` by key, before it as text)."""
+    wh = SampleWarehouse(bound_values=64, scheme="hr",
+                         rng=SplittableRng(seed))
+    rng = SplittableRng(seed).spawn("values")
+    values = [rng.gauss(100.0, 20.0) for _ in range(per)]
+    live = sample_partition(SampleTask(
+        values=values, scheme="hr", bound_values=64,
+        seed=rng.spawn("live").seed_value))
+    sketch = PartitionSynopsis.from_sample(sample_partition(SampleTask(
+        values=values, scheme="hr", bound_values=8,
+        seed=rng.spawn("sketch").seed_value)))
+    exact = PartitionSynopsis.from_values(values)
+    for i in range(partitions):
+        wh.ingest_sample(PartitionKey(dataset, 0, i), live,
+                         synopsis=sketch if i % 4 == 3 else exact)
+    return wh
+
+
+def eager_ranking(wh, dataset):
+    """``(str(key), unselected variance)`` per stratum, sorted as
+    planning sorted them eagerly before the ranking became lazy."""
+    def unselected(meta):
+        s = meta.synopsis
+        return 0.0 if s.exact else s.count ** 2 * s.variance / s.basis
+
+    metas = wh.catalog.partitions(dataset)
+    return [(str(m.key), unselected(m))
+            for m in sorted(metas, key=lambda m: (-unselected(m), m.key))]
+
+
 class TestPlanCertification:
     def test_exact_synopses_certify_without_selection(self):
         wh = exact_warehouse()
@@ -145,6 +182,49 @@ class TestPlanCertification:
                                      target_half_width=0.1, relative=True)
         weights = [w for _, w in plan.ranked]
         assert weights == sorted(weights, reverse=True)
+
+
+class TestLazyRanking:
+    """Planning neither sorts every stratum nor prints a key; the
+    ranking is built when ``plan.ranked`` is read, in the eager order."""
+
+    @pytest.mark.parametrize("agg", ["sum", "avg"])
+    def test_planning_ranks_nothing_until_asked(self, agg, monkeypatch):
+        wh = tied_warehouse()
+        printed, sorts = [], []
+        key_str = PartitionKey.__str__
+
+        def counting_str(key):
+            printed.append(key)
+            return key_str(key)
+
+        def counting_sorted(items, **kwargs):
+            items = list(items)
+            sorts.append(len(items))
+            return sorted(items, **kwargs)
+
+        monkeypatch.setattr(PartitionKey, "__str__", counting_str)
+        monkeypatch.setattr(planner_module, "sorted", counting_sorted,
+                            raising=False)
+        plan = QueryPlanner(wh).plan("plan.tied", agg,
+                                     target_half_width=0.005,
+                                     relative=True)
+        assert plan.certified and plan.selected
+        assert plan.total_partitions == 64
+        assert printed == []
+        assert sorts and max(sorts) == 16    # the selection candidates
+        ranked = plan.ranked
+        assert sorts[-1] == 64 and len(printed) == 64
+        monkeypatch.undo()
+
+        expected = eager_ranking(wh, "plan.tied")
+        assert list(ranked) == expected
+        assert [str(k) for k, _ in plan.stratum_variances] \
+            != [k for k, _ in expected]
+        summary = ApproximateQueryEngine(wh).plan_summary(
+            "plan.tied", agg, target_half_width=0.005,
+            relative_target=True)
+        assert summary["ranked"] == [list(pair) for pair in expected[:8]]
 
 
 class TestFallbacks:
