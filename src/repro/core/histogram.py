@@ -23,16 +23,24 @@ running map at C speed, keeping the map's order and appending the new
 values in first-seen order, as one :meth:`~CompactHistogram.insert` per
 value would.  On a fresh partition it copies the ingest path's running
 count instead (:meth:`CompactHistogram.from_counts`).
+
+The purges read a histogram through its run index
+(:meth:`CompactHistogram.run_index`): the keys as a list and the run
+lengths in the kernel backend's form, built on first use and cleared by
+every mutator.  A stored sample never changes, so it converts its runs
+once however many merges purge it.  The index is derived from the
+histogram's value alone and never pickled; it is not a result cache.
 """
 
 from __future__ import annotations
 
 from collections import _count_elements
 from typing import (Collection, Dict, Hashable, Iterable, Iterator, List,
-                    Sequence, Tuple)
+                    Optional, Sequence, Tuple)
 
 from repro.core.footprint import FootprintModel
 from repro.errors import ConfigurationError
+from repro.kernels import active_backend, index_runs
 
 __all__ = ["CompactHistogram", "Tally", "count_values"]
 
@@ -42,6 +50,10 @@ Value = Hashable
 #: :class:`CompactHistogram`, and what a purge hands to a join without
 #: building one.
 Tally = Tuple[Dict[Value, int], int, int]
+
+#: ``(backend, keys, runs)``: the run index a histogram keeps for the
+#: kernel backend named first (see :meth:`CompactHistogram.run_index`).
+RunIndex = Tuple[str, List[Value], Collection[int]]
 
 
 def count_values(values: Iterable[Value]) -> Dict[Value, int]:
@@ -64,12 +76,14 @@ class CompactHistogram:
     ['a', 'a', 'b']
     """
 
-    __slots__ = ("_counts", "_size", "_singletons")
+    __slots__ = ("_counts", "_size", "_singletons", "_index")
 
     def __init__(self) -> None:
         self._counts: Dict[Value, int] = {}
         self._size = 0        # total number of data elements
         self._singletons = 0  # number of values with count == 1
+        # run_index()'s memo; every mutator clears it.
+        self._index: Optional[RunIndex] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -189,6 +203,7 @@ class CompactHistogram:
     # ------------------------------------------------------------------
     def insert(self, value: Value) -> None:
         """Insert one occurrence of ``value`` (the paper's insertValue)."""
+        self._index = None
         old = self._counts.get(value, 0)
         self._counts[value] = old + 1
         self._size += 1
@@ -210,6 +225,7 @@ class CompactHistogram:
             # Iterate once: numpy arrays yield fresh scalars per pass,
             # which a NaN key would not match by identity.
             values = list(values)
+        self._index = None
         counts = self._counts
         if len(values) * 16 < len(counts):
             get = counts.get
@@ -226,6 +242,7 @@ class CompactHistogram:
         """Insert ``count`` occurrences of ``value`` at once."""
         if count <= 0:
             raise ConfigurationError(f"count must be positive, got {count}")
+        self._index = None
         old = self._counts.get(value, 0)
         new = old + count
         self._counts[value] = new
@@ -247,6 +264,7 @@ class CompactHistogram:
         if count > old:
             raise ConfigurationError(
                 f"cannot remove {count} of {value!r}; only {old} present")
+        self._index = None
         new = old - count
         self._size -= count
         if new == 0:
@@ -280,11 +298,35 @@ class CompactHistogram:
     def run_lengths(self) -> Collection[int]:
         """The counts, aligned with :meth:`value_list`, as a live view.
 
-        The kernel functions (:mod:`repro.kernels`) read run lengths in
-        this form, so a whole purge is one vectorized draw with no
-        intermediate list.
+        Every kernel function (:mod:`repro.kernels`) reads run lengths
+        in this form.  The purges read :meth:`run_index` instead, which
+        converts the counts to the kernel backend's form once per value
+        of the histogram rather than once per purge.
         """
         return self._counts.values()
+
+    def run_index(self) -> Tuple[List[Value], Collection[int]]:
+        """The keys and their run lengths, in the kernel backend's form.
+
+        Returns ``(keys, runs)``, aligned and in insertion order:
+        ``runs`` is what :func:`repro.kernels.index_runs` makes of the
+        counts (a read-only ``int64`` array on numpy, a tuple of the
+        counts on python).  Both are built on first use and kept until
+        the next mutation, or until the active backend changes, so a
+        stored sample pays the conversion once however often it is
+        purged.  This memoizes a pure function of the histogram's
+        value; it is not a result cache.  Callers must not mutate
+        ``keys``.
+        """
+        backend = active_backend()
+        index = self._index
+        if index is None or index[0] != backend:
+            counts = self._counts
+            index = (backend, list(counts), index_runs(counts.values()))
+            # Racing readers each build the same value and publish it
+            # with this one store, so the race is harmless.
+            self._index = index
+        return index[1], index[2]
 
     def tally(self) -> Tally:
         """This histogram's ``(map, size, singletons)``, map shared.
@@ -323,6 +365,7 @@ class CompactHistogram:
 
     def __setstate__(self, state) -> None:
         self._counts, self._size, self._singletons = state
+        self._index = None
 
     def __len__(self) -> int:
         """Number of data elements, matching the paper's |S|."""

@@ -14,12 +14,15 @@ Both inner loops dispatch through :mod:`repro.kernels`: the numpy
 backend draws every run's kept count in a single vectorized generator
 call, the pure-Python backend runs the paper's loops verbatim
 (skip-based reservoir sampling with Fenwick-tree victim selection on
-the reservoir side).  A kernel reads the histogram's counts view and
-returns only the surviving runs as ``(indices, kept)``.  Result
-assembly is shared and backend-agnostic: one ``itemgetter`` picks the
-surviving values out of the histogram's value list and ``zip`` pairs
-them with their counts in a new dict, so a purge does no per-element
-Python work beyond the python-backend draws themselves.
+the reservoir side).  A kernel reads the histogram's run index
+(:meth:`~repro.core.histogram.CompactHistogram.run_index`: its keys and
+its run lengths in the backend's form, built once per value of the
+histogram) and returns only the surviving runs as ``(indices, kept)``.
+Result assembly is shared and backend-agnostic: one ``itemgetter``
+picks the surviving values out of the index's keys and ``zip`` pairs
+them with their counts in a new dict.  So purging a stored sample
+again does C-level work over its runs and Python-level work only for
+the survivors, beyond the python-backend draws themselves.
 
 Both functions return new histograms and leave their input untouched —
 mutation-free purges make the merge functions easier to reason about (the
@@ -31,7 +34,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import List
 
-from repro.core.histogram import CompactHistogram, Tally
+from repro.core.histogram import CompactHistogram, Tally, Value
 from repro.errors import ConfigurationError
 from repro.kernels import binomial_counts, srs_counts
 from repro.kernels.python import FenwickTree  # re-exported for back-compat
@@ -41,12 +44,12 @@ __all__ = ["purge_bernoulli", "purge_reservoir", "purge_reservoir_tally",
            "FenwickTree"]
 
 
-def _survivors(histogram: CompactHistogram, indices: List[int],
+def _survivors(keys: List[Value], indices: List[int],
                kept: List[int]) -> Tally:
     """The surviving pairs of a purge as a tally (values are distinct)."""
     if not indices:
         return {}, 0, 0
-    picked = itemgetter(*indices)(histogram.value_list())
+    picked = itemgetter(*indices)(keys)
     # itemgetter of a single index returns the value, not a 1-tuple.
     counts = (dict(zip(picked, kept)) if len(indices) > 1
               else {picked: kept[0]})
@@ -66,8 +69,9 @@ def purge_bernoulli(histogram: CompactHistogram, q: float,
         return CompactHistogram()
     if q == 1.0:
         return histogram.copy()
-    indices, kept = binomial_counts(histogram.run_lengths(), q, rng)
-    return CompactHistogram.from_tally(_survivors(histogram, indices, kept))
+    keys, runs = histogram.run_index()
+    indices, kept = binomial_counts(runs, q, rng)
+    return CompactHistogram.from_tally(_survivors(keys, indices, kept))
 
 
 def purge_reservoir_tally(histogram: CompactHistogram, size: int,
@@ -85,8 +89,9 @@ def purge_reservoir_tally(histogram: CompactHistogram, size: int,
         return {}, 0, 0
     if size >= histogram.size:
         return histogram.tally()
-    indices, kept = srs_counts(histogram.run_lengths(), size, rng)
-    return _survivors(histogram, indices, kept)
+    keys, runs = histogram.run_index()
+    indices, kept = srs_counts(runs, size, rng)
+    return _survivors(keys, indices, kept)
 
 
 def purge_reservoir(histogram: CompactHistogram, size: int,

@@ -71,6 +71,7 @@ __all__ = [
     "draw_allocation",
     "binomial_counts",
     "srs_counts",
+    "index_runs",
     "reservoir_block",
     "bernoulli_block",
     "fold_moments",
@@ -208,6 +209,20 @@ def srs_counts(runs: Collection[int], size: int,
     multivariate hypergeometric law in one call.
     """
     return _backend().srs_counts(runs, size, rng)
+
+
+def index_runs(runs: Collection[int]) -> Collection[int]:
+    """Run lengths in the form the active backend's purges read fastest.
+
+    numpy: one ``int64`` array, marked read-only, which
+    :func:`binomial_counts` and :func:`srs_counts` take without
+    converting it again; python: a tuple of the counts.  A histogram
+    keeps the result as its run index
+    (:meth:`~repro.core.histogram.CompactHistogram.run_index`) and
+    hands it back to the backend that built it only.  Draws from it
+    equal draws from ``runs`` itself, byte for byte.
+    """
+    return _backend().index_runs(runs)
 
 
 def reservoir_block(seen: int, block: int, capacity: int,

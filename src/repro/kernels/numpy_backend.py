@@ -21,8 +21,10 @@ determinism is a per-backend contract (docs/determinism.md):
   walk from the mode) with ``searchsorted``.
 
 Run lengths are read with one ``np.fromiter`` (a histogram's
-``dict.values()`` view needs no intermediate list) and both purge ops
-return only the surviving runs, located with one ``flatnonzero``.
+``dict.values()`` view needs no intermediate list); an ``int64`` array,
+such as the read-only one :func:`index_runs` builds for a histogram's
+run index, passes through unconverted.  Both purge ops return only the
+surviving runs, located with one ``flatnonzero``.
 
 Each :class:`~repro.rng.SplittableRng` lazily owns one
 ``numpy.random.Generator`` seeded from its own stream
@@ -50,7 +52,7 @@ from repro.rng import SplittableRng
 from repro.sampling.distributions import hypergeometric_logpmf_term
 
 __all__ = ["draw_allocation", "binomial_counts", "srs_counts",
-           "reservoir_block", "bernoulli_block", "fold_moments",
+           "index_runs", "reservoir_block", "bernoulli_block", "fold_moments",
            "pmf_array"]
 
 #: Attribute under which a SplittableRng carries its numpy generator.
@@ -127,7 +129,16 @@ def _survivors(kept: "np.ndarray") -> Tuple[List[int], List[int]]:
 
 
 def _run_array(runs: Collection[int]) -> "np.ndarray":
+    if isinstance(runs, np.ndarray) and runs.dtype == np.int64:
+        return runs
     return np.fromiter(runs, dtype=np.int64, count=len(runs))
+
+
+def index_runs(runs: Collection[int]) -> "np.ndarray":
+    """The run lengths as one read-only ``int64`` array."""
+    arr = np.fromiter(runs, dtype=np.int64, count=len(runs))
+    arr.flags.writeable = False
+    return arr
 
 
 def binomial_counts(counts: Collection[int], q: float,

@@ -26,7 +26,8 @@ from repro.sampling.distributions import sample_hypergeometric
 from repro.sampling.skip import SkipGenerator
 
 __all__ = ["FenwickTree", "draw_allocation", "binomial_counts", "srs_counts",
-           "reservoir_block", "bernoulli_block", "fold_moments"]
+           "index_runs", "reservoir_block", "bernoulli_block",
+           "fold_moments"]
 
 
 class FenwickTree:
@@ -139,6 +140,11 @@ def _survivors(kept: List[int]) -> Tuple[List[int], List[int]]:
     """The nonzero entries of a kept-count vector as ``(indices, kept)``."""
     return (list(compress(range(len(kept)), kept)),
             list(compress(kept, kept)))
+
+
+def index_runs(runs: Collection[int]) -> Tuple[int, ...]:
+    """The run lengths as a tuple (the loops below iterate it)."""
+    return tuple(runs)
 
 
 def binomial_counts(counts: Collection[int], q: float,

@@ -246,7 +246,12 @@ class Catalog:
 
     def merge_labels(self, dataset: str,
                      labels: Iterable[str]) -> List[PartitionMeta]:
-        """Active partitions of a dataset whose label is in ``labels``."""
+        """Active partitions of a dataset whose label is in ``labels``.
+
+        The records come in key order, as :meth:`partitions` gives them.
+        One comprehension tests each record's label, with no function
+        call per record: a planned query and every
+        ``sample_of(labels=...)`` run this.
+        """
         wanted = set(labels)
-        return self.partitions(dataset,
-                               where=lambda m: m.label in wanted)
+        return [m for m in self.partitions(dataset) if m.label in wanted]

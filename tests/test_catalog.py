@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.phases import SampleKind
 from repro.errors import (ConfigurationError, DatasetNotFoundError,
                           PartitionNotFoundError)
 from repro.warehouse.catalog import Catalog, PartitionMeta
 from repro.warehouse.dataset import PartitionKey
+
+
+#: Labels a relabelling may pick; None is a record without one.
+LABELS = st.sampled_from([None, "mon", "tue", "wed", "thu"])
 
 
 def meta(ds="d", stream=0, seq=0, size=100, label=None):
@@ -90,6 +96,38 @@ class TestQueries:
         c.register(meta(seq=2, label="wed"))
         got = c.merge_labels("d", ["mon", "wed"])
         assert [m.key.seq for m in got] == [0, 2]
+
+    def test_merge_labels_unknown_dataset(self):
+        with pytest.raises(DatasetNotFoundError):
+            Catalog().merge_labels("missing", ["mon"])
+
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from(["register", "relabel", "out", "in"]),
+               st.integers(0, 2), st.integers(0, 11), LABELS),
+           max_size=40),
+           wanted=st.lists(LABELS, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_labels_equals_the_label_filter(self, steps, wanted):
+        """The same records, in the same order, as filtering the active
+        partitions with ``m.label in set(labels)``, after any mix of
+        registrations, relabellings, roll-outs and roll-ins."""
+        c = Catalog()
+        c.register(meta(seq=0, label="mon"))
+        for op, stream, seq, label in steps:
+            key = PartitionKey("d", stream, seq)
+            known = any(m.key == key
+                        for m in c.partitions("d", only_active=False))
+            if op in ("register", "relabel"):
+                if op == "relabel" and not known:
+                    continue
+                c.register(meta(stream=stream, seq=seq, label=label),
+                           replace=True)
+            elif known:
+                (c.roll_out if op == "out" else c.roll_in)(key)
+        labelled = set(wanted)
+        old = c.partitions("d", where=lambda m: m.label in labelled)
+        got = c.merge_labels("d", iter(wanted))
+        assert [id(m) for m in got] == [id(m) for m in old]
 
     def test_next_seq(self):
         c = Catalog()

@@ -710,6 +710,38 @@ class TestOneDrawMerge:
         assert calls["draw_allocation"] <= 1
 
 
+@pytest.mark.parametrize("backend", available_backends())
+class TestRunIndexReuse:
+    """Stored samples convert their runs once, not once per merge."""
+
+    def test_one_index_build_per_stored_sample(self, monkeypatch, backend):
+        import repro.kernels.numpy_backend as numpy_kernels
+        import repro.kernels.python as python_kernels
+
+        builds = [0]
+        for module in (python_kernels, numpy_kernels):
+            original = module.index_runs
+
+            def counted(runs, __original=original):
+                builds[0] += 1
+                return __original(runs)
+
+            monkeypatch.setattr(module, "index_runs", counted)
+        m, rounds = 8, 20
+        rng = SplittableRng(6)
+        with use_backend(backend):
+            samples = unequal_hr_samples(m)
+            builds[0] = 0  # finalize purged the working reservoirs
+            for r in range(rounds):
+                merge_tree(samples, rng=rng.spawn(r))
+            # Without the index every purge converted its input again.
+            assert builds[0] == m
+            samples[3].histogram.insert(-1)
+            for r in range(rounds):
+                merge_tree(samples, rng=rng.spawn("again", r))
+        assert builds[0] == m + 1
+
+
 class _OneStep:
     """The one-step merge contract, per input mix.
 

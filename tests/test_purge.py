@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -311,3 +312,113 @@ class TestSurvivorAssembly:
                 out = purge_reservoir(source, 5, SplittableRng(1))
                 out.insert("new")
                 assert "new" not in source
+
+
+def _fresh(histogram):
+    """An equal histogram, built from its pairs, with no run index."""
+    return CompactHistogram.from_pairs(list(histogram.pairs()))
+
+
+def _purge(op, histogram, arg, seed):
+    """One purge as a comparable state: a tally's or a histogram's."""
+    rng = SplittableRng(seed)
+    if op == "reservoir":
+        return tally_state(purge_reservoir_tally(histogram, arg, rng))
+    return histogram_state(purge_bernoulli(histogram, arg, rng))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestRunIndex:
+    """A histogram's run index is a memo of its value: a purge draws the
+    same bytes whether or not the index is built, after any mutation and
+    after a backend switch."""
+
+    @given(values=st.lists(MIXED_KEYS, min_size=2, max_size=30),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mutations_and_purges_match_a_fresh_copy(self, backend, values,
+                                                     data):
+        h = CompactHistogram.from_values(values)
+        mutators = data.draw(st.lists(st.sampled_from(
+            ["insert", "extend", "insert_count", "remove"]), max_size=8))
+
+        def key():
+            return data.draw(st.one_of(MIXED_KEYS,
+                                       st.sampled_from(list(h.values()))))
+
+        def purge_and_compare():
+            # A size strictly inside (0, |S|), or a rate inside (0, 1),
+            # makes the purge read the index.
+            if data.draw(st.booleans()):
+                op, arg = "reservoir", data.draw(st.integers(1, h.size - 1))
+            else:
+                op, arg = "bernoulli", data.draw(st.floats(0.05, 0.95))
+            seed = data.draw(st.integers(0, 2**32))
+            assert_same_state(_purge(op, h, arg, seed),
+                              _purge(op, _fresh(h), arg, seed))
+
+        with use_backend(backend):
+            for step in mutators:
+                purge_and_compare()
+                if step == "insert":
+                    h.insert(key())
+                elif step == "extend":
+                    h.extend(data.draw(st.lists(MIXED_KEYS, max_size=8)))
+                elif step == "insert_count":
+                    h.insert_count(key(), data.draw(st.integers(1, 5)))
+                elif h.size > 2:
+                    value = data.draw(st.sampled_from(list(h.values())))
+                    h.remove(value, data.draw(st.integers(
+                        1, min(h.count(value), h.size - 2))))
+            purge_and_compare()
+
+    def test_backend_switch_rebuilds_the_index(self, monkeypatch, backend):
+        """Purging on one backend, then on another, gives the second
+        backend's fresh-copy bytes; the python kernels never receive an
+        ndarray and every kept count is a Python ``int``."""
+        import repro.kernels.python as python_kernels
+
+        for name in ("binomial_counts", "srs_counts"):
+            original = getattr(python_kernels, name)
+
+            def checked(runs, *args, __original=original):
+                assert isinstance(runs, tuple), type(runs)
+                return __original(runs, *args)
+
+            monkeypatch.setattr(python_kernels, name, checked)
+        rng = SplittableRng(4)
+        h = CompactHistogram.from_values(
+            [rng.randrange(300) for _ in range(1_000)])
+        for first in available_backends():
+            for op, arg in (("reservoir", 200), ("bernoulli", 0.3)):
+                with use_backend(first):
+                    _purge(op, h, arg, 9)
+                with use_backend(backend):
+                    got = _purge(op, h, arg, 11)
+                    want = _purge(op, _fresh(h), arg, 11)
+                assert_same_state(got, want)
+                assert all(type(n) is int for _, n in got[0])
+
+    def test_pickle_drops_the_index(self, backend):
+        h = CompactHistogram.from_values([1, 1, 2, 3])
+        with use_backend(backend):
+            h.run_index()
+            assert len(h.__getstate__()) == 3
+            clone = pickle.loads(pickle.dumps(h))
+            assert clone._index is None
+            assert clone == h
+            assert_same_state(_purge("reservoir", clone, 2, 5),
+                              _purge("reservoir", h, 2, 5))
+
+    def test_run_array_is_read_only(self, backend):
+        h = CompactHistogram.from_values([1, 1, 2, 3])
+        with use_backend(backend):
+            keys, runs = h.run_index()
+            assert keys == [1, 2, 3]
+            assert list(runs) == [2, 1, 1]
+            # numpy marks the array read-only; a tuple has no setitem.
+            with pytest.raises(ValueError if backend == "numpy"
+                               else TypeError):
+                runs[0] = 7
+            assert h.run_index()[1] is runs
+        assert h.count(1) == 2
