@@ -31,31 +31,28 @@ project-wide entry locksets and an acquired-while-holding order
 graph (powering RPR041 and the RPR10x concurrency family),
 :mod:`repro.analysis.asyncrules` colors coroutines and solves the
 transitive blocks-event-loop effect (powering the RPR11x async
-family), and
-:mod:`repro.analysis.cache` keeps warm runs incremental — unchanged
-files are never re-parsed, yet findings stay byte-identical to a
-cold run.
+family).
+
+Each run is one serial, stateless pass: every file is parsed once,
+every selected rule runs, and nothing persists between runs, so the
+findings depend only on the linted tree and the analyzer's code.
 """
 
 from repro.analysis.asyncrules import AsyncModel, async_model
-from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.analysis.dataflow import CallGraph, analyze_project
-from repro.analysis.framework import (CachedFile, Finding, Project, Rule,
-                                      SourceFile, all_rules,
-                                      expand_select, finding_from_dict,
-                                      load_project, rule, rule_for,
-                                      run_lint, severity_for, summarizer)
+from repro.analysis.framework import (Finding, Project, Rule, SourceFile,
+                                      all_rules, expand_select,
+                                      finding_from_dict, load_project,
+                                      rule, rule_for, run_lint,
+                                      severity_for, summarizer)
 from repro.analysis.locksets import LockModel, lock_model
 from repro.analysis.reporters import (parse_json, render_json,
                                       render_sarif, render_text)
 
 __all__ = [
     "AsyncModel",
-    "CachedFile",
     "CallGraph",
-    "DEFAULT_CACHE_PATH",
     "Finding",
-    "LintCache",
     "LockModel",
     "Project",
     "Rule",

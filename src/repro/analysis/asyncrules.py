@@ -55,17 +55,20 @@ coroutines run under ``asyncio.run`` scaffolding, single-task):
   deadlocks.  Release before awaiting, or use ``asyncio.Lock``.
 
 Like the lockset model, everything here is pure summary-plumbing
-(JSON in, tables out), so warm cache runs rebuild it byte-identically
-from stored summaries.
+(JSON in, tables out), and it canonicalizes lock and location tokens
+with the lockset model's own helpers, so both models name a
+``self._x`` the same way, closures included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import CallGraph, analyze_project
 from repro.analysis.framework import Finding, Project, rule
-from repro.analysis.locksets import is_test_path, lock_model
+from repro.analysis.locksets import (canon_held, canon_token,
+                                     is_test_path, lock_model,
+                                     owner_class)
 
 __all__ = ["AsyncModel", "async_model",
            "check_blocking_in_coroutine", "check_dropped_awaitable",
@@ -106,42 +109,6 @@ class AsyncModel:
         #: ("local", detail, line) or ("via", callee key, detail, line)
         self.blocks: Dict[str, Tuple] = {}
         self._solve_blocks()
-
-    # -- canonicalization ----------------------------------------------
-
-    def _canon_token(self, key: str, token: str) -> Optional[str]:
-        """Canonical id of a lock/location token spelled in ``key``
-        (same scheme as the lockset model); None when a ``self.``
-        token has no class to attach to (a nested def)."""
-        mod, rec = self.graph.defs[key]
-        first, _, rest = token.partition(".")
-        if first == "self":
-            cls = self._owner_class(key)
-            if cls is None or not rest:
-                return None
-            return f"{mod}:{cls}.{rest}"
-        return f"{mod}:{token}"
-
-    def _canon_held(self, key: str, held) -> FrozenSet[str]:
-        out = set()
-        for tok in (held or ()):
-            ident = self._canon_token(key, tok)
-            if ident is not None:
-                out.add(ident)
-        return frozenset(out)
-
-    def _owner_class(self, key: str) -> Optional[str]:
-        """The class whose ``self`` a def's body sees — its own
-        ``cls``, or the enclosing method's for a nested def."""
-        mod, rec = self.graph.defs[key]
-        if rec.get("cls"):
-            return rec["cls"]
-        qual = key.split(":", 1)[1]
-        if ".<locals>." not in qual:
-            return None
-        outer = qual.split(".<locals>.", 1)[0]
-        outer_rec = self.graph.defs.get(f"{mod}:{outer}")
-        return outer_rec[1].get("cls") if outer_rec else None
 
     # -- construction ---------------------------------------------------
 
@@ -205,7 +172,7 @@ class AsyncModel:
         parts = name.split(".")
         if parts[0] != "self":
             return None
-        cls = self._owner_class(key)
+        cls = owner_class(self.graph, key)
         if cls is None:
             return None
         if len(parts) == 2:
@@ -229,7 +196,7 @@ class AsyncModel:
     def _local_blockers(self, key: str) -> List[Tuple[str, int]]:
         """This body's own loop-parking sites: ``(detail, line)``."""
         mod, rec = self.graph.defs[key]
-        cls = self._owner_class(key)
+        cls = owner_class(self.graph, key)
         queue_attrs = self.queue_attrs.get((mod, cls), set()) \
             if cls else set()
         exec_attrs = self.exec_attrs.get((mod, cls), set()) \
@@ -341,13 +308,13 @@ class AsyncModel:
         _, rec = self.graph.defs[key]
         evidence: List[dict] = []
         for blk in rec.get("aio_blocking") or ():
-            locks = self._canon_held(key, blk["aio_held"])
+            locks = canon_held(self.graph, key, blk["aio_held"])
             if locks:
                 evidence.append({"line": blk["line"],
                                  "detail": blk["detail"],
                                  "locks": locks, "chain": None})
         for call in rec.get("calls") or ():
-            locks = self._canon_held(key, call.get("aio_held"))
+            locks = canon_held(self.graph, key, call.get("aio_held"))
             if not locks:
                 continue
             name = call["name"]
@@ -478,7 +445,7 @@ def check_await_point_race(project: Project) -> Iterator[Finding]:
         _, rec = graph.defs[key]
         groups: Dict[str, List[dict]] = {}
         for acc in rec.get("accesses") or ():
-            ident = model._canon_token(key, acc["target"])
+            ident = canon_token(model.graph, key, acc["target"])
             if ident is None:
                 continue
             groups.setdefault(ident, []).append(acc)
@@ -491,7 +458,7 @@ def check_await_point_race(project: Project) -> Iterator[Finding]:
                 continue
             common = None
             for acc in accs:
-                locks = model._canon_held(key, acc.get("aio_held"))
+                locks = canon_held(model.graph, key, acc.get("aio_held"))
                 common = locks if common is None else (common & locks)
             if common:
                 continue  # one asyncio lock spans every access
@@ -531,7 +498,7 @@ def check_await_under_thread_lock(project: Project
         entry = lm.entry_must.get(key, frozenset())
         offending = []
         for aw in model.awaits.get(key, ()):
-            held = model._canon_held(key, aw.get("held")) | entry
+            held = canon_held(model.graph, key, aw.get("held")) | entry
             if held:
                 offending.append((aw, held))
         if not offending:

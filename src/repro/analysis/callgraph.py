@@ -3,9 +3,9 @@
 This module digests one parsed source file into a JSON-serializable
 **module summary** — the only thing the interprocedural engines
 (:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.locksets`) ever
-see.  Keeping the digest pure JSON is what lets the incremental cache
-persist it: a warm ``repro lint`` run rebuilds the whole project call
-graph from cached summaries without re-parsing a single unchanged file.
+see.  Keeping the digest pure JSON keeps the project-wide engines
+independent of the AST: they build the whole call graph from these
+digests alone.
 
 A summary looks like::
 

@@ -37,8 +37,7 @@ call that exhibits it or the call edge it arrived through — so a
 finding can print the full offending chain
 (``ingest -> _route -> time.time()``).  Witness assignment is
 first-wins under a deterministic iteration order (sorted function
-keys, call-site order), which keeps cold- and warm-cache runs
-byte-identical.
+keys, call-site order), which keeps repeated runs byte-identical.
 
 Everything here is pure data-plumbing: the lint rules that interpret
 the fixpoint live in ``rules/interprocedural.py`` (RPR06x) and
@@ -186,8 +185,7 @@ class CallGraph:
     """Project-wide function table + resolved call edges + effects.
 
     Built from the ``callgraph`` summaries of every file in a
-    :class:`~repro.analysis.framework.Project` (cached or fresh — the
-    summaries are identical either way).  Function keys look like
+    :class:`~repro.analysis.framework.Project`.  Function keys look like
     ``"warehouse/parallel.py::SampleTask.__post_init__"`` rendered
     from ``module:qualname`` pairs; use :meth:`location` and
     :meth:`chain` to turn keys back into human-readable findings.
@@ -364,8 +362,8 @@ def analyze_project(project) -> CallGraph:
     """The (memoized) :class:`CallGraph` of a lint project.
 
     RPR061 and RPR071 both need the same fixpoint; computing it once
-    per :class:`~repro.analysis.framework.Project` keeps the warm-run
-    cost at one pass over the merged summaries.
+    per :class:`~repro.analysis.framework.Project` keeps the cost at
+    one pass over the merged summaries.
     """
     graph = getattr(project, "_repro_callgraph", None)
     if graph is None:

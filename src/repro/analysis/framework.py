@@ -17,10 +17,12 @@ Two rule scopes exist:
 Project-scoped rules do not walk ASTs directly.  They consume
 **module summaries**: per-file, JSON-serializable digests produced by
 registered :func:`summarizer` functions (emitted instrument names,
-the call-graph module table, ...).  Summaries are what makes the
-incremental cache sound — a warm run re-parses only changed files,
-while project rules recompute over the merged summary view of the
-whole tree (see :mod:`repro.analysis.cache`).
+the call-graph module table, ...), so the interprocedural engines
+never touch an AST.
+
+Every run is one serial, stateless pass: each file is read and parsed
+once, every rule runs, and nothing is kept between runs.  The output
+is a function of the linted tree and the analyzer's own code alone.
 
 Suppressions: ``# repro: noqa[RPR012]`` silences that code,
 ``# repro: noqa[RPR012,RPR031]`` several, and a bare
@@ -30,24 +32,23 @@ statement (the statement's span; for compound statements, its
 header), so a comment on the last line of a wrapped call still
 covers the finding anchored at the call's first line.
 
-The engine is deliberately dependency-free: :mod:`ast`, :mod:`re`,
-:mod:`hashlib`, and :mod:`pathlib` only, so ``repro lint`` runs
+The engine is deliberately dependency-free: :mod:`ast`, :mod:`re`
+and :mod:`pathlib` only, so ``repro lint`` runs
 anywhere the library does.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Finding", "Rule", "SourceFile", "CachedFile", "Project",
+__all__ = ["Finding", "Rule", "SourceFile", "Project",
            "rule", "summarizer", "all_rules", "rule_for", "expand_select",
            "severity_for", "SEVERITIES",
            "load_project", "run_lint", "SYNTAX_ERROR_CODE"]
@@ -146,8 +147,7 @@ def summarizer(key: str) -> Callable[[Callable], Callable]:
 
     The extractor receives a parsed :class:`SourceFile` and must
     return a JSON-serializable value; project-scoped rules read the
-    merged view through :meth:`Project.summaries`, and the incremental
-    cache persists the values so unchanged files need no re-parse.
+    merged view through :meth:`Project.summaries`.
     """
     def register(fn: Callable) -> Callable:
         if key in _SUMMARIZERS:
@@ -156,12 +156,6 @@ def summarizer(key: str) -> Callable[[Callable], Callable]:
         return fn
 
     return register
-
-
-def summary_keys() -> List[str]:
-    """Every registered summary key (cache bookkeeping)."""
-    _load_builtin_rules()
-    return sorted(_SUMMARIZERS)
 
 
 def all_rules() -> List[Rule]:
@@ -230,26 +224,6 @@ def _load_builtin_rules() -> None:
     import repro.analysis.rules  # noqa: F401  (import for side effect)
 
 
-def catalog_fingerprint() -> str:
-    """A stable hash of the registered rule catalog.
-
-    Cache entries are keyed by this fingerprint (plus the explicit
-    ``CATALOG_VERSION`` the rules package bumps on behavior changes),
-    so adding, removing, or re-scoping a rule invalidates every
-    cached finding at once.
-    """
-    from repro.analysis.rules import CATALOG_VERSION
-
-    h = hashlib.sha256()
-    h.update(CATALOG_VERSION.encode("utf-8"))
-    for rl in all_rules():
-        h.update(f"|{rl.code}:{rl.name}:{rl.scope}:{rl.severity}"
-                 .encode("utf-8"))
-    for key in summary_keys():
-        h.update(f"|summary:{key}".encode("utf-8"))
-    return h.hexdigest()[:16]
-
-
 def _parse_suppressions(lines: Sequence[str]) -> Dict[int, Optional[Set[str]]]:
     """Map line number -> suppressed codes (``None`` = every code)."""
     table: Dict[int, Optional[Set[str]]] = {}
@@ -315,12 +289,6 @@ def _expand_suppressions(raw: Dict[int, Optional[Set[str]]],
     return table
 
 
-def _suppression_lookup(table: Dict[int, Optional[Set[str]]],
-                        finding: Finding) -> bool:
-    codes = table.get(finding.line, ())
-    return codes is None or finding.code in codes
-
-
 class SourceFile:
     """One parsed Python source plus the metadata rules key off.
 
@@ -332,13 +300,10 @@ class SourceFile:
     test fixture tree that mimics the layout.
     """
 
-    is_parsed = True
-
     def __init__(self, path: Path, root: Path, text: str) -> None:
         self.path = path
         self.display_path = str(path)
         self.text = text
-        self.sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self.lines = text.splitlines()
         rel = path.relative_to(root).parts
         while rel and rel[0] in ("src", "repro"):
@@ -390,7 +355,8 @@ class SourceFile:
 
     def suppressed(self, finding: Finding) -> bool:
         """True when a ``# repro: noqa`` comment waves this finding off."""
-        return _suppression_lookup(self._suppressions, finding)
+        codes = self._suppressions.get(finding.line, ())
+        return codes is None or finding.code in codes
 
     def summary(self, key: str) -> object:
         """This file's summary under ``key`` (computed once, memoized)."""
@@ -402,91 +368,34 @@ class SourceFile:
                 else extract(self)
         return self._summaries[key]
 
-    def all_summaries(self) -> Dict[str, object]:
-        """Every registered summary for this file (cache persistence)."""
-        return {key: self.summary(key) for key in summary_keys()}
-
-    def suppression_table(self) -> Dict[str, Optional[List[str]]]:
-        """The expanded noqa table, JSON-ready (cache persistence)."""
-        return {str(line): (None if codes is None else sorted(codes))
-                for line, codes in self._suppressions.items()}
-
-
-class CachedFile:
-    """A file the incremental cache let us skip re-parsing.
-
-    Carries everything project-scoped rules and suppression filtering
-    need — the stored summaries and noqa table — but no AST and no
-    source text.  File-scoped findings for it come straight from the
-    cache entry.
-    """
-
-    is_parsed = False
-
-    def __init__(self, display_path: str, sha: str,
-                 suppressions: Dict[str, Optional[List[str]]],
-                 findings_by_rule: Dict[str, List[dict]],
-                 summaries: Dict[str, object]) -> None:
-        self.display_path = display_path
-        self.sha = sha
-        self._suppressions: Dict[int, Optional[Set[str]]] = {
-            int(line): (None if codes is None else set(codes))
-            for line, codes in suppressions.items()}
-        self.findings_by_rule = findings_by_rule
-        self._summaries = summaries
-
-    def suppressed(self, finding: Finding) -> bool:
-        """True when a stored ``# repro: noqa`` covers this finding."""
-        return _suppression_lookup(self._suppressions, finding)
-
-    def summary(self, key: str) -> object:
-        """The stored summary under ``key`` (``None`` if absent)."""
-        return self._summaries.get(key)
-
-    def cached_findings(self, code: str) -> List[Finding]:
-        """The stored (already suppression-filtered) findings."""
-        return [finding_from_dict(f)
-                for f in self.findings_by_rule.get(code, [])]
-
-
-#: Either view satisfies what the runner and project rules need.
-FileView = Union[SourceFile, CachedFile]
-
 
 class Project:
     """Every linted file plus the (optional) observability contract doc.
 
-    ``files`` mixes freshly parsed :class:`SourceFile` objects with
-    :class:`CachedFile` placeholders on warm cache runs; file-scoped
-    rules only ever see the parsed ones, project-scoped rules consume
-    :meth:`summaries` which spans both.
+    ``files`` holds one parsed :class:`SourceFile` per linted path, in
+    path order; file-scoped rules walk them one at a time, and
+    project-scoped rules consume :meth:`summaries` across all of them.
     """
 
-    def __init__(self, files: Sequence[FileView],
+    def __init__(self, files: Sequence[SourceFile],
                  contract_doc: Optional[Path]) -> None:
         self.files = list(files)
         self.contract_doc = contract_doc
-        self._by_path = {view.display_path: view for view in self.files}
+        self._by_path = {sf.display_path: sf for sf in self.files}
 
-    @property
-    def parsed(self) -> List[SourceFile]:
-        """The files parsed this run (cache misses, or everything)."""
-        return [view for view in self.files if view.is_parsed]
-
-    def summaries(self, key: str) -> List[Tuple[FileView, object]]:
+    def summaries(self, key: str) -> List[Tuple[SourceFile, object]]:
         """``(file, summary)`` for every file, in path order.
 
-        Files whose summary is unavailable (parse errors, stale cache
-        entries from before the summarizer existed) are skipped.
+        Files that failed to parse have no summary and are skipped.
         """
         pairs = []
-        for view in self.files:
-            value = view.summary(key)
+        for sf in self.files:
+            value = sf.summary(key)
             if value is not None:
-                pairs.append((view, value))
+                pairs.append((sf, value))
         return pairs
 
-    def file_for(self, finding: Finding) -> Optional[FileView]:
+    def file_for(self, finding: Finding) -> Optional[SourceFile]:
         """The source file a finding points into (None for doc findings)."""
         return self._by_path.get(finding.path)
 
@@ -529,57 +438,17 @@ def _discover_contract_doc(paths: Sequence[str]) -> Optional[Path]:
     return None
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs == 1:
-        return 1
-    if jobs == 0:
-        import os
-
-        return max(1, os.cpu_count() or 1)
-    if jobs < 0:
-        raise ConfigurationError(f"--jobs must be >= 0, got {jobs}")
-    return jobs
-
-
-def _load_one(file: Path, root: Path, cache) -> FileView:
-    """Read one file; reuse the cache entry when content is unchanged."""
-    text = file.read_text(encoding="utf-8")
-    if cache is not None:
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        hit = cache.lookup(str(file), sha)
-        if hit is not None:
-            return hit
-    return SourceFile(file, root, text)
-
-
 def load_project(paths: Sequence[str], *,
-                 contract_doc: object = "auto",
-                 jobs: Optional[int] = None,
-                 cache=None) -> Project:
+                 contract_doc: object = "auto") -> Project:
     """Parse every source under ``paths`` into a :class:`Project`.
 
     ``contract_doc`` is ``"auto"`` (walk up from the linted paths for
     ``docs/observability.md``), an explicit path, or ``None`` to
-    disable the doc cross-check rules.  ``jobs`` parses files on a
-    thread pool (``0`` = one worker per CPU); results are ordered by
-    path either way, so parallel runs report identically to serial
-    ones.  ``cache`` is a :class:`repro.analysis.cache.LintCache`;
-    files whose content hash matches a cache entry come back as
-    :class:`CachedFile` placeholders without re-parsing.
+    disable the doc cross-check rules.  Files are read and parsed in
+    path order, each exactly once.
     """
-    sources = list(_iter_sources(paths))
-    workers = _resolve_jobs(jobs)
-    if workers == 1:
-        files: List[FileView] = [_load_one(file, root, cache)
-                                 for file, root in sources]
-    else:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers) as pool:
-            files = list(pool.map(
-                lambda pair: _load_one(pair[0], pair[1], cache),
-                sources))
+    files = [SourceFile(file, root, file.read_text(encoding="utf-8"))
+             for file, root in _iter_sources(paths)]
     if contract_doc == "auto":
         doc: Optional[Path] = _discover_contract_doc(paths)
     elif contract_doc is None:
@@ -592,72 +461,36 @@ def load_project(paths: Sequence[str], *,
     return Project(files, doc)
 
 
-def _lint_parsed_file(sf: SourceFile, rules: Sequence[Rule]
-                      ) -> Dict[str, List[Finding]]:
-    """Run the given file-scoped rules; returns unsuppressed findings
-    keyed by rule code (parse errors under ``RPR000``)."""
-    by_rule: Dict[str, List[Finding]] = {}
-    if sf.parse_error is not None:
-        by_rule[SYNTAX_ERROR_CODE] = [sf.parse_error]
-        return by_rule
-    for rl in rules:
-        kept = [f for f in rl.check(sf) if not sf.suppressed(f)]
-        if kept:
-            by_rule[rl.code] = kept
-    return by_rule
-
-
 def run_lint(paths: Sequence[str], *, contract_doc: object = "auto",
-             select: Optional[Iterable[str]] = None,
-             jobs: Optional[int] = None,
-             cache=None) -> Tuple[List[Finding], Project]:
+             select: Optional[Iterable[str]] = None
+             ) -> Tuple[List[Finding], Project]:
     """Run every registered rule over ``paths``.
 
     Returns ``(findings, project)`` with findings sorted by location.
     ``select`` restricts the run to the given rule codes or
-    ``RPR06x``-style families (unknown codes raise).  ``jobs``
-    parallelizes parsing; ``cache`` enables the incremental cache —
-    when given, *all* file-scoped rules are evaluated on parsed files
-    (so the cache entry is complete for any future ``--select``) and
-    the selection filters at reporting time.
+    ``RPR06x``-style families (unknown codes raise); unselected rules
+    do not run at all.  Parse errors are reported whatever ``select``
+    says.
     """
     wanted = expand_select(select)
-    rules = all_rules()
-    project = load_project(paths, contract_doc=contract_doc,
-                           jobs=jobs, cache=cache)
+    rules = [rl for rl in all_rules()
+             if wanted is None or rl.code in wanted]
+    project = load_project(paths, contract_doc=contract_doc)
     file_rules = [rl for rl in rules if rl.scope == "file"]
     findings: List[Finding] = []
-
-    def selected(code: str) -> bool:
-        return wanted is None or code in wanted
-
-    for view in project.files:
-        if view.is_parsed:
-            # With a cache, evaluate every file rule so the stored
-            # entry serves any later selection; without one, only the
-            # selected rules run at all.
-            run_rules = file_rules if cache is not None else \
-                [rl for rl in file_rules if selected(rl.code)]
-            by_rule = _lint_parsed_file(view, run_rules)
-            if cache is not None:
-                cache.record(view, by_rule)
-            for code, found in by_rule.items():
-                if code == SYNTAX_ERROR_CODE or selected(code):
-                    findings.extend(found)
-        else:
-            for code in list(view.findings_by_rule):
-                if code == SYNTAX_ERROR_CODE or selected(code):
-                    findings.extend(view.cached_findings(code))
-
+    for sf in project.files:
+        if sf.parse_error is not None:
+            findings.append(sf.parse_error)
+            continue
+        for rl in file_rules:
+            findings.extend(f for f in rl.check(sf)
+                            if not sf.suppressed(f))
     for rl in rules:
-        if rl.scope != "project" or not selected(rl.code):
+        if rl.scope != "project":
             continue
         for finding in rl.check(project):
             sf = project.file_for(finding)
             if sf is None or not sf.suppressed(finding):
                 findings.append(finding)
-
-    if cache is not None:
-        cache.save()
     findings.sort()
     return findings, project

@@ -13,7 +13,10 @@ module lifts those per-function facts to the whole project
   ``obs.metrics:MetricsRegistry._lock``.  Module-global locks
   canonicalize as ``module:_NAME``; shared locations use the same
   scheme (``obs.metrics:MetricsRegistry._metrics``,
-  ``kernels:_ACTIVE_NAME``).
+  ``kernels:_ACTIVE_NAME``).  A nested def's ``self._x`` belongs to
+  its enclosing method's class (:func:`owner_class`), so a closure
+  handed to a pool thread is checked like a method.  The async model
+  canonicalizes with the same functions.
 
 * **Entry locksets** (:attr:`LockModel.entry_must`).  The locks a
   function provably holds *at entry*, whichever call path reached it:
@@ -40,21 +43,20 @@ module lifts those per-function facts to the whole project
   made while holding a lock, feeding RPR101/RPR103.
 
 The model is pure summary-plumbing (JSON in, tables out): it never
-touches an AST, so warm cache runs rebuild it from stored summaries
-and stay byte-identical to cold runs.  The rules that interpret it
-live in ``rules/concurrency.py`` (RPR10x) and ``rules/locks.py``
-(RPR041).
+touches an AST.  The rules that interpret it live in
+``rules/concurrency.py`` (RPR10x) and ``rules/locks.py`` (RPR041).
 """
 
 from __future__ import annotations
 
 from pathlib import PurePath
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataflow import BLOCKING, FILESYSTEM, CallGraph, \
     analyze_project
 
-__all__ = ["LockModel", "lock_model", "is_test_path", "CTOR_NAMES"]
+__all__ = ["LockModel", "lock_model", "is_test_path", "CTOR_NAMES",
+           "owner_class", "canon_token", "canon_held"]
 
 
 def is_test_path(path: str) -> bool:
@@ -78,6 +80,47 @@ CTOR_NAMES = frozenset({"__init__", "__post_init__", "__new__"})
 #: Mirrors the receiver tables in :mod:`repro.analysis.callgraph`.
 _ATTR_QUEUE_BLOCKING = frozenset({"get", "put", "join"})
 _ATTR_EXEC_BLOCKING = frozenset({"map", "submit", "shutdown"})
+
+
+def owner_class(graph: CallGraph, key: str) -> Optional[str]:
+    """The class whose ``self`` a def's body sees — its own ``cls``,
+    or the enclosing method's for a nested def (a closure handed to a
+    pool thread still touches its method's instance)."""
+    mod, rec = graph.defs[key]
+    if rec.get("cls"):
+        return rec["cls"]
+    qual = key.split(":", 1)[1]
+    if ".<locals>." not in qual:
+        return None
+    outer = qual.split(".<locals>.", 1)[0]
+    outer_rec = graph.defs.get(f"{mod}:{outer}")
+    return outer_rec[1].get("cls") if outer_rec else None
+
+
+def canon_token(graph: CallGraph, key: str, token: str) -> Optional[str]:
+    """Canonical id of a lock/location token spelled in ``key``:
+    ``self._x`` becomes ``module:Cls._x`` and a global ``_X`` becomes
+    ``module:_X``.  None when a ``self`` token has no class to attach
+    to (a def outside any class)."""
+    mod = graph.defs[key][0]
+    first, _, rest = token.partition(".")
+    if first == "self":
+        cls = owner_class(graph, key)
+        if cls is None or not rest:
+            return None
+        return f"{mod}:{cls}.{rest}"
+    return f"{mod}:{token}"
+
+
+def canon_held(graph: CallGraph, key: str, held) -> FrozenSet[str]:
+    """The canonical ids of a held-lock token list (unattachable
+    ``self`` tokens dropped)."""
+    out = set()
+    for tok in (held or ()):
+        ident = canon_token(graph, key, tok)
+        if ident is not None:
+            out.add(ident)
+    return frozenset(out)
 
 
 def _short(ident: str) -> str:
@@ -125,23 +168,6 @@ class LockModel:
                                                            int]]] = {}
         self._build_order_edges()
 
-    # -- canonicalization ----------------------------------------------
-
-    def _canon_token(self, key: str, token: str) -> str:
-        """Canonical id of a lock/location token spelled in ``key``."""
-        mod, rec = self.graph.defs[key]
-        first, _, rest = token.partition(".")
-        if first == "self":
-            cls = rec.get("cls")
-            if cls is None or not rest:
-                return f"{mod}:{token}"
-            return f"{mod}:{cls}.{rest}"
-        return f"{mod}:{token}"
-
-    def _canon_held(self, key: str, held) -> FrozenSet[str]:
-        return frozenset(self._canon_token(key, tok)
-                         for tok in (held or ()))
-
     # -- construction ---------------------------------------------------
 
     def _collect(self) -> None:
@@ -175,25 +201,26 @@ class LockModel:
                     self.exec_attrs.setdefault((mod, cls),
                                                set()).add(attr)
             for acq in rec.get("acquires") or ():
-                ident = self._canon_token(key, acq["lock"])
+                ident = canon_token(graph, key, acq["lock"])
+                if ident is None:
+                    continue
                 self.lock_kinds.setdefault(ident, "unknown")
                 self._acquires.setdefault(key, []).append(
                     {"lock": ident,
-                     "held": self._canon_held(key, acq["held"]),
+                     "held": canon_held(graph, key, acq["held"]),
                      "line": acq["line"], "col": acq["col"]})
             for acc in rec.get("accesses") or ():
-                target = acc["target"]
-                if target.startswith("self.") and cls is None:
-                    continue  # nested def: no class to attribute to
+                target = canon_token(graph, key, acc["target"])
+                if target is None:
+                    continue
                 self._accesses.setdefault(key, []).append(
-                    {"target": self._canon_token(key, target),
-                     "kind": acc["kind"],
-                     "held": self._canon_held(key, acc["held"]),
+                    {"target": target, "kind": acc["kind"],
+                     "held": canon_held(graph, key, acc["held"]),
                      "line": acc["line"], "col": acc["col"]})
             for blk in rec.get("blocking") or ():
                 self._blocking.setdefault(key, []).append(
                     {"detail": blk["detail"],
-                     "held": self._canon_held(key, blk["held"]),
+                     "held": canon_held(graph, key, blk["held"]),
                      "line": blk["line"]})
             # Call edges out of test files are excluded: a test
             # driving a private helper directly is single-threaded
@@ -204,8 +231,7 @@ class LockModel:
                     target = graph.resolve(mod, qual, call["name"])
                     if target is not None and target != key:
                         self.callers[target].append(
-                            (key,
-                             self._canon_held(key, call.get("held")),
+                            (key, canon_held(graph, key, call.get("held")),
                              call["line"]))
             for sub in rec.get("submits") or ():
                 fn = sub["fn"]
@@ -344,7 +370,7 @@ class LockModel:
             if cls else set()
         for call in rec.get("calls") or ():
             locks = self.effective_held(
-                key, self._canon_held(key, call.get("held")))
+                key, canon_held(graph, key, call.get("held")))
             if not locks:
                 continue
             name = call["name"]

@@ -10,7 +10,7 @@
   catalog in the driver, one result per finding); what code-hosting
   UIs ingest to surface findings as inline annotations.  Like the
   JSON reporter the output is a pure function of the findings, so
-  cold- and warm-cache runs stay byte-identical.
+  repeated runs over one tree stay byte-identical.
 """
 
 from __future__ import annotations

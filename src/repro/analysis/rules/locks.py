@@ -60,12 +60,16 @@ def check_lock_discipline(project: Project) -> Iterator[Finding]:
                 continue  # held *some* lock; mismatches are RPR101
             if is_test_path(record["path"]):
                 continue
-            method = model.graph.defs[record["key"]][1]["name"]
+            rec = model.graph.defs[record["key"]][1]
+            # A closure is named by its qualified name, so the finding
+            # shows its enclosing method (``Store.put.<locals>.op``).
+            where = f"{cls}.{rec['name']}" if rec.get("cls") \
+                else record["key"].split(":", 1)[1]
             yield Finding(
                 path=record["path"], line=record["line"],
                 col=record["col"], code="RPR041",
                 message=(
-                    f"{cls}.{method} mutates shared state "
+                    f"{where} mutates shared state "
                     "outside `with self._lock:`; concurrent "
                     "ThreadExecutor updates would race"))
 

@@ -18,8 +18,8 @@ exempt too: tests emit scratch names into throwaway registries, not
 into the library's contract.
 
 The cross-file directions (RPR022/RPR023) consume the ``obs_names``
-**module summary** rather than walking ASTs, so they keep working on
-warm cache runs where unchanged files are never re-parsed.
+**module summary** rather than walking ASTs, like every other
+project-scoped rule.
 """
 
 from __future__ import annotations

@@ -178,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="observability contract page for the obs "
                              "rules (default: auto-discover "
                              "docs/observability.md above the paths)")
-    p_lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse files on N threads (0 = one per "
-                             "CPU; default: 1)")
-    p_lint.add_argument("--cache", default=None, metavar="PATH",
-                        help="incremental cache file (default: "
-                             ".repro-lint-cache.json)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache entirely")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
 
@@ -411,14 +403,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             f"one of: {', '.join(SEVERITIES)}")
     select = args.select.split(",") if args.select else None
     contract = args.contract_doc if args.contract_doc else "auto"
-    cache = None
-    if not args.no_cache:
-        from repro.analysis.cache import DEFAULT_CACHE_PATH, LintCache
-
-        cache = LintCache(args.cache or DEFAULT_CACHE_PATH)
     findings, project = run_lint(args.paths, contract_doc=contract,
-                                 select=select, jobs=args.jobs,
-                                 cache=cache)
+                                 select=select)
     checked = len(project.files)
     if args.format == "json":
         print(render_json(findings, checked_files=checked, indent=1))

@@ -43,7 +43,7 @@ class TestModuleSummary:
                 def stamp(self):
                     return time.time()
             """})
-        (sf,) = project.parsed
+        (sf,) = project.files
         summ = sf.summary("callgraph")
         # Round-trips through JSON unchanged — the cache requirement.
         assert json.loads(json.dumps(summ)) == summ
@@ -56,7 +56,7 @@ class TestModuleSummary:
     def test_package_init_takes_package_id(self, tmp_path):
         project = make_project(tmp_path, {
             "core/__init__.py": "def top():\n    return 1\n"})
-        (sf,) = project.parsed
+        (sf,) = project.files
         assert sf.summary("callgraph")["module"] == "core"
 
     def test_nested_defs_use_locals_spelling(self, tmp_path):
@@ -66,7 +66,7 @@ class TestModuleSummary:
                     return 2
                 return inner()
             """})
-        (sf,) = project.parsed
+        (sf,) = project.files
         summ = sf.summary("callgraph")
         assert set(summ["functions"]) == {"outer", "outer.<locals>.inner"}
         assert summ["functions"]["outer.<locals>.inner"]["nested"]
@@ -250,7 +250,7 @@ class TestDeterminism:
         from repro.analysis.dataflow import CallGraph
 
         project = make_project(tmp_path, dict(TestEffectPropagation.FILES))
-        summaries = [sf.summary("callgraph") for sf in project.parsed]
+        summaries = [sf.summary("callgraph") for sf in project.files]
         rt = json.loads(json.dumps(summaries))
         direct = CallGraph(summaries)
         round_tripped = CallGraph(rt)

@@ -244,10 +244,12 @@ class TestModuleEntry:
 
 class TestLint:
     @pytest.fixture(autouse=True)
-    def _isolate_cache(self, tmp_path, monkeypatch):
-        # The CLI writes .repro-lint-cache.json into the CWD by
-        # default; keep it inside the test's tmp dir.
-        monkeypatch.chdir(tmp_path)
+    def _isolate_cwd(self, tmp_path, monkeypatch):
+        # Run from an empty directory of the test's own, so
+        # test_lint_leaves_cwd_empty sees anything a run leaves there.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
 
     @pytest.fixture()
     def clean_pkg(self, tmp_path):
@@ -382,38 +384,35 @@ class TestLint:
         out = capsys.readouterr().out
         assert "warning" in out and "error" in out
 
-    def test_cache_file_written_and_warm_run_matches(
-            self, clean_pkg, tmp_path, capsys):
-        cache = tmp_path / "lint-cache.json"
+    def test_lint_leaves_cwd_empty(self, clean_pkg):
+        assert main(["lint", str(clean_pkg)]) == 0
+        assert os.listdir(".") == []
+
+    def test_lint_writes_no_file(self, clean_pkg, tmp_path):
         (clean_pkg / "core" / "bad.py").write_text("x = hash(3)\n")
-        rc = main(["lint", str(clean_pkg), "--cache", str(cache)])
-        cold = capsys.readouterr().out
-        assert rc == 1 and cache.exists()
-        rc = main(["lint", str(clean_pkg), "--cache", str(cache)])
-        warm = capsys.readouterr().out
-        assert rc == 1
-        assert warm == cold
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["lint", str(clean_pkg)]) == 1
+        assert main(["lint", str(clean_pkg), "--format=json"]) == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
-    def test_no_cache_writes_nothing(self, clean_pkg, tmp_path):
-        rc = main(["lint", str(clean_pkg), "--no-cache"])
-        assert rc == 0
-        assert not (tmp_path / ".repro-lint-cache.json").exists()
+    def test_rule_change_between_runs_is_reported(
+            self, clean_pkg, monkeypatch, capsys):
+        # Findings come from the rules as they are at run time: a
+        # rule changed between two runs in one directory changes the
+        # second run's report.
+        from repro.analysis.rules import errors
 
-    def test_default_cache_lands_in_cwd(self, clean_pkg, tmp_path):
-        rc = main(["lint", str(clean_pkg)])
-        assert rc == 0
-        assert (tmp_path / ".repro-lint-cache.json").exists()
-
-    def test_jobs_matches_serial(self, clean_pkg, capsys):
-        (clean_pkg / "core" / "bad.py").write_text(
-            "import random\nx = hash(3)\n")
-        rc = main(["lint", str(clean_pkg), "--no-cache"])
-        serial = capsys.readouterr().out
-        assert rc == 1
-        rc = main(["lint", str(clean_pkg), "--no-cache", "--jobs", "4"])
-        parallel = capsys.readouterr().out
-        assert rc == 1
-        assert parallel == serial
+        (clean_pkg / "core" / "todo.py").write_text(
+            "def later():\n"
+            "    raise NotImplementedError\n")
+        assert main(["lint", str(clean_pkg), "--select", "RPR031"]) == 0
+        assert "clean" in capsys.readouterr().out
+        monkeypatch.setattr(errors, "ALLOWED_BUILTINS",
+                            errors.ALLOWED_BUILTINS
+                            - {"NotImplementedError"})
+        assert main(["lint", str(clean_pkg), "--select", "RPR031"]) == 1
+        out = capsys.readouterr().out
+        assert "RPR031" in out and "todo.py" in out
 
     def test_list_rules_includes_new_families(self, capsys):
         rc = main(["lint", "--list-rules"])

@@ -231,6 +231,60 @@ class TestLockDisciplineInterprocedural:
         assert codes(findings) == ["RPR041"]
         assert "Store.reset" in findings[0].message
 
+    def test_closure_write_outside_lock_rpr041(self, tmp_path):
+        # The closure runs on a pool thread and writes through its
+        # method's ``self``: that is the class's shared state, held to
+        # the same lock discipline as a method body.
+        findings = lint_tree(tmp_path, {"conc/store.py": """
+            import threading
+            from concurrent.futures import ThreadPoolExecutor
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._data = {}
+                    self._pool = ThreadPoolExecutor(max_workers=2)
+
+                def put(self, k, v):
+                    with self._lock:
+                        self._data[k] = v
+
+                def drop(self, k):
+                    with self._lock:
+                        del self._data[k]
+
+                def put_later(self, k, v):
+                    def op():
+                        self._data[k] = v
+                    return self._pool.submit(op)
+            """})
+        assert codes(findings) == ["RPR041"]
+        assert findings[0].line == 21
+        assert "Store.put_later.<locals>.op" in findings[0].message
+
+    def test_closure_write_under_lock_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {"conc/store.py": """
+            import threading
+            from concurrent.futures import ThreadPoolExecutor
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._data = {}
+                    self._pool = ThreadPoolExecutor(max_workers=2)
+
+                def put(self, k, v):
+                    with self._lock:
+                        self._data[k] = v
+
+                def put_later(self, k, v):
+                    def op():
+                        with self._lock:
+                            self._data[k] = v
+                    return self._pool.submit(op)
+            """})
+        assert findings == []
+
     def test_ctor_only_helper_exempt(self, tmp_path):
         # _fill runs before the instance is shared: no lock needed.
         findings = lint_tree(tmp_path, {"conc/warm.py": """
