@@ -128,14 +128,22 @@ def _moments(sample: WarehouseSample,
     depend on the interpreter version, nor on the kernel backend.
     ``value_fn`` runs here, so its own errors surface unchanged; what
     it returns (an int or a numpy scalar included) enters as
-    ``float(x)``, and ``float`` itself is left to the kernel.
+    ``float(x)``, and ``float`` itself is left to the kernel.  With
+    ``float`` the fold reads the histogram's float view
+    (:meth:`~repro.core.histogram.CompactHistogram.float_view`), so a
+    stored sample's keys and counts are converted once, not per query;
+    keys without a view are folded as they are.
     """
     n = sample.size
     histogram = sample.histogram
-    keys = histogram.value_list()
-    total, sum_sq, _, _ = fold_moments(
-        keys if value_fn is float else list(map(value_fn, keys)), 0.0,
-        0.0, None, None, counts=histogram.run_lengths())
+    view = histogram.float_view() if value_fn is float else None
+    if view is None:
+        keys = histogram.value_list()
+        view = (keys if value_fn is float else list(map(value_fn, keys)),
+                histogram.run_lengths())
+    values, runs = view
+    total, sum_sq, _, _ = fold_moments(values, 0.0, 0.0, None, None,
+                                       counts=runs)
     mean = total / n if n else 0.0
     variance = 0.0
     if n > 1:

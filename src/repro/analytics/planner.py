@@ -45,8 +45,9 @@ skip the fpc at plan time only, on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from repro.analytics.estimators import (Estimate, _stratum_variance, _z,
@@ -54,12 +55,15 @@ from repro.analytics.estimators import (Estimate, _stratum_variance, _z,
 from repro.errors import ConfigurationError
 from repro.obs.clock import monotonic
 from repro.obs.runtime import OBS
+from repro.warehouse.catalog import PartitionMeta
 from repro.warehouse.dataset import PartitionKey
 
 __all__ = ["QueryPlan", "QueryPlanner", "PLAN_AGGREGATES"]
 
 #: Aggregates the planner can certify from synopses.
 PLAN_AGGREGATES = ("count", "sum", "avg")
+
+_KEY = attrgetter("key")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,9 @@ class QueryPlan:
     the merge-all path and ``reason`` says why.  ``stratum_variances``
     holds each stratum's ``(key, variance if answered by synopsis)`` in
     catalog order; :attr:`ranked` sorts them only when read.
+    ``records`` carries the catalog records planning read for
+    ``selected`` then ``synopsis_keys``, so execution looks none up;
+    it is left out of comparisons and of :meth:`to_dict`.
     """
 
     dataset: str
@@ -90,6 +97,8 @@ class QueryPlan:
     reason: str
     stratum_variances: Tuple[Tuple[PartitionKey, float], ...]
     seconds: float
+    records: Tuple[PartitionMeta, ...] = field(
+        default=(), compare=False, repr=False)
 
     @property
     def ranked(self) -> Tuple[Tuple[str, float], ...]:
@@ -173,7 +182,8 @@ class QueryPlanner:
                    predicted: float, target: Optional[float],
                    certified: bool, fallback: bool, reason: str,
                    stratum_variances: Tuple[Tuple[PartitionKey, float],
-                                            ...] = ()
+                                            ...] = (),
+                   records: Tuple[PartitionMeta, ...] = ()
                    ) -> QueryPlan:
             seconds = monotonic() - t0
             if OBS.enabled:
@@ -191,7 +201,8 @@ class QueryPlanner:
                 total_partitions=len(metas),
                 predicted_half_width=predicted, certified=certified,
                 fallback=fallback, reason=reason,
-                stratum_variances=stratum_variances, seconds=seconds)
+                stratum_variances=stratum_variances, seconds=seconds,
+                records=records)
 
         if not metas:
             return finish((), (), math.inf, None, False, True,
@@ -200,7 +211,8 @@ class QueryPlanner:
         if agg == "count":
             # Parent sizes are catalog facts: exact, zero reads.
             return finish((), tuple(m.key for m in metas), 0.0,
-                          target_half_width, True, False, "")
+                          target_half_width, True, False, "",
+                          records=tuple(metas))
 
         # Per stratum, in catalog order: its key, the variance it adds
         # when its synopsis answers (v_u), and, if reading its live
@@ -255,6 +267,7 @@ class QueryPlanner:
             sum_target = target * population_total
 
         selected: List[PartitionKey] = []
+        chosen: List[PartitionMeta] = []
         unread = [True] * len(keys)
         for gain, key, position in sorted(candidates,
                                           key=lambda c: (-c[0], c[1])):
@@ -262,6 +275,7 @@ class QueryPlanner:
                 break
             variance -= gain
             selected.append(key)
+            chosen.append(metas[position])
             unread[position] = False
         predicted_sum_hw = z * math.sqrt(variance)
         certified = predicted_sum_hw <= sum_target
@@ -273,9 +287,10 @@ class QueryPlanner:
                 f"bound not certifiable: predicted half-width "
                 f"{predicted:.6g} > target {target:.6g}",
                 tuple(zip(keys, unselected)))
+        chosen.extend(compress(metas, unread))
         return finish(tuple(selected), tuple(compress(keys, unread)),
                       predicted, target, True, False, "",
-                      tuple(zip(keys, unselected)))
+                      tuple(zip(keys, unselected)), tuple(chosen))
 
     # ------------------------------------------------------------------
     # Execution
@@ -287,22 +302,35 @@ class QueryPlanner:
         The caller (the query engine, the serve layer) handles
         ``fallback`` plans itself — executing one here would silently
         produce the uncertified answer the plan refused to promise.
+
+        Each stratum's size and synopsis come from the record the plan
+        carries, the catalog's own object, so an in-place change since
+        planning (a maintenance delete) shows; only a plan whose keys
+        were edited (``dataclasses.replace``) looks its records up.
         """
         if plan.fallback:
             raise ConfigurationError(
                 f"cannot execute a fallback plan ({plan.reason}); "
                 "run the merge-all path instead")
-        catalog = self._warehouse.catalog
-        sampled = [(catalog.get(key).population_size,
-                    self._warehouse.sample_for(key))
-                   for key in plan.selected]
+        selected = plan.selected
+        keys = selected + plan.synopsis_keys
+        records = plan.records
+        if tuple(map(_KEY, records)) != keys:
+            # A plan edited with dataclasses.replace: its keys are not
+            # the records it carries.
+            records = tuple(map(self._warehouse.catalog.get, keys))
+        sample_for = self._warehouse.sample_for
+        sampled = [(meta.population_size, sample_for(key))
+                   for meta, key in zip(records, selected)]
         synopses = []
-        for key in plan.synopsis_keys:
-            synopsis = catalog.get(key).synopsis
+        for meta in records[len(selected):]:
+            # A record is the catalog's own object, so a maintenance
+            # delete since planning shows here.
+            synopsis = meta.synopsis
             if synopsis is None:
                 raise ConfigurationError(
-                    f"partition {key} lost its synopsis since planning; "
-                    "re-plan the query")
+                    f"partition {meta.key} lost its synopsis since "
+                    "planning; re-plan the query")
             synopses.append(synopsis)
         return stratified_partition_estimate(
             plan.agg, sampled=sampled, synopses=synopses,

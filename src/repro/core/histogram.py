@@ -27,9 +27,14 @@ count instead (:meth:`CompactHistogram.from_counts`).
 The purges read a histogram through its run index
 (:meth:`CompactHistogram.run_index`): the keys as a list and the run
 lengths in the kernel backend's form, built on first use and cleared by
-every mutator.  A stored sample never changes, so it converts its runs
-once however many merges purge it.  The index is derived from the
-histogram's value alone and never pickled; it is not a result cache.
+every mutator.  The estimators' moment pass reads the same index
+through :meth:`CompactHistogram.float_view`, which adds the keys as the
+backend's fold reads them (a ``float64`` array on numpy), built the
+first time moments are read, so ingest, whose purges never read them,
+does not pay for it.  A stored sample never changes, so it converts its
+runs and its keys once however many merges purge it and however many
+planned queries read it.  Both are derived from the histogram's value
+alone and never pickled; they are not a result cache.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import (Collection, Dict, Hashable, Iterable, Iterator, List,
 
 from repro.core.footprint import FootprintModel
 from repro.errors import ConfigurationError
-from repro.kernels import active_backend, index_runs
+from repro.kernels import active_backend, index_runs, index_values
 
 __all__ = ["CompactHistogram", "Tally", "count_values"]
 
@@ -51,9 +56,14 @@ Value = Hashable
 #: building one.
 Tally = Tuple[Dict[Value, int], int, int]
 
-#: ``(backend, keys, runs)``: the run index a histogram keeps for the
-#: kernel backend named first (see :meth:`CompactHistogram.run_index`).
-RunIndex = Tuple[str, List[Value], Collection[int]]
+#: ``(backend, keys, runs, view)``: the run index a histogram keeps for
+#: the kernel backend named first (see :meth:`CompactHistogram.run_index`),
+#: and the float view of its keys (:meth:`CompactHistogram.float_view`),
+#: or :data:`_UNBUILT` until moments are first read.
+RunIndex = Tuple[str, List[Value], Collection[int], object]
+
+#: The ``view`` of a run index whose float view is not built yet.
+_UNBUILT = object()
 
 
 def count_values(values: Iterable[Value]) -> Dict[Value, int]:
@@ -82,7 +92,8 @@ class CompactHistogram:
         self._counts: Dict[Value, int] = {}
         self._size = 0        # total number of data elements
         self._singletons = 0  # number of values with count == 1
-        # run_index()'s memo; every mutator clears it.
+        # run_index()'s and float_view()'s memo; every mutator clears
+        # it.
         self._index: Optional[RunIndex] = None
 
     # ------------------------------------------------------------------
@@ -315,18 +326,50 @@ class CompactHistogram:
         the next mutation, or until the active backend changes, so a
         stored sample pays the conversion once however often it is
         purged.  This memoizes a pure function of the histogram's
-        value; it is not a result cache.  Callers must not mutate
-        ``keys``.
+        value; it is not a result cache.  The memo also holds the
+        :meth:`float_view`, built only when moments are read, so
+        building the index costs no float conversion.  Callers must
+        not mutate ``keys``.
         """
+        index = self._run_index()
+        return index[1], index[2]
+
+    def float_view(self) -> Optional[Tuple[Sequence, Collection[int]]]:
+        """The keys as the kernel backend's fold reads them, and the runs.
+
+        Returns ``(values, runs)``: ``runs`` as :meth:`run_index` gives
+        them, and ``values`` what :func:`repro.kernels.index_values`
+        makes of the keys (a read-only ``float64`` array on numpy, the
+        keys list itself on python).  Returns ``None`` when the backend
+        has no view of these keys (one does not convert to a float, or
+        one is NaN): the caller folds the keys as they are.  Built on
+        the first call, apart from the run index, and kept in the same
+        memo, so a stored sample converts its keys once however many
+        queries fold it.  Callers must not mutate either part.
+        """
+        index = self._run_index()
+        view = index[3]
+        if view is _UNBUILT:
+            view = index_values(index[1])
+            if view is not None:
+                view = (view, index[2])
+            index = index[:3] + (view,)
+            # Published with one store, as in _run_index.
+            self._index = index
+        return view
+
+    def _run_index(self) -> RunIndex:
+        """The memo for the active backend, built when missing or stale."""
         backend = active_backend()
         index = self._index
         if index is None or index[0] != backend:
             counts = self._counts
-            index = (backend, list(counts), index_runs(counts.values()))
+            index = (backend, list(counts), index_runs(counts.values()),
+                     _UNBUILT)
             # Racing readers each build the same value and publish it
             # with this one store, so the race is harmless.
             self._index = index
-        return index[1], index[2]
+        return index
 
     def tally(self) -> Tally:
         """This histogram's ``(map, size, singletons)``, map shared.

@@ -10,7 +10,9 @@ block of arrivals (or a whole exhaustive input) through
 :func:`reservoir_block` and :func:`bernoulli_block` and the same
 purges; the exact synopsis folds its moments through
 :func:`fold_moments`, and the estimators fold a sample's
-``(value, count)`` runs through the same kernel.  This package
+``(value, count)`` runs through the same kernel, reading a stored
+sample's keys and counts in the forms :func:`index_values` and
+:func:`index_runs` converted them to once.  This package
 isolates them behind a small kernel API with two interchangeable
 backends:
 
@@ -72,6 +74,7 @@ __all__ = [
     "binomial_counts",
     "srs_counts",
     "index_runs",
+    "index_values",
     "reservoir_block",
     "bernoulli_block",
     "fold_moments",
@@ -225,6 +228,21 @@ def index_runs(runs: Collection[int]) -> Collection[int]:
     return _backend().index_runs(runs)
 
 
+def index_values(keys: List) -> Optional[Sequence]:
+    """A histogram's keys in the form :func:`fold_moments` reads fastest.
+
+    numpy: one ``float64`` array, marked read-only, each key converted
+    as :func:`fold_moments` converts it, or ``None`` when a key does
+    not convert or the array holds a NaN (those keys take the fold's
+    checked path every time); python: ``keys`` itself.  A histogram
+    keeps the result next to its run index
+    (:meth:`~repro.core.histogram.CompactHistogram.float_view`), and a
+    weighted fold over the two gives the bits of a fold over the keys
+    and their counts.
+    """
+    return _backend().index_values(keys)
+
+
 def reservoir_block(seen: int, block: int, capacity: int,
                     rng) -> Tuple[List[int], List[int]]:
     """One block step of a size-``capacity`` reservoir (Figure 8's node).
@@ -270,7 +288,10 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     (a histogram's :meth:`~repro.core.histogram.CompactHistogram.
     run_lengths` view), each value entering as ``x * c`` and
     ``x * x * c`` — the per-run loop of the estimators' moment pass.
-    A weighted fold leaves ``lo`` / ``hi`` as given.
+    A weighted fold leaves ``lo`` / ``hi`` as given.  ``values`` and
+    ``counts`` may also be a histogram's float view and run index
+    (:func:`index_values`, :func:`index_runs`), which the numpy backend
+    folds without converting them again.
 
     ``ints=True`` promises that every value's type is exactly ``int``
     (the accumulator's type check), which lets the numpy backend convert

@@ -36,7 +36,10 @@ seed-splitting discipline.
 :func:`fold_moments` is the one kernel whose output is byte-identical
 to the python backend's: synopsis and estimator moments are exact
 summaries, not draws, so it performs the reference's IEEE operations
-in the reference's order, only at C speed.
+in the reference's order, only at C speed.  A weighted fold over a
+``float64`` array and an ``int64`` array (a stored histogram's
+:func:`index_values` view and :func:`index_runs` index) reads both as
+they are.
 """
 
 from __future__ import annotations
@@ -275,6 +278,18 @@ def _float_array(values: Sequence, ints: bool) -> Optional["np.ndarray"]:
         return None
 
 
+def index_values(keys: List) -> Optional["np.ndarray"]:
+    """The keys as one read-only ``float64`` array, converted as
+    :func:`fold_moments` converts them; ``None`` when one does not
+    convert or the array holds a NaN, which the fold would send to the
+    reference for its error or its position-dependent extremes."""
+    arr = _float_array(keys, False)
+    if arr is None or np.isnan(arr).any():
+        return None
+    arr.flags.writeable = False
+    return arr
+
+
 def fold_moments(values: Sequence, total: float, total_sq: float,
                  lo: Optional[float], hi: Optional[float], *,
                  ints: bool = False,
@@ -293,7 +308,17 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
     that does not convert goes to the reference fold, which raises the
     same error the scalar path does.  One difference remains: numpy
     datetime scalars, which ``float()`` refuses, convert to their ticks.
+
+    A weighted fold of a ``float64`` array over an ``int64`` array of
+    the same size, a histogram's float view over its run index, skips
+    the conversion and the NaN test: a view holds no NaN, so a NaN sum
+    can only come from adding infinities, which the reference adds
+    alike.
     """
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and isinstance(counts, np.ndarray)
+            and counts.dtype == np.int64 and values.size == counts.size):
+        return _accumulate(values, total, total_sq, counts) + (lo, hi)
     xs = _float_array(values, ints)
     weights = None if counts is None else _float_array(counts, True)
     if xs is None or counts is not None and (
@@ -323,7 +348,9 @@ def fold_moments(values: Sequence, total: float, total_sq: float,
 def _accumulate(xs: "np.ndarray", total: float, total_sq: float,
                 weights: Optional["np.ndarray"]) -> Tuple[float, float]:
     """``total + Σ x·w`` and ``total_sq + Σ (x·x)·w`` (``w = 1`` when
-    ``weights`` is ``None``), each added strictly left to right."""
+    ``weights`` is ``None``), each added strictly left to right.  An
+    ``int64`` ``weights`` enters each product as ``float64``, rounded
+    as ``astype`` would round it."""
     scan = np.empty(xs.size + 1)
     terms = scan[1:]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -147,6 +147,12 @@ def index_runs(runs: Collection[int]) -> Tuple[int, ...]:
     return tuple(runs)
 
 
+def index_values(keys: List) -> List:
+    """The keys themselves: :func:`fold_moments` reads each with
+    ``float()``."""
+    return keys
+
+
 def binomial_counts(counts: Collection[int], q: float,
                     rng: SplittableRng) -> Tuple[List[int], List[int]]:
     """One ``Binomial(n, q)`` per run, in order (Figure 3's loop)."""

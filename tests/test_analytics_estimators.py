@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -18,6 +19,7 @@ from repro.analytics.estimators import (chao_distinct, estimate_avg,
                                         frequency_of_frequencies,
                                         gee_distinct, naive_distinct,
                                         stratified_partition_estimate)
+from repro.core import histogram as histogram_module
 from repro.core.footprint import FootprintModel
 from repro.core.histogram import CompactHistogram
 from repro.core.hybrid_bernoulli import AlgorithmHB
@@ -315,11 +317,18 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _cold_and_warm(sample, *args):
+    """``_outcome`` of ``_moments`` read twice: the first read builds the
+    histogram's float view, the second folds the kept one."""
+    return [_outcome(estimators._moments, sample, *args) for _ in range(2)]
+
+
 @pytest.mark.parametrize("backend", available_backends())
 class TestMomentsOracle:
     """``_moments`` is one weighted ``fold_moments`` call and gives the
     per-run loop's ``_Moments`` (conftest ``loop_moments``) bit for bit
-    on every backend, errors included."""
+    on every backend, errors included, whether the histogram's float
+    view is cold or warm."""
 
     @given(runs=st.lists(st.tuples(NUMERIC_KEYS, st.integers(1, 2**20)),
                          min_size=1, max_size=40),
@@ -328,8 +337,8 @@ class TestMomentsOracle:
     def test_numeric_keys(self, backend, runs, value_fn):
         sample = runs_sample(runs)
         with use_backend(backend):
-            got = _outcome(estimators._moments, sample, value_fn)
-        assert got == _outcome(loop_moments, sample, value_fn)
+            got = _cold_and_warm(sample, value_fn)
+        assert got == [_outcome(loop_moments, sample, value_fn)] * 2
 
     @given(runs=st.lists(st.tuples(st.one_of(STRING_KEYS, NUMERIC_KEYS),
                                    st.integers(1, 50)),
@@ -338,24 +347,25 @@ class TestMomentsOracle:
     def test_string_keys_read_by_float(self, backend, runs):
         sample = runs_sample(runs)
         with use_backend(backend):
-            got = _outcome(estimators._moments, sample)
-        assert got == _outcome(loop_moments, sample)
+            got = _cold_and_warm(sample)
+        assert got == [_outcome(loop_moments, sample)] * 2
 
     @pytest.mark.parametrize("key", [None, (1,), b"x", b"2.5",
-                                     Decimal("0.1"), Fraction(1, 3)])
+                                     Decimal("0.1"), Fraction(1, 3), NAN])
     def test_other_keys_fail_or_read_alike(self, backend, key):
         sample = runs_sample([(1.5, 2), (key, 3)])
         with use_backend(backend):
-            got = _outcome(estimators._moments, sample)
-        assert got == _outcome(loop_moments, sample)
+            got = _cold_and_warm(sample)
+        assert got == [_outcome(loop_moments, sample)] * 2
 
     def test_int_too_large_for_a_float(self, backend):
         sample = runs_sample([(1, 2), (10**400, 1)])
         with pytest.raises(OverflowError):
             loop_moments(sample)
         with use_backend(backend):
-            with pytest.raises(ConfigurationError, match="float range"):
-                estimators._moments(sample)
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="float range"):
+                    estimators._moments(sample)
 
     def test_one_kernel_call_per_sample(self, backend):
         sample = runs_sample([(v, 1 + v % 3) for v in range(900)])
@@ -366,3 +376,103 @@ class TestMomentsOracle:
                 stratified_partition_estimate(
                     "avg", sampled=[(900, sample), (900, sample)])
         assert fold.call_count == 3
+
+
+def _sample_bits(sample):
+    """``repr`` of the moments of a fresh copy of ``sample``'s
+    histogram, which has no float view yet."""
+    return repr(estimators._moments(
+        runs_sample(list(sample.histogram.pairs()))))
+
+
+_MUTATORS = {
+    "insert": lambda h: h.insert(2.5),
+    "extend": lambda h: h.extend([7, 0.25, 7]),
+    "insert_count": lambda h: h.insert_count(-3.0, 4),
+    "remove": lambda h: h.remove(1.5),
+    "__setstate__": lambda h: h.__setstate__(
+        ({9.0: 2, 1.5: 1}, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestFloatView:
+    """A histogram's float view is a memo of its keys, kept in the run
+    index's memo: built only when moments are read, cleared by every
+    mutator, rebuilt on a backend switch, dropped by pickling and never
+    writable.  Moments read through it equal a fresh copy's, bit for
+    bit."""
+
+    @staticmethod
+    def _warm(backend):
+        sample = runs_sample([(1.5, 2), (10, 3), (-0.0, 1), (1e300, 2)])
+        with use_backend(backend):
+            estimators._moments(sample)
+            assert sample.histogram.float_view() is not None
+        return sample
+
+    def test_run_index_alone_builds_no_view(self, backend):
+        sample = runs_sample([(1.5, 2), (10, 3)])
+        with use_backend(backend):
+            sample.histogram.run_index()
+            assert sample.histogram._index[3] is histogram_module._UNBUILT
+
+    @pytest.mark.parametrize("mutator", sorted(_MUTATORS))
+    def test_each_mutator_clears_the_view(self, backend, mutator):
+        sample = self._warm(backend)
+        _MUTATORS[mutator](sample.histogram)
+        assert sample.histogram._index is None
+        with use_backend(backend):
+            assert repr(estimators._moments(sample)) \
+                == _sample_bits(sample) \
+                == repr(loop_moments(sample))
+
+    def test_backend_switch_gives_fresh_copy_bits(self, monkeypatch,
+                                                  backend):
+        """The python fold never receives the numpy view."""
+        import repro.kernels.python as python_kernels
+
+        original = python_kernels.fold_moments
+
+        def checked(values, *args, **kwargs):
+            assert isinstance(values, list), type(values)
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(python_kernels, "fold_moments", checked)
+        for first in available_backends():
+            sample = self._warm(first)
+            with use_backend(backend):
+                assert repr(estimators._moments(sample)) \
+                    == _sample_bits(sample)
+
+    def test_pickle_drops_the_view(self, backend):
+        sample = self._warm(backend)
+        clone = pickle.loads(pickle.dumps(sample.histogram))
+        assert len(sample.histogram.__getstate__()) == 3
+        assert clone._index is None and clone == sample.histogram
+        with use_backend(backend):
+            assert repr(estimators._moments(runs_sample(clone.pairs()))) \
+                == repr(estimators._moments(sample))
+
+    def test_view_cannot_be_written(self, backend):
+        sample = self._warm(backend)
+        with use_backend(backend):
+            values, runs = sample.histogram.float_view()
+            if backend == "numpy":
+                with pytest.raises(ValueError):
+                    values[0] = 7.0
+            else:
+                # The python view is the run index's own keys list.
+                assert values is sample.histogram.run_index()[0]
+            with pytest.raises(ValueError if backend == "numpy"
+                               else TypeError):
+                runs[0] = 7
+            assert sample.histogram.float_view()[0] is values
+
+    def test_nan_key_has_no_numpy_view(self, backend):
+        sample = runs_sample([(1.5, 2), (NAN, 1)])
+        with use_backend(backend):
+            view = sample.histogram.float_view()
+            assert (view is None) is (backend == "numpy")
+            assert repr(estimators._moments(sample)) \
+                == repr(loop_moments(sample))

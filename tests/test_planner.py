@@ -15,9 +15,12 @@ from repro.analytics.aqp import ApproximateQueryEngine
 from repro.analytics import planner as planner_module
 from repro.analytics.planner import QueryPlanner
 from repro.errors import ConfigurationError, DatasetNotFoundError
+from repro.kernels import available_backends, numpy_available, use_backend
 from repro.obs.runtime import capture
 from repro.rng import SplittableRng
+from repro.warehouse.catalog import Catalog
 from repro.warehouse.dataset import PartitionKey
+from repro.warehouse.maintenance import warehouse_delete
 from repro.warehouse.parallel import SampleTask, sample_partition
 from repro.warehouse.synopsis import PartitionSynopsis
 from repro.warehouse.warehouse import SampleWarehouse
@@ -225,6 +228,63 @@ class TestLazyRanking:
             "plan.tied", agg, target_half_width=0.005,
             relative_target=True)
         assert summary["ranked"] == [list(pair) for pair in expected[:8]]
+
+
+class TestExecuteWork:
+    """A warm planned sum/avg that reads stored strata converts no keys
+    and looks up no catalog record: the plan carries the records it
+    read, and each stored sample keeps its float view."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("agg", ["sum", "avg"])
+    def test_warm_execute_converts_and_looks_up_nothing(self, agg, backend,
+                                                        monkeypatch):
+        wh, _ = sketchy_warehouse()
+        planner = QueryPlanner(wh)
+        with use_backend(backend):
+            plan = planner.plan("plan.sketch", agg, target_half_width=0.02,
+                                relative=True)
+            assert plan.certified and plan.selected and plan.synopsis_keys
+            cold = planner.execute(plan)
+            calls = []
+            if numpy_available():
+                import numpy as np
+                fromiter = np.fromiter
+
+                def counting_fromiter(*args, **kwargs):
+                    calls.append("fromiter")
+                    return fromiter(*args, **kwargs)
+
+                monkeypatch.setattr(np, "fromiter", counting_fromiter)
+            get = Catalog.get
+
+            def counting_get(catalog, key):
+                calls.append("get")
+                return get(catalog, key)
+
+            monkeypatch.setattr(Catalog, "get", counting_get)
+            warm = planner.execute(plan)
+            monkeypatch.undo()
+        assert calls == []
+        assert repr(warm) == repr(cold) and warm == cold
+
+    def test_carried_records_see_in_place_maintenance(self):
+        wh, _ = sketchy_warehouse()
+        planner = QueryPlanner(wh)
+        plan = planner.plan("plan.sketch", "sum", target_half_width=0.02,
+                            relative=True)
+        assert plan.selected and plan.synopsis_keys
+        before = planner.execute(plan)
+        key = plan.synopsis_keys[0]
+        value = next(wh.sample_for(key).histogram.values())
+        warehouse_delete(wh, key, value, parent_count=1)
+        after = planner.execute(plan)
+        assert after != before
+        # The same plan with no carried records reads the catalog.
+        assert after == planner.execute(dataclasses.replace(plan, records=()))
+        wh.catalog.get(key).synopsis = None
+        with pytest.raises(ConfigurationError, match="lost its synopsis"):
+            planner.execute(plan)
 
 
 class TestFallbacks:
